@@ -1,26 +1,30 @@
 """Ring and module backends for the noncommutative recurrence solvers.
 
-Three concrete backends share one informal contract:
+Three backends, each a ring kind paired with the module kind it acts on:
 
-* ``Matrix`` / ``ColumnVector`` -- dense square matrices over exact
-  rationals (``fractions.Fraction``) or 64-bit floats, acting on column
-  vectors of the same dimension and entry kind;
-* exact rational scalars -- plain ``Fraction`` (or ``int``) values serve
-  as both ring element and vector;
-* ``FreeElement`` / ``FreeVector`` -- integer-coefficient formal sums of
-  words over the two-letter alphabet, the symbolic backend on which
+* ``Matrix`` -> ``ColumnVector`` -- dense square matrices over exact
+  rationals (``fractions.Fraction``) or 64-bit floats;
+* ``Fraction`` -> ``Fraction`` -- exact rational scalars (``Fraction``
+  or ``int``) serve as both ring element and vector;
+* ``FreeElement`` -> ``FreeVector`` -- integer-coefficient formal sums
+  of words over the two-letter alphabet, the symbolic backend on which
   closed-form identities can be checked monomial by monomial.
 
-Every ring element supplies a zero, an identity, commutative addition
-and (generally noncommutative) multiplication; vectors supply a zero,
-addition and a left action of ring elements.  All values are immutable
-after construction and all operations are pure functions, so elements
-may be shared freely between threads.
+The contract they share: one lookup maps exact scalars to the kind
+``Fraction`` and every other value to its class; ``*`` is the (generally
+noncommutative) ring product and the left action on vectors; ``+`` adds
+two values of one kind; each class supplies ``zero()`` and each ring
+class ``one()`` for the receiver's n and field (scalars use
+``Fraction(0)`` and ``Fraction(1)``); matrices and column vectors combine
+only at the same dimension n and the same entry field, exact or float.
+All values are immutable after construction and all operations are
+pure functions, so elements may be shared freely between threads.
 
 The generic entry points :func:`compose`, :func:`apply`,
-:func:`ring_one`, :func:`ring_zero` and :func:`vector_zero` dispatch on
-the backend type; mixing backends (or matrix dimensions, or exact and
-float entries) raises :class:`BackendMismatchError`.
+:func:`ring_one`, :func:`ring_zero` and :func:`vector_zero` look up the
+kind, check it and delegate to the contract; mixing backends (or matrix
+dimensions, or exact and float entries) raises
+:class:`BackendMismatchError`.
 """
 from __future__ import annotations
 
@@ -181,9 +185,10 @@ class FreeElement:
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
             return FreeElement({w: c * other for w, c in self.terms.items()} if other else {})
-        if not isinstance(other, FreeElement):
+        if not isinstance(other, (FreeElement, FreeVector)):
             return NotImplemented
-        return FreeElement(_concat_product(self.terms, other.terms))
+        # Concatenation is both the ring product and the action on vectors.
+        return type(other)(_concat_product(self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -285,6 +290,13 @@ class FreeVector:
 # Dense square matrices over Fraction or float
 # ---------------------------------------------------------------------------
 
+def _check_space(a, b):
+    """The n/field rule shared by Matrix and ColumnVector operands."""
+    if a.n != b.n or a.exact != b.exact:
+        raise BackendMismatchError(
+            f"dimension or field mismatch: n={a.n} vs {b.n}, exact={a.exact} vs {b.exact}", a, b)
+
+
 def _coerce_entries(entries, context):
     """Normalize a flat iterable of entries to all-Fraction or all-float.
 
@@ -340,41 +352,36 @@ class Matrix:
         zero = Fraction(0) if exact else 0.0
         return cls([[zero] * n for _ in range(n)])
 
-    def _check_compatible(self, other):
-        if self.n != other.n:
-            raise BackendMismatchError(
-                f"matrix dimension mismatch: {self.n} vs {other.n}", self, other)
-        if self.exact != other.exact:
-            raise BackendMismatchError(
-                "cannot mix exact and float matrix backends", self, other)
+    def one(self):
+        return Matrix.identity(self.n, self.exact)
+
+    def zero(self):
+        return Matrix.zeros(self.n, self.exact)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._check_compatible(other)
+        _check_space(self, other)
         return Matrix([[a + b for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._check_compatible(other)
+        _check_space(self, other)
         return Matrix([[a - b for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.rows, other.rows)])
 
     def __mul__(self, other):
+        if not isinstance(other, (Matrix, ColumnVector)):
+            return NotImplemented
+        _check_space(self, other)
         if isinstance(other, Matrix):
-            self._check_compatible(other)
             cols = tuple(zip(*other.rows))
             return Matrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
                            for row in self.rows])
-        if isinstance(other, ColumnVector):
-            if self.n != other.n or self.exact != other.exact:
-                raise BackendMismatchError(
-                    "matrix/vector dimension or field mismatch", self, other)
-            return ColumnVector([sum(a * b for a, b in zip(row, other.entries))
-                                 for row in self.rows])
-        return NotImplemented
+        return ColumnVector([sum(a * b for a, b in zip(row, other.entries))
+                             for row in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -422,18 +429,19 @@ class ColumnVector:
         zero = Fraction(0) if exact else 0.0
         return cls([zero] * n)
 
+    def zero(self):
+        return ColumnVector.zeros(self.n, self.exact)
+
     def __add__(self, other):
         if not isinstance(other, ColumnVector):
             return NotImplemented
-        if self.n != other.n or self.exact != other.exact:
-            raise BackendMismatchError("vector dimension or field mismatch", self, other)
+        _check_space(self, other)
         return ColumnVector([a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         if not isinstance(other, ColumnVector):
             return NotImplemented
-        if self.n != other.n or self.exact != other.exact:
-            raise BackendMismatchError("vector dimension or field mismatch", self, other)
+        _check_space(self, other)
         return ColumnVector([a - b for a, b in zip(self.entries, other.entries)])
 
     def __eq__(self, other):
@@ -489,87 +497,74 @@ def word_to_element(word, L0, L1, counter=None):
     return product
 
 
-def is_scalar(value):
-    """True for exact rational scalars (the 1-dimensional exact backend)."""
-    return isinstance(value, Fraction) or (
-        isinstance(value, int) and not isinstance(value, bool))
+# Ring kind -> the kind of the module it acts on.
+_MODULE_OF = {Fraction: Fraction, FreeElement: FreeVector, Matrix: ColumnVector}
+
+
+def _kind(value):
+    """The backend kind of a value: ``Fraction`` for exact scalars
+    (``int`` or ``Fraction``; not ``bool``), otherwise its class."""
+    kind = type(value)
+    return Fraction if kind is int else kind
 
 
 def check_same_backend(a, b):
-    """Raise :class:`BackendMismatchError` unless a and b share a backend."""
-    if is_scalar(a) and is_scalar(b):
-        return
-    if isinstance(a, FreeElement) and isinstance(b, FreeElement):
-        return
-    if isinstance(a, Matrix) and isinstance(b, Matrix):
-        a._check_compatible(b)
-        return
-    raise BackendMismatchError(
-        f"elements from different backends: {type(a).__name__} vs {type(b).__name__}", a, b)
+    """Return the ring kind a and b share, or raise :class:`BackendMismatchError`."""
+    kind = _kind(a)
+    if kind not in _MODULE_OF or _kind(b) is not kind:
+        raise BackendMismatchError(
+            f"elements from different backends: {type(a).__name__} vs {type(b).__name__}", a, b)
+    if kind is Matrix:
+        _check_space(a, b)
+    return kind
 
 
 def check_apply_compat(ring_element, vector):
-    """Raise unless ``vector`` lives in the module acted on by ``ring_element``."""
-    if is_scalar(ring_element) and is_scalar(vector):
-        return
-    if isinstance(ring_element, FreeElement) and isinstance(vector, FreeVector):
-        return
-    if isinstance(ring_element, Matrix) and isinstance(vector, ColumnVector):
-        if ring_element.n == vector.n and ring_element.exact == vector.exact:
-            return
+    """Return ``ring_element``'s kind if it acts on ``vector``'s module, else raise."""
+    kind = _kind(ring_element)
+    if _MODULE_OF.get(kind) is not _kind(vector):
         raise BackendMismatchError(
-            "matrix/vector dimension or field mismatch", ring_element, vector)
-    raise BackendMismatchError(
-        f"cannot apply {type(ring_element).__name__} to {type(vector).__name__}",
-        ring_element, vector)
+            f"cannot apply {type(ring_element).__name__} to {type(vector).__name__}",
+            ring_element, vector)
+    if kind is Matrix:
+        _check_space(ring_element, vector)
+    return kind
 
 
 def compose(a, b):
     """Ring product a·b (matrix product / word concatenation / scalar product)."""
-    check_same_backend(a, b)
-    if is_scalar(a):
-        return Fraction(a) * Fraction(b)
+    if check_same_backend(a, b) is Fraction:
+        return Fraction(a) * b
     return a * b
 
 
 def apply(ring_element, vector):
     """Left action of a ring element on a module vector."""
-    check_apply_compat(ring_element, vector)
-    if is_scalar(ring_element):
-        return Fraction(ring_element) * Fraction(vector)
-    if isinstance(ring_element, FreeElement):
-        return FreeVector(_concat_product(ring_element.terms, vector.terms))
+    if check_apply_compat(ring_element, vector) is Fraction:
+        return Fraction(ring_element) * vector
     return ring_element * vector
+
+
+def _require_kind(value, kinds, what):
+    kind = _kind(value)
+    if kind not in kinds:
+        raise BackendMismatchError(f"not a {what}: {value!r}", value)
+    return kind
 
 
 def ring_one(element):
     """The multiplicative identity of ``element``'s backend."""
-    if is_scalar(element):
-        return Fraction(1)
-    if isinstance(element, FreeElement):
-        return FreeElement.one()
-    if isinstance(element, Matrix):
-        return Matrix.identity(element.n, exact=element.exact)
-    raise BackendMismatchError(f"not a ring element: {element!r}", element)
+    kind = _require_kind(element, _MODULE_OF, "ring element")
+    return Fraction(1) if kind is Fraction else element.one()
 
 
 def ring_zero(element):
     """The additive identity of ``element``'s backend."""
-    if is_scalar(element):
-        return Fraction(0)
-    if isinstance(element, FreeElement):
-        return FreeElement.zero()
-    if isinstance(element, Matrix):
-        return Matrix.zeros(element.n, exact=element.exact)
-    raise BackendMismatchError(f"not a ring element: {element!r}", element)
+    kind = _require_kind(element, _MODULE_OF, "ring element")
+    return Fraction(0) if kind is Fraction else element.zero()
 
 
 def vector_zero(vector):
     """The zero vector of ``vector``'s module."""
-    if is_scalar(vector):
-        return Fraction(0)
-    if isinstance(vector, FreeVector):
-        return FreeVector.zero()
-    if isinstance(vector, ColumnVector):
-        return ColumnVector.zeros(vector.n, exact=vector.exact)
-    raise BackendMismatchError(f"not a module vector: {vector!r}", vector)
+    kind = _require_kind(vector, _MODULE_OF.values(), "module vector")
+    return Fraction(0) if kind is Fraction else vector.zero()

@@ -22,7 +22,6 @@ import argparse
 import os
 import sys
 import time
-from fractions import Fraction
 from random import Random
 
 from .algebra import BackendMismatchError, word_to_str
@@ -81,12 +80,21 @@ def _env_cap():
         return None, f"invalid {CAP_ENV_VAR}={raw!r}: expected an integer"
 
 
-def _format_result(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _load(path):
+    """(problem file, None) for ``path``, or (None, message for exit 2)."""
+    try:
+        return load_problem(path), None
+    except FileNotFoundError:
+        return None, f"cannot read {path}: no such file"
+    except ProblemFileError as exc:
+        return None, str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +102,9 @@ def _format_result(value):
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args):
-    try:
-        doc = load_problem(args.input)
-    except FileNotFoundError:
-        return _fail(EXIT_PARSE, f"cannot read {args.input}: no such file")
-    except ProblemFileError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    doc, error = _load(args.input)
+    if error:
+        return _fail(EXIT_PARSE, error)
     if args.method in _SCALAR_METHODS and doc.backend != "scalar":
         return _fail(EXIT_USAGE,
                      f"method {args.method} requires the scalar backend, "
@@ -117,7 +122,7 @@ def cmd_solve(args):
     except (InvalidCoefficientError, NonRealResultError, BackendMismatchError,
             ValueError, ArithmeticError) as exc:
         return _fail(EXIT_SOLVER, f"solver error: {exc}")
-    print(_format_result(result))
+    print(result)
     return EXIT_OK
 
 
@@ -154,12 +159,9 @@ def cmd_bench(args):
     if error:
         return _fail(EXIT_USAGE, error)
     if args.input is not None:
-        try:
-            doc = load_problem(args.input)
-        except FileNotFoundError:
-            return _fail(EXIT_PARSE, f"cannot read {args.input}: no such file")
-        except ProblemFileError as exc:
-            return _fail(EXIT_PARSE, str(exc))
+        doc, error = _load(args.input)
+        if error:
+            return _fail(EXIT_PARSE, error)
         L0, L1 = doc.problem.L0, doc.problem.L1
     else:
         rng = Random(args.seed)
@@ -233,7 +235,7 @@ def build_parser():
     bench.add_argument("--v", type=_nonneg_int, default=8, help="max v (default 8)")
     bench.add_argument("--input", default=None,
                        help="take L0, L1 from this problem file")
-    bench.add_argument("--n", type=int, default=2,
+    bench.add_argument("--n", type=_positive_int, default=2,
                        help="dimension of the default random matrices (default 2)")
     bench.add_argument("--seed", type=int, default=42,
                        help="seed for the default random matrices (default 42)")

@@ -78,6 +78,8 @@ def loads_problem(text, source="<string>"):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(exc.msg, source=source, line=exc.lineno) from None
+    except RecursionError:
+        raise ProblemFileError("JSON nested too deeply", source=source) from None
     if not isinstance(data, dict):
         raise ProblemFileError("top level must be a JSON object", source=source)
     backend = data.get("backend")

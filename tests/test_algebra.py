@@ -231,6 +231,29 @@ def test_backend_mismatch_errors():
         apply(Matrix.identity(2), FreeVector.generator())
     with pytest.raises(BackendMismatchError):
         Matrix.identity(2) + Matrix.identity(3)
+    # integer scaling of FreeElement must not pass for the ring product
+    with pytest.raises(BackendMismatchError):
+        compose(A, 1)
+    with pytest.raises(BackendMismatchError):
+        compose(Fraction(1), Matrix.identity(1))
+    with pytest.raises(BackendMismatchError):
+        apply(A, ColumnVector([1]))
+    with pytest.raises(BackendMismatchError):
+        apply(Fraction(1), FreeVector.generator())
+    with pytest.raises(BackendMismatchError):
+        apply(FreeVector.generator(), FreeVector.generator())
+    with pytest.raises(BackendMismatchError):
+        apply(Matrix.identity(2, exact=False), ColumnVector([1, 2]))
+    with pytest.raises(BackendMismatchError):
+        ring_one(ColumnVector([1]))
+    with pytest.raises(BackendMismatchError):
+        ring_zero(FreeVector.generator())
+    with pytest.raises(BackendMismatchError):
+        vector_zero(Matrix.identity(2))
+    with pytest.raises(BackendMismatchError):
+        vector_zero(A)
+    with pytest.raises(BackendMismatchError):
+        ColumnVector([1]) + ColumnVector([1.0])
 
 
 def test_mixed_entry_fields_rejected():

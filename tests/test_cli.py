@@ -89,6 +89,14 @@ def test_solve_parse_failure_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_solve_deeply_nested_file_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, out, err = run(capsys, "solve", "--input", str(deep), "--p", "1")
+    assert (code, out) == (2, "")
+    assert "deep.json" in err
+
+
 def test_solve_solver_error_exits_4(tmp_path, capsys):
     degenerate = tmp_path / "c0-zero.json"
     degenerate.write_text(json.dumps(
@@ -213,3 +221,11 @@ def test_bench_threads_flag(capsys):
     assert code == 0
     rows = parse_rows(out)
     assert rows[("naive", 2, 2)][0] == str(6 * 3)
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_bench_nonpositive_n_is_a_usage_error(capsys, n):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--n", n, "--u", "1", "--v", "1"])
+    assert excinfo.value.code == 2
+    assert "--n" in capsys.readouterr().err

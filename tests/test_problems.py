@@ -80,6 +80,12 @@ def test_malformed_json_reports_line():
     assert "bad.json:3" in str(excinfo.value)
 
 
+def test_deeply_nested_json_rejected():
+    with pytest.raises(ProblemFileError) as excinfo:
+        loads_problem("[" * 100000, source="deep.json")
+    assert "deep.json" in str(excinfo.value)
+
+
 def test_unknown_backend():
     with pytest.raises(ProblemFileError) as excinfo:
         loads_problem('{"backend": "quaternion"}')
