@@ -10,8 +10,8 @@ Subcommands:
                     multiplication counts and wall times.
 
 Exit codes: 0 success; 1 verification failure; 2 problem-file parse
-failure; 3 method/backend mismatch or enumeration cap exceeded;
-4 solver error.  Results go to stdout, diagnostics to stderr.
+failure; 3 method/backend mismatch, enumeration cap exceeded or a free
+solve too large; 4 solver error.  Results go to stdout, diagnostics to stderr.
 
 The enumeration cap (default 30 letters) can be overridden with the
 ``NONCOMM_RECUR_CAP`` environment variable.
@@ -57,6 +57,11 @@ CAP_ENV_VAR = "NONCOMM_RECUR_CAP"
 
 _SCALAR_METHODS = ("scalar-roots", "scalar-sum")
 
+# A free-backend solve is refused when Y_p may have more monomials than
+# this: the generators give F_p of them, so p = 30 (832,040) runs and
+# p = 31 does not.
+FREE_MONOMIAL_CAP = 10 ** 6
+
 
 def _nonneg_int(text):
     value = int(text)
@@ -87,6 +92,30 @@ def _positive_int(text):
     return value
 
 
+def _free_monomial_bound(problem, p):
+    """min(a_p, FREE_MONOMIAL_CAP + 1), where a_0 = 0, a_1 = |Y1| and
+    a_{k+2} = |L0|·a_k + |L1|·a_{k+1}, |x| counting the terms of x.
+
+    a_p bounds the monomials of Y_p on the free backend, exactly for the
+    generators.  Saturating at the cap keeps the pair (a_k, a_{k+1})
+    within finitely many states, and it settles into a cycle of length
+    one or two within O(log cap) steps; the loop stops at the first
+    repeated state and reads a_p off the cycle, so any p answers at once.
+    """
+    c0, c1 = len(problem.L0.terms), len(problem.L1.terms)
+    limit = FREE_MONOMIAL_CAP + 1
+    state = (0, min(len(problem.y1bar.terms), limit))
+    states, seen = [], {}
+    while len(states) < p and state not in seen:
+        seen[state] = len(states)
+        states.append(state)
+        state = (state[1], min(limit, c0 * state[0] + c1 * state[1]))
+    if len(states) < p:
+        first = seen[state]
+        state = states[first + (p - first) % (len(states) - first)]
+    return state[0]
+
+
 def _load(path):
     """(problem file, None) for ``path``, or (None, message for exit 2)."""
     try:
@@ -110,6 +139,10 @@ def cmd_solve(args):
                      f"method {args.method} requires the scalar backend, "
                      f"but {args.input} uses {doc.backend}")
     problem = doc.problem
+    if doc.backend == "free" and _free_monomial_bound(problem, args.p) > FREE_MONOMIAL_CAP:
+        return _fail(EXIT_USAGE,
+                     f"refusing to solve: Y_{args.p} may have more than "
+                     f"{FREE_MONOMIAL_CAP} monomials on the free backend")
     try:
         if args.method == "closed":
             result = solve_closed(problem, args.p)
@@ -203,7 +236,8 @@ def build_parser():
         description="Exact solver for second-order linear recurrences with "
                     "noncommutative constant coefficients.",
         epilog="exit codes: 0 ok, 1 verification failure, 2 parse failure, "
-               "3 method/backend mismatch or cap exceeded, 4 solver error")
+               "3 method/backend mismatch or cap exceeded (words or monomials), "
+               "4 solver error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="compute Y_p from a problem file")

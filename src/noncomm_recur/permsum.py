@@ -11,19 +11,34 @@ it has ``C(u+v, u)`` terms.  Two evaluators are provided:
       P(u, v) = L0·P(u-1, v) + L1·P(u, v-1),
       P(u, 0) = L0^u,  P(0, v) = L1^v,
 
-  over a memo table, so only Θ(u·v) ring multiplications are
-  performed.  The table lives for a single top-level call; there is no
-  cross-call caching.
+  over a table, so only Θ(u·v) ring multiplications are performed.
 
-Both evaluators accept a :class:`MultCounter` that records the exact
-number of ring multiplications performed, for benchmarking.
+The table (:func:`perm_sum_batch`) also runs on module vectors: from
+Z(0, 0) = y the same recursion Z(u, v) = L0·Z(u-1, v) + L1·Z(u, v-1)
+gives Z(u, v) = P(u, v)·y with one module action per step, a
+matrix-vector product instead of a matrix product on matrix backends.
+The table is built row by row, keeping one row and the requested
+cells, and lives for a single top-level call; there is no cross-call
+caching.
+
+The evaluators accept a :class:`MultCounter` that records the exact
+number of ring multiplications (or module actions) performed, for
+benchmarking.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 
-from .algebra import check_same_backend, compose, ring_one, ring_zero, word_to_element
+from .algebra import (
+    apply,
+    check_apply_compat,
+    check_same_backend,
+    compose,
+    ring_one,
+    ring_zero,
+    word_to_element,
+)
 
 # Words longer than this are refused by the enumerator: materializing
 # C(30, 15) ~ 1.55e8 words is already infeasible, so fail fast instead
@@ -189,46 +204,54 @@ def perm_sum_dp(L0, L1, u, v, counter=None):
     return perm_sum_batch(L0, L1, [(u, v)], counter=counter)[0]
 
 
-def perm_sum_batch(L0, L1, keys, counter=None):
-    """Evaluate several permutation sums against one shared memo table.
+def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
+    """Evaluate several permutation sums against one shared table.
 
     ``keys`` is a sequence of (u, v) pairs; the result list is aligned
-    with it.  Cells of the table are computed bottom-up over the union
-    of the requested rectangles, so each distinct cell costs its two
-    ring multiplications once per call.  The table is discarded on
-    return.
+    with it.  Cells are computed row by row over the union of the
+    requested rectangles, so each distinct cell costs its two products
+    once per call.  Only the current row and the requested cells are
+    kept, so memory grows with the table's width, not its area.
+
+    Without ``vector`` the cells are ring elements P(u, v), at
+    2uv + max(u-1, 0) + max(v-1, 0) ring multiplications for one key.
+    With a module ``vector`` y the cells are Z(u, v) = P(u, v)·y, built
+    by the same recursion from Z(0, 0) = y with one module action per
+    product, and the result holds P(u, v)·y for each key.
     """
     check_same_backend(L0, L1)
+    if vector is None:
+        origin, product = ring_one(L0), compose
+    else:
+        check_apply_compat(L0, vector)
+        origin, product = vector, apply
     keys = list(keys)
     for u, v in keys:
         _check_counts(u, v)
     if not keys:
         return []
 
-    # Row i of the table needs columns 0..col_limit(i); the limit is the
+    def step(factor, cell):
+        # factor·1 is factor: the ring table gets P(1, 0) and P(0, 1) free.
+        if vector is None and cell is origin:
+            return factor
+        if counter is not None:
+            counter.tick()
+        return product(factor, cell)
+
+    # Row i of the table needs columns 0..col_limit[i]; the limit is the
     # largest v requested by any key at row >= i, nonincreasing in i.
     max_u = max(u for u, _ in keys)
     col_limit = [max(v for u, v in keys if u >= i) for i in range(max_u + 1)]
-
-    one = ring_one(L0)
-    table = {(0, 0): one}
-    for j in range(1, col_limit[0] + 1):
-        if j == 1:
-            table[(0, 1)] = L1
-        else:
-            table[(0, j)] = compose(L1, table[(0, j - 1)])
-            if counter is not None:
-                counter.tick()
-    for i in range(1, max_u + 1):
-        if i == 1:
-            table[(1, 0)] = L0
-        else:
-            table[(i, 0)] = compose(L0, table[(i - 1, 0)])
-            if counter is not None:
-                counter.tick()
+    found = dict.fromkeys(keys)
+    row = []
+    for i in range(max_u + 1):
+        above = row
+        row = [origin if i == 0 else step(L0, above[0])]
         for j in range(1, col_limit[i] + 1):
-            table[(i, j)] = (compose(L0, table[(i - 1, j)])
-                             + compose(L1, table[(i, j - 1)]))
-            if counter is not None:
-                counter.tick(2)
-    return [table[key] for key in keys]
+            left = step(L1, row[j - 1])
+            row.append(left if i == 0 else step(L0, above[j]) + left)
+        for u, v in found:
+            if u == i:
+                found[(u, v)] = row[v]
+    return [found[key] for key in keys]

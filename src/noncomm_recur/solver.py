@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isfinite, isqrt
 
 from .algebra import apply, check_apply_compat, check_same_backend, vector_zero
 from .permsum import binom, perm_sum_batch
@@ -50,6 +50,15 @@ class NotARationalSquareError(ValueError):
 
 class NonRealResultError(ArithmeticError):
     """Complex-double evaluation failed to produce a real value."""
+
+
+class DoubleRangeError(ArithmeticError):
+    """y_p lies beyond the range of the complex-double evaluation."""
+
+    def __init__(self, p):
+        super().__init__(
+            f"y_{p} exceeds the range of double precision on the characteristic-root "
+            f"route; scalar-sum computes it exactly")
 
 
 def t_bar(p):
@@ -95,18 +104,18 @@ def solve_iterative(problem, p):
 def solve_closed(problem, p):
     """Y_p by the permutation-sum closed form.
 
-    The permutation sums for all t share one memo table per call, so a
-    single solve costs O(p^2) ring multiplications.  p = 0 yields the
+    The summands {L0^(t) L1^(p-1-2t)}·Y_1 for all t come from one
+    permutation-sum table run on vectors from Z(0, 0) = Y_1, so a single
+    solve costs O(p^2) module actions (matrix-vector products on matrix
+    backends) and holds one rolling row of the table.  p = 0 yields the
     empty sum, i.e. the zero vector.
     """
     limit = t_bar(p)
     if limit < 0:
         return problem.zero_vector()
     keys = [(t, p - 1 - 2 * t) for t in range(limit + 1)]
-    total = problem.zero_vector()
-    for summand in perm_sum_batch(problem.L0, problem.L1, keys):
-        total = total + apply(summand, problem.y1bar)
-    return total
+    return sum(perm_sum_batch(problem.L0, problem.L1, keys, vector=problem.y1bar),
+               problem.zero_vector())
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +174,9 @@ def characteristic_roots(c0, c1):
                        (complex(c1) + s) / 2, (complex(c1) - s) / 2, exact=False)
 
 
-def _as_real(value):
+def _as_real(value, p):
+    if not isfinite(value.real):
+        raise DoubleRangeError(p)
     magnitude = abs(value)
     if abs(value.imag) > IMAG_REL_TOL * max(1.0, magnitude):
         raise NonRealResultError(
@@ -180,7 +191,8 @@ def solve_scalar_roots(c0, c1, y1bar, p):
     delta == 0: p * m1^(p-1) * y1bar.
 
     Exact ``Fraction`` when the roots are rational, otherwise a float
-    whose complex residue must vanish within 1e-9 relative.
+    whose complex residue must vanish within 1e-9 relative; a value
+    beyond the range of a double raises :class:`DoubleRangeError`.
     """
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
@@ -191,8 +203,11 @@ def solve_scalar_roots(c0, c1, y1bar, p):
         return p * roots.m1 ** (p - 1) * y1bar
     if roots.exact:
         return (roots.m1 ** p - roots.m2 ** p) / (roots.m1 - roots.m2) * y1bar
-    value = (roots.m1 ** p - roots.m2 ** p) / (roots.m1 - roots.m2) * complex(y1bar)
-    return _as_real(value)
+    try:
+        value = (roots.m1 ** p - roots.m2 ** p) / (roots.m1 - roots.m2) * complex(y1bar)
+    except OverflowError:
+        raise DoubleRangeError(p) from None
+    return _as_real(value, p)
 
 
 def solve_scalar_sum(c0, c1, y1bar, p):

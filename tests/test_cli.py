@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from noncomm_recur.cli import main
+from noncomm_recur.cli import FREE_MONOMIAL_CAP, _free_monomial_bound, main
+from noncomm_recur.problems import load_problem
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 EXACT_BUNDLED = [p for p in sorted(PROBLEMS_DIR.glob("*.json"))
@@ -105,6 +106,58 @@ def test_solve_solver_error_exits_4(tmp_path, capsys):
                        "--method", "scalar-roots")
     assert code == 4
     assert "c0" in err
+
+
+@pytest.mark.parametrize("y1, p", [(10 ** 300, 1440), (1, 2000)])
+def test_solve_scalar_roots_beyond_double_range_exits_4(tmp_path, capsys, y1, p):
+    # golden-ratio roots: the first overflows to inf, the second raises in
+    # complex exponentiation; both must fail cleanly instead of printing inf
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({"backend": "scalar", "L0": "1", "L1": "1", "Y1": str(y1)}))
+    code, out, err = run(capsys, "solve", "--input", str(path), "--p", str(p),
+                         "--method", "scalar-roots")
+    assert (code, out) == (4, "")
+    assert "double precision" in err and "scalar-sum" in err
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--p", str(p),
+                       "--method", "scalar-sum")
+    assert code == 0 and out.strip().isdigit()
+
+
+@pytest.mark.parametrize("p", ["31", "40", "1000000000"])
+@pytest.mark.parametrize("method", ["closed", "iterative"])
+def test_solve_free_too_many_monomials_exits_3(capsys, p, method):
+    code, out, err = run(capsys, "solve", "--input",
+                         str(PROBLEMS_DIR / "free-generators.json"), "--p", p,
+                         "--method", method)
+    assert (code, out) == (3, "")
+    assert "1000000 monomials" in err
+
+
+def test_free_monomial_bound_is_fibonacci_for_the_generators():
+    problem = load_problem(PROBLEMS_DIR / "free-generators.json").problem
+    fib = [0, 1]
+    while len(fib) < 32:
+        fib.append(fib[-1] + fib[-2])
+    assert [_free_monomial_bound(problem, p) for p in range(31)] == fib[:31]
+    assert fib[30] == 832040 <= FREE_MONOMIAL_CAP < fib[31]
+    assert _free_monomial_bound(problem, 31) > FREE_MONOMIAL_CAP
+
+
+def test_free_bound_allows_a_zero_coefficient(tmp_path, capsys):
+    # with L1 = 0, Y_p is 0 for even p and the single word A^((p-1)/2) for odd p
+    path = tmp_path / "l1-zero.json"
+    path.write_text(json.dumps({"backend": "free", "L0": {"AA": 2}, "L1": {}}))
+    for method in ("closed", "iterative"):
+        code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "80",
+                           "--method", method)
+        assert (code, out) == (0, "0\n")
+        code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "41",
+                           "--method", method)
+        assert (code, out) == (0, f"{2 ** 20}·{'A' * 40}·y1\n")
+    # the term count stays 1 however large p is, so no refusal
+    problem = load_problem(path).problem
+    assert _free_monomial_bound(problem, 10 ** 9 + 1) == 1
+    assert _free_monomial_bound(problem, 10 ** 9) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from noncomm_recur import permsum
 from noncomm_recur.algebra import (
+    BackendMismatchError,
     FreeElement,
+    FreeVector,
     Matrix,
+    apply,
     compose,
     ring_one,
     word_to_element,
@@ -26,7 +30,7 @@ from noncomm_recur.permsum import (
     perm_sum_naive,
     stifel_check,
 )
-from noncomm_recur.verify import random_matrix
+from noncomm_recur.verify import random_matrix, random_vector
 
 A, B = FreeElement.generators()
 
@@ -229,6 +233,59 @@ def test_batch_shares_one_table():
     extra = MultCounter()
     perm_sum_dp(A, B, 0, 4, counter=extra)
     assert counter.count <= standalone.count + extra.count
+
+
+# ---------------------------------------------------------------------------
+# The table on vectors
+# ---------------------------------------------------------------------------
+
+VECTOR_KEYS = [(0, 0), (0, 4), (3, 0), (2, 3), (1, 1), (2, 3)]
+
+
+def vector_backends():
+    rng = Random(31)
+    yield A, B, FreeVector({(): 1, (1,): -2})
+    yield A + B, A - 2 * B, FreeVector({(0, 1): 3})
+    yield random_matrix(rng, 3), random_matrix(rng, 3), random_vector(rng, 3)
+    yield random_matrix(rng, 1), random_matrix(rng, 1), random_vector(rng, 1)
+
+
+def test_vector_table_applies_each_sum_to_the_vector():
+    for L0, L1, y in vector_backends():
+        expected = [apply(P, y) for P in perm_sum_batch(L0, L1, VECTOR_KEYS)]
+        assert perm_sum_batch(L0, L1, VECTOR_KEYS, vector=y) == expected
+        assert perm_sum_batch(L0, L1, [], vector=y) == []
+
+
+def test_vector_table_counts_each_action(monkeypatch):
+    actions = []
+
+    def counted_apply(element, vector):
+        actions.append(element)
+        return apply(element, vector)
+
+    monkeypatch.setattr(permsum, "apply", counted_apply)
+    for L0, L1, y in vector_backends():
+        for keys in ([(0, 0)], [(0, 5)], [(4, 0)], [(3, 2)], VECTOR_KEYS):
+            actions.clear()
+            counter = MultCounter()
+            perm_sum_batch(L0, L1, keys, counter=counter, vector=y)
+            assert counter.count == len(actions)
+            if len(keys) == 1:
+                (u, v), = keys
+                # every cell but Z(0, 0) is one action, interior cells two
+                assert counter.count == 2 * u * v + u + v
+
+
+def test_vector_table_rejects_a_foreign_vector():
+    rng = Random(32)
+    m0, m1 = random_matrix(rng, 3), random_matrix(rng, 3)
+    with pytest.raises(BackendMismatchError):
+        perm_sum_batch(m0, m1, [(1, 1)], vector=random_vector(rng, 2))
+    with pytest.raises(BackendMismatchError):
+        perm_sum_batch(m0, m1, [], vector=FreeVector.generator())
+    with pytest.raises(BackendMismatchError):
+        perm_sum_batch(A, B, [(1, 1)], vector=random_vector(rng, 3))
 
 
 def test_mult_counter_resets():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncomm_recur.algebra import (
@@ -17,6 +17,7 @@ from noncomm_recur.algebra import (
 )
 from noncomm_recur.solver import (
     CauchyProblem,
+    DoubleRangeError,
     InvalidCoefficientError,
     NotARationalSquareError,
     characteristic_roots,
@@ -142,6 +143,53 @@ def test_closed_induction_step_free():
         assert lhs == solve_closed(problem, p + 2)
 
 
+# closed = iterative as properties, one per backend; entries stay small
+# so that a handful of examples keeps the file fast.
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+
+
+@st.composite
+def matrix_problems(draw, entries, max_n):
+    n = draw(st.integers(1, max_n))
+    square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    return CauchyProblem(Matrix(draw(square)), Matrix(draw(square)),
+                         ColumnVector(draw(st.lists(entries, min_size=n, max_size=n))))
+
+
+short_words = st.lists(st.integers(0, 1), max_size=2).map(tuple)
+free_sums = st.dictionaries(short_words, st.integers(-3, 3).filter(bool), max_size=2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrix_problems(small_fractions, max_n=4), st.integers(0, 30))
+def test_closed_equals_iterative_exact_matrices(problem, p):
+    assert solve_closed(problem, p) == solve_iterative(problem, p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(free_sums.map(FreeElement), free_sums.map(FreeElement), free_sums.map(FreeVector),
+       st.integers(0, 9))
+def test_closed_equals_iterative_free_sums(L0, L1, y1, p):
+    problem = CauchyProblem(L0, L1, y1)
+    assert solve_closed(problem, p).terms == solve_iterative(problem, p).terms
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrix_problems(st.integers(-8, 8).map(lambda k: k / 4), max_n=3),
+       st.integers(0, 20))
+def test_closed_matches_iterative_floats(problem, p):
+    closed, iterative = solve_closed(problem, p), solve_iterative(problem, p)
+    scale = max(1.0, *(abs(x) for x in iterative.entries))
+    assert closed.isclose(iterative, abs_tol=1e-9 * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_fractions, small_fractions, small_fractions, st.integers(0, 40))
+def test_closed_equals_iterative_scalars(c0, c1, y1, p):
+    problem = CauchyProblem(c0, c1, y1)
+    assert solve_closed(problem, p) == solve_iterative(problem, p)
+
+
 def test_problem_construction_checks_backends():
     with pytest.raises(BackendMismatchError):
         CauchyProblem(A, Matrix.identity(2), FreeVector.generator())
@@ -258,6 +306,17 @@ def test_scalar_roots_irrational_delta_degenerates_to_real_doubles():
             assert abs(approx) <= 1e-9
         else:
             assert abs(approx - float(exact)) <= 1e-9 * abs(float(exact))
+
+
+def test_scalar_roots_beyond_double_range_raises():
+    # golden-ratio roots: y_1440 * 10^300 overflows to inf, and from p ~ 1500
+    # complex exponentiation itself overflows
+    for y1, p in ((10 ** 300, 1440), (1, 1500), (1, 2000)):
+        with pytest.raises(DoubleRangeError, match="scalar-sum"):
+            solve_scalar_roots(1, 1, y1, p)
+    assert solve_scalar_sum(1, 1, 10 ** 300, 1440) > 10 ** 600
+    assert math.isclose(solve_scalar_roots(1, 1, 1, 1400), float(solve_scalar_sum(1, 1, 1, 1400)),
+                        rel_tol=1e-9)
 
 
 def test_delta_zero_continuity():
