@@ -8,7 +8,9 @@ Three backends, each a ring kind paired with the module kind it acts on:
   or ``int``) serve as both ring element and vector;
 * ``FreeElement`` -> ``FreeVector`` -- integer-coefficient formal sums
   of words over the two-letter alphabet, the symbolic backend on which
-  closed-form identities can be checked monomial by monomial.
+  closed-form identities can be checked monomial by monomial.  Both
+  share one word-sum base for storage, ``+``, ``-``, ``==`` and text;
+  only ``FreeElement`` multiplies.
 
 The contract they share: one lookup maps exact scalars to the kind
 ``Fraction`` and every other value to its class; ``*`` is the (generally
@@ -72,34 +74,6 @@ def word_from_str(text):
         raise ValueError(f"invalid word text {text!r}: letters must be 'A' or 'B'") from None
 
 
-def _format_terms(terms, unit_label, vector_label=None):
-    """Shared pretty-printer for free elements and free vectors.
-
-    Terms are ordered by word length then lexicographically, matching
-    the usual graded presentation (e.g. ``AB + BA`` or ``B·y1``).
-    """
-    if not terms:
-        return "0"
-    parts = []
-    for word in sorted(terms, key=lambda w: (len(w), w)):
-        coeff = terms[word]
-        pieces = []
-        if abs(coeff) != 1:
-            pieces.append(str(abs(coeff)))
-        if word:
-            pieces.append(word_to_str(word))
-        if vector_label is not None:
-            pieces.append(vector_label)
-        if not pieces or pieces == [str(abs(coeff))]:
-            pieces.append(unit_label)
-        if parts:
-            parts.append(" - " if coeff < 0 else " + ")
-        elif coeff < 0:
-            parts.append("-")
-        parts.append("·".join(pieces))
-    return "".join(parts)
-
-
 def _merged(left, right, sign=1):
     """Merge two word->coefficient maps, dropping cancelled terms."""
     out = dict(left)
@@ -133,26 +107,91 @@ def _canonical_terms(terms):
     return {tuple(word): coeff for word, coeff in terms.items() if coeff}
 
 
-class FreeElement:
-    """Element of the free word algebra on two generators.
+class _WordSum:
+    """Immutable map from words (tuples over ``{0, 1}``) to nonzero
+    integer coefficients; the empty map is zero.
 
-    Stored as a map from words (tuples over ``{0, 1}``) to nonzero
-    integer coefficients; the empty map is zero and ``{(): 1}`` is the
-    identity.  Multiplication concatenates words bilinearly, so two
-    elements are equal exactly when their term maps coincide.
+    The storage shared by :class:`FreeElement` and :class:`FreeVector`.
+    ``+``, ``-`` and ``==`` take only a value of the same class, so ring
+    elements and vectors never mix.  In the text form ``_VECTOR``
+    follows every word, and ``_UNIT`` stands in when a term would
+    otherwise print no letters.
     """
 
     __slots__ = ("terms",)
+    _UNIT = "I"
+    _VECTOR = ""
 
     def __init__(self, terms=None):
         object.__setattr__(self, "terms", _canonical_terms(terms or {}))
 
     def __setattr__(self, name, value):
-        raise AttributeError("FreeElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls):
         return cls()
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(_merged(self.terms, other.terms))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(_merged(self.terms, other.terms, sign=-1))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def is_zero(self):
+        return not self.terms
+
+    def to_coeff_map(self):
+        """JSON-friendly form: {'A'/'B' word text: integer coefficient}."""
+        return {word_to_str(w): c for w, c in sorted(self.terms.items())}
+
+    @classmethod
+    def from_coeff_map(cls, mapping):
+        return cls({word_from_str(text): coeff for text, coeff in mapping.items()})
+
+    def __str__(self):
+        """Terms by word length, then lexicographically: ``AB - 2·BA``, ``B·y1``."""
+        if not self.terms:
+            return "0"
+        parts = []
+        for word in sorted(self.terms, key=lambda w: (len(w), w)):
+            coeff = self.terms[word]
+            label = "·".join(filter(None, (word_to_str(word), self._VECTOR))) or self._UNIT
+            if parts:
+                parts.append(" - " if coeff < 0 else " + ")
+            elif coeff < 0:
+                parts.append("-")
+            parts.append(label if abs(coeff) == 1 else f"{abs(coeff)}·{label}")
+        return "".join(parts)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class FreeElement(_WordSum):
+    """Element of the free word algebra on two generators.
+
+    ``{(): 1}`` is the identity.  Multiplication concatenates words
+    bilinearly, so two elements are equal exactly when their term maps
+    coincide.
+    """
+
+    __slots__ = ()
+    # Bound in the class body, not only inherited, so that each word-sum
+    # class has its own ``__add__`` for the benchmark's tracer to wrap.
+    __add__ = _WordSum.__add__
 
     @classmethod
     def one(cls):
@@ -168,16 +207,6 @@ class FreeElement:
     def generators(cls):
         """The pair (A, B) of one-letter generators."""
         return cls.letter(L0_LETTER), cls.letter(L1_LETTER)
-
-    def __add__(self, other):
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        return FreeElement(_merged(self.terms, other.terms))
-
-    def __sub__(self, other):
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        return FreeElement(_merged(self.terms, other.terms, sign=-1))
 
     def __neg__(self):
         return FreeElement({w: -c for w, c in self.terms.items()})
@@ -195,39 +224,14 @@ class FreeElement:
             return self.__mul__(other)
         return NotImplemented
 
-    def __eq__(self, other):
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
     def monomial_count(self):
         return len(self.terms)
 
     def coefficient(self, word):
         return self.terms.get(tuple(word), 0)
 
-    def to_coeff_map(self):
-        """JSON-friendly form: {'A'/'B' word text: integer coefficient}."""
-        return {word_to_str(w): c for w, c in sorted(self.terms.items())}
 
-    @classmethod
-    def from_coeff_map(cls, mapping):
-        return cls({word_from_str(text): coeff for text, coeff in mapping.items()})
-
-    def __str__(self):
-        return _format_terms(self.terms, "I")
-
-    def __repr__(self):
-        return f"FreeElement({self})"
-
-
-class FreeVector:
+class FreeVector(_WordSum):
     """Formal sum of words applied to the abstract initial vector.
 
     ``FreeVector.generator()`` is the initial vector itself; acting with
@@ -235,55 +239,13 @@ class FreeVector:
     ``·y1`` suffix, e.g. ``B·y1`` or ``A·y1 + BB·y1``.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        object.__setattr__(self, "terms", _canonical_terms(terms or {}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeVector is immutable")
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
+    _VECTOR = "y1"
+    __add__ = _WordSum.__add__  # see FreeElement
 
     @classmethod
     def generator(cls):
         return cls({(): 1})
-
-    def __add__(self, other):
-        if not isinstance(other, FreeVector):
-            return NotImplemented
-        return FreeVector(_merged(self.terms, other.terms))
-
-    def __sub__(self, other):
-        if not isinstance(other, FreeVector):
-            return NotImplemented
-        return FreeVector(_merged(self.terms, other.terms, sign=-1))
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeVector):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def to_coeff_map(self):
-        return {word_to_str(w): c for w, c in sorted(self.terms.items())}
-
-    @classmethod
-    def from_coeff_map(cls, mapping):
-        return cls({word_from_str(text): coeff for text, coeff in mapping.items()})
-
-    def __str__(self):
-        return _format_terms(self.terms, "y1", vector_label="y1")
-
-    def __repr__(self):
-        return f"FreeVector({self})"
 
 
 # ---------------------------------------------------------------------------

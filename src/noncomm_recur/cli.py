@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 verification failure; 2 problem-file parse
 failure; 3 method/backend mismatch, enumeration cap exceeded or a free
-solve too large; 4 solver error.  Results go to stdout, diagnostics to stderr.
+solve or verify too large; 4 solver error, running out of memory
+included.  Results go to stdout, diagnostics to stderr.
 
 The enumeration cap (default 30 letters) can be overridden with the
 ``NONCOMM_RECUR_CAP`` environment variable.
@@ -57,9 +58,9 @@ CAP_ENV_VAR = "NONCOMM_RECUR_CAP"
 
 _SCALAR_METHODS = ("scalar-roots", "scalar-sum")
 
-# A free-backend solve is refused when Y_p may have more monomials than
-# this: the generators give F_p of them, so p = 30 (832,040) runs and
-# p = 31 does not.
+# A free-backend solve, or verify's free suite up to --max-p, is refused
+# when Y_p may have more monomials than this: the generators give F_p of
+# them, so p = 30 (832,040) runs and p = 31 does not.
 FREE_MONOMIAL_CAP = 10 ** 6
 
 
@@ -155,6 +156,8 @@ def cmd_solve(args):
     except (InvalidCoefficientError, NonRealResultError, BackendMismatchError,
             ValueError, ArithmeticError) as exc:
         return _fail(EXIT_SOLVER, f"solver error: {exc}")
+    except MemoryError:
+        return _fail(EXIT_SOLVER, f"solver error: out of memory computing Y_{args.p}")
     print(result)
     return EXIT_OK
 
@@ -176,6 +179,10 @@ def cmd_enumerate(args):
 
 
 def cmd_verify(args):
+    if _free_monomial_bound(verify.free_problem(), args.max_p) > FREE_MONOMIAL_CAP:
+        return _fail(EXIT_USAGE,
+                     f"refusing to verify: Y_{args.max_p} may have more than "
+                     f"{FREE_MONOMIAL_CAP} monomials on the free backend")
     results = verify.run_all(max_p=args.max_p, seed=args.seed)
     failed = False
     for result in results:
@@ -214,8 +221,7 @@ def cmd_bench(args):
             else:
                 counter = MultCounter()
                 start = time.perf_counter_ns()
-                perm_sum_naive(L0, L1, u, v, counter=counter, cap=cap,
-                               threads=args.threads)
+                perm_sum_naive(L0, L1, u, v, counter=counter, cap=cap)
                 elapsed = time.perf_counter_ns() - start
                 print(f"naive\t{u}\t{v}\t{counter.count}\t{elapsed}")
             counter = MultCounter()
@@ -273,8 +279,6 @@ def build_parser():
                        help="dimension of the default random matrices (default 2)")
     bench.add_argument("--seed", type=int, default=42,
                        help="seed for the default random matrices (default 42)")
-    bench.add_argument("--threads", type=int, default=1,
-                       help="partition naive enumeration across this many threads")
     bench.add_argument("--naive-budget", type=int, default=1_000_000,
                        help="skip naive cells with more words than this "
                             "(default 1000000)")

@@ -4,7 +4,8 @@ The central object is the sum of all distinct products containing
 exactly ``u`` factors of one ring element and ``v`` factors of another;
 it has ``C(u+v, u)`` terms.  Two evaluators are provided:
 
-* :func:`perm_sum_naive` enumerates every word and multiplies it out --
+* :func:`perm_sum_naive` enumerates every word (:func:`enumerate_words`,
+  from the positions of its ``u`` letters L0) and multiplies it out --
   the definitional trust anchor, exponential in ``u+v``;
 * :func:`perm_sum_dp` exploits the left-split recursion
 
@@ -28,7 +29,7 @@ benchmarking.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations
 
 from .algebra import (
     apply,
@@ -45,11 +46,6 @@ from .algebra import (
 # of exhausting memory or time.  The CLI can override via the
 # NONCOMM_RECUR_CAP environment variable.
 DEFAULT_WORD_CAP = 30
-
-# Words per task when naive evaluation is partitioned across threads.
-# Fixed independently of the thread count so the reduction order (and
-# hence the result, even on the float backend) does not depend on it.
-_THREAD_BLOCK = 2048
 
 
 class CapExceededError(ValueError):
@@ -110,10 +106,6 @@ def _check_counts(u, v):
         raise ValueError(f"letter counts must be nonnegative, got ({u}, {v})")
 
 
-def _resolve_cap(cap):
-    return DEFAULT_WORD_CAP if cap is None else cap
-
-
 def enumerate_words(u, v, cap=None):
     """All distinct words with u letters 0 and v letters 1, lexicographically.
 
@@ -122,76 +114,33 @@ def enumerate_words(u, v, cap=None):
     :class:`CapExceededError` eagerly when ``u + v`` exceeds the cap.
     """
     _check_counts(u, v)
-    cap = _resolve_cap(cap)
+    cap = DEFAULT_WORD_CAP if cap is None else cap
     if u + v > cap:
         raise CapExceededError(u + v, cap)
-    return _next_permutation_stream(u, v)
-
-
-def _next_permutation_stream(u, v):
-    word = [0] * u + [1] * v
     n = u + v
-    while True:
-        yield tuple(word)
-        i = n - 2
-        while i >= 0 and word[i] >= word[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while word[j] <= word[i]:
-            j -= 1
-        word[i], word[j] = word[j], word[i]
-        word[i + 1:] = word[:i:-1]
+
+    def word(zeros):
+        letters = [1] * n
+        for i in zeros:
+            letters[i] = 0
+        return tuple(letters)
+
+    # Combinations of the positions of letter 0 come in lexicographic
+    # order, and so do the words they spell.
+    return map(word, combinations(range(n), u))
 
 
-def perm_sum_naive(L0, L1, u, v, counter=None, cap=None, threads=1):
+def perm_sum_naive(L0, L1, u, v, counter=None, cap=None):
     """Sum of all distinct products of u factors L0 and v factors L1,
-    evaluated word by word.
-
-    With ``threads > 1`` the word stream is split into fixed-size blocks
-    evaluated concurrently and reduced in block order, so exact backends
-    give results identical to the single-threaded path.
+    evaluated word by word: C(u+v, u) words at max(u+v-1, 0) ring
+    multiplications each.
     """
     check_same_backend(L0, L1)
     words = enumerate_words(u, v, cap=cap)
-    if threads <= 1:
-        total = ring_zero(L0)
-        for word in words:
-            total = total + word_to_element(word, L0, L1, counter)
-        return total
-    return _naive_threaded(words, L0, L1, counter, threads)
-
-
-def _naive_threaded(words, L0, L1, counter, threads):
-    def eval_block(block):
-        local = MultCounter()
-        partial = None
-        for word in block:
-            element = word_to_element(word, L0, L1, local)
-            partial = element if partial is None else partial + element
-        return partial, local.count
-
     total = ring_zero(L0)
-    mults = 0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for partial, block_mults in pool.map(eval_block, _blocks(words, _THREAD_BLOCK)):
-            total = total + partial
-            mults += block_mults
-    if counter is not None:
-        counter.tick(mults)
+    for word in words:
+        total = total + word_to_element(word, L0, L1, counter)
     return total
-
-
-def _blocks(iterable, size):
-    block = []
-    for item in iterable:
-        block.append(item)
-        if len(block) == size:
-            yield block
-            block = []
-    if block:
-        yield block
 
 
 def perm_sum_dp(L0, L1, u, v, counter=None):

@@ -264,14 +264,23 @@ def test_mixed_entry_fields_rejected():
 
 
 def test_values_are_immutable():
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^FreeElement is immutable$"):
         A.terms = {}
     with pytest.raises(AttributeError):
         Matrix.identity(2).rows = ()
     with pytest.raises(AttributeError):
         ColumnVector([1]).entries = ()
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^FreeVector is immutable$"):
         FreeVector.generator().terms = {}
+
+
+def test_free_elements_and_vectors_never_mix():
+    one, y = FreeElement.one(), FreeVector.generator()
+    assert one.terms == y.terms
+    assert one != y and y != one
+    for mixed in (lambda: one + y, lambda: y - one, lambda: y * one, lambda: y * 2):
+        with pytest.raises(TypeError):
+            mixed()
 
 
 def test_vector_zero_and_ring_constants():

@@ -123,6 +123,19 @@ def test_solve_scalar_roots_beyond_double_range_exits_4(tmp_path, capsys, y1, p)
     assert code == 0 and out.strip().isdigit()
 
 
+def test_solve_out_of_memory_exits_4(capsys, monkeypatch):
+    import noncomm_recur.cli as cli_module
+
+    def exhausted(problem, p):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "solve_closed", exhausted)
+    code, out, err = run(capsys, "solve", "--input",
+                         str(PROBLEMS_DIR / "rational-2x2.json"), "--p", "100000000")
+    assert (code, out) == (4, "")
+    assert "out of memory" in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("p", ["31", "40", "1000000000"])
 @pytest.mark.parametrize("method", ["closed", "iterative"])
 def test_solve_free_too_many_monomials_exits_3(capsys, p, method):
@@ -215,6 +228,14 @@ def test_verify_small_run_passes(capsys):
     assert any(l.startswith("matrix-oracle") for l in lines)
 
 
+def test_verify_max_p_above_the_monomial_cap_exits_3(capsys, monkeypatch):
+    import noncomm_recur.verify as verify_module
+    monkeypatch.setattr(verify_module, "run_all", None)  # refused before any suite runs
+    code, out, err = run(capsys, "verify", "--max-p", "31")
+    assert (code, out) == (3, "")
+    assert "1000000 monomials" in err
+
+
 def test_verify_detects_corrupted_solver(capsys, monkeypatch):
     # simulate a broken build: closed form returns Y_{p+1} instead of Y_p
     import noncomm_recur.verify as verify_module
@@ -266,14 +287,6 @@ def test_bench_budget_skips_naive(capsys):
     assert rows[("naive", 1, 1)][0] == "2"         # 2 words of length 2
     assert "skipped" in err
     assert rows[("dp", 3, 3)][0] != "-"
-
-
-def test_bench_threads_flag(capsys):
-    code, out, _ = run(capsys, "bench", "--u", "2", "--v", "2", "--threads", "3",
-                       "--input", str(PROBLEMS_DIR / "fibonacci.json"))
-    assert code == 0
-    rows = parse_rows(out)
-    assert rows[("naive", 2, 2)][0] == str(6 * 3)
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -149,18 +149,6 @@ def test_naive_multiplication_count():
     assert counter.count == count_terms(3, 2) * 4 == 40
 
 
-def test_naive_threads_match_single_threaded():
-    for u, v in ((5, 5), (7, 7)):
-        reference = perm_sum_naive(A, B, u, v)
-        for threads in (2, 3):
-            counter = MultCounter()
-            assert perm_sum_naive(A, B, u, v, counter=counter, threads=threads) == reference
-            assert counter.count == count_terms(u, v) * (u + v - 1)
-    rng = Random(11)
-    m0, m1 = random_matrix(rng, 2), random_matrix(rng, 2)
-    assert perm_sum_naive(m0, m1, 4, 4, threads=4) == perm_sum_naive(m0, m1, 4, 4)
-
-
 # ---------------------------------------------------------------------------
 # DP evaluator
 # ---------------------------------------------------------------------------
