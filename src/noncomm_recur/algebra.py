@@ -3,14 +3,16 @@
 Three backends, each a ring kind paired with the module kind it acts on:
 
 * ``Matrix`` -> ``ColumnVector`` -- dense square matrices over exact
-  rationals (``fractions.Fraction``) or 64-bit floats;
+  rationals (``fractions.Fraction``) or 64-bit floats.  Both share one
+  dense base, ``_Dense``, for flat storage, entry coercion, ``+``,
+  ``-``, ``==``, ``isclose`` and ``repr``; only ``Matrix`` multiplies;
 * ``Fraction`` -> ``Fraction`` -- exact rational scalars (``Fraction``
   or ``int``) serve as both ring element and vector;
 * ``FreeElement`` -> ``FreeVector`` -- integer-coefficient formal sums
   of words over the two-letter alphabet, the symbolic backend on which
   closed-form identities can be checked monomial by monomial.  Both
-  share one word-sum base for storage, ``+``, ``-``, ``==`` and text;
-  only ``FreeElement`` multiplies.
+  share one word-sum base, ``_WordSum``, for storage, ``+``, ``-``,
+  ``==`` and text; only ``FreeElement`` multiplies.
 
 The contract they share: one lookup maps exact scalars to the kind
 ``Fraction`` and every other value to its class; ``*`` is the (generally
@@ -189,7 +191,7 @@ class FreeElement(_WordSum):
     """
 
     __slots__ = ()
-    # Bound in the class body, not only inherited, so that each word-sum
+    # Bound in the class body, not only inherited, so that each value
     # class has its own ``__add__`` for the benchmark's tracer to wrap.
     __add__ = _WordSum.__add__
 
@@ -249,7 +251,7 @@ class FreeVector(_WordSum):
 
 
 # ---------------------------------------------------------------------------
-# Dense square matrices over Fraction or float
+# Dense square matrices and column vectors over Fraction or float
 # ---------------------------------------------------------------------------
 
 def _check_space(a, b):
@@ -259,49 +261,101 @@ def _check_space(a, b):
             f"dimension or field mismatch: n={a.n} vs {b.n}, exact={a.exact} vs {b.exact}", a, b)
 
 
-def _coerce_entries(entries, context):
-    """Normalize a flat iterable of entries to all-Fraction or all-float.
+class _Dense:
+    """Immutable flat tuple of entries at dimension ``n``, either all
+    exact rationals (kept in canonical reduced form by ``Fraction``) or
+    all floats (``exact`` is False).
 
-    Integers are exact and join either field; mixing Fraction and float
-    entries is rejected rather than silently losing exactness.
+    The storage shared by :class:`Matrix` (row-major) and
+    :class:`ColumnVector`.  Integers are exact and join either field;
+    mixing Fraction and float entries is rejected rather than silently
+    losing exactness.  ``+``, ``-``, ``==`` and :meth:`isclose` take only
+    a value of the same class, so matrices and vectors never mix.
+    ``_WHAT`` names the value in entry errors.
     """
-    values = list(entries)
-    has_float = any(isinstance(v, float) for v in values)
-    has_fraction = any(isinstance(v, Fraction) for v in values)
-    if has_float and has_fraction:
-        raise ValueError(f"{context}: cannot mix exact and float entries")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float, Fraction)):
-            raise ValueError(f"{context}: invalid entry {v!r}")
-    if has_float:
-        return [float(v) for v in values], False
-    return [Fraction(v) for v in values], True
+
+    __slots__ = ("entries", "n", "exact")
+
+    def __init__(self, entries, n):
+        values = list(entries)
+        has_float = any(isinstance(v, float) for v in values)
+        if has_float and any(isinstance(v, Fraction) for v in values):
+            raise ValueError(f"{self._WHAT}: cannot mix exact and float entries")
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, float, Fraction)):
+                raise ValueError(f"{self._WHAT}: invalid entry {v!r}")
+        object.__setattr__(self, "entries", tuple(map(float if has_float else Fraction, values)))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "exact", not has_float)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, entries):
+        """The value of this class and shape holding ``entries``."""
+        return type(self)(entries)
+
+    def zero(self):
+        return type(self).zeros(self.n, self.exact)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        _check_space(self, other)
+        return self._like([a + b for a, b in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        _check_space(self, other)
+        return self._like([a - b for a, b in zip(self.entries, other.entries)])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.exact == other.exact and self.entries == other.entries  # implies equal n
+
+    def __hash__(self):
+        return hash((self.n, self.exact, self.entries))
+
+    def isclose(self, other, rel_tol=FLOAT_REL_TOL, abs_tol=FLOAT_ABS_TOL):
+        """Entrywise tolerant comparison (the float backend's equality)."""
+        if type(other) is not type(self) or self.n != other.n:
+            return False
+        return all(math.isclose(float(a), float(b), rel_tol=rel_tol, abs_tol=abs_tol)
+                   for a, b in zip(self.entries, other.entries))
+
+    def __str__(self):
+        return "[" + ", ".join(format_entry(v) for v in self.entries) + "]"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
 
 
-class Matrix:
+class Matrix(_Dense):
     """Square matrix backend element.
 
-    Entries are either all exact rationals (kept in canonical reduced
-    form by ``Fraction``) or all floats; the two fields never mix.
+    ``rows`` holds the same entries as ``entries``, one tuple per row.
     ``a * b`` is the matrix product when ``b`` is a :class:`Matrix` and
     the action on a :class:`ColumnVector` otherwise.  ``==`` is exact
     entrywise equality; use :meth:`isclose` for float comparisons.
     """
 
-    __slots__ = ("rows", "n", "exact")
+    __slots__ = ("rows",)
+    _WHAT = "matrix"
+    __add__ = _Dense.__add__  # see FreeElement
 
     def __init__(self, rows):
         rows = [list(r) for r in rows]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square with at least one row")
-        flat, exact = _coerce_entries((v for r in rows for v in r), "matrix")
-        object.__setattr__(self, "rows", tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "exact", exact)
+        super().__init__([v for r in rows for v in r], n)
+        object.__setattr__(self, "rows", tuple(self.entries[i * n:(i + 1) * n] for i in range(n)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+    def _like(self, entries):
+        n = self.n
+        return Matrix([entries[i * n:(i + 1) * n] for i in range(n)])
 
     @classmethod
     def identity(cls, n, exact=True):
@@ -317,23 +371,6 @@ class Matrix:
     def one(self):
         return Matrix.identity(self.n, self.exact)
 
-    def zero(self):
-        return Matrix.zeros(self.n, self.exact)
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        _check_space(self, other)
-        return Matrix([[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        _check_space(self, other)
-        return Matrix([[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
-
     def __mul__(self, other):
         if not isinstance(other, (Matrix, ColumnVector)):
             return NotImplemented
@@ -345,87 +382,27 @@ class Matrix:
         return ColumnVector([sum(a * b for a, b in zip(row, other.entries))
                              for row in self.rows])
 
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.n == other.n and self.exact == other.exact
-                and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.n, self.exact, self.rows))
-
-    def isclose(self, other, rel_tol=FLOAT_REL_TOL, abs_tol=FLOAT_ABS_TOL):
-        """Entrywise tolerant comparison (the float backend's equality)."""
-        if not isinstance(other, Matrix) or self.n != other.n:
-            return False
-        return all(
-            math.isclose(float(a), float(b), rel_tol=rel_tol, abs_tol=abs_tol)
-            for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
-
     def __str__(self):
         return "[" + ", ".join("[" + ", ".join(format_entry(v) for v in row) + "]"
                                for row in self.rows) + "]"
 
-    def __repr__(self):
-        return f"Matrix({self})"
 
-
-class ColumnVector:
+class ColumnVector(_Dense):
     """Column vector acted on by matrices of the same dimension and field."""
 
-    __slots__ = ("entries", "n", "exact")
+    __slots__ = ()
+    _WHAT = "vector"
+    __add__ = _Dense.__add__  # see FreeElement
 
     def __init__(self, entries):
-        flat, exact = _coerce_entries(entries, "vector")
-        if not flat:
+        entries = list(entries)
+        if not entries:
             raise ValueError("vector must have at least one entry")
-        object.__setattr__(self, "entries", tuple(flat))
-        object.__setattr__(self, "n", len(flat))
-        object.__setattr__(self, "exact", exact)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ColumnVector is immutable")
+        super().__init__(entries, len(entries))
 
     @classmethod
     def zeros(cls, n, exact=True):
-        zero = Fraction(0) if exact else 0.0
-        return cls([zero] * n)
-
-    def zero(self):
-        return ColumnVector.zeros(self.n, self.exact)
-
-    def __add__(self, other):
-        if not isinstance(other, ColumnVector):
-            return NotImplemented
-        _check_space(self, other)
-        return ColumnVector([a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        if not isinstance(other, ColumnVector):
-            return NotImplemented
-        _check_space(self, other)
-        return ColumnVector([a - b for a, b in zip(self.entries, other.entries)])
-
-    def __eq__(self, other):
-        if not isinstance(other, ColumnVector):
-            return NotImplemented
-        return (self.n == other.n and self.exact == other.exact
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.n, self.exact, self.entries))
-
-    def isclose(self, other, rel_tol=FLOAT_REL_TOL, abs_tol=FLOAT_ABS_TOL):
-        if not isinstance(other, ColumnVector) or self.n != other.n:
-            return False
-        return all(math.isclose(float(a), float(b), rel_tol=rel_tol, abs_tol=abs_tol)
-                   for a, b in zip(self.entries, other.entries))
-
-    def __str__(self):
-        return "[" + ", ".join(format_entry(v) for v in self.entries) + "]"
-
-    def __repr__(self):
-        return f"ColumnVector({self})"
+        return cls([Fraction(0) if exact else 0.0] * n)
 
 
 def format_entry(value):

@@ -11,7 +11,7 @@ Subcommands:
 
 Exit codes: 0 success; 1 verification failure; 2 problem-file parse
 failure; 3 method/backend mismatch, enumeration cap exceeded or a free
-solve or verify too large; 4 solver error, running out of memory
+solve, verify or bench too large; 4 solver error, running out of memory
 included.  Results go to stdout, diagnostics to stderr.
 
 The enumeration cap (default 30 letters) can be overridden with the
@@ -20,6 +20,7 @@ The enumeration cap (default 30 letters) can be overridden with the
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -117,12 +118,26 @@ def _free_monomial_bound(problem, p):
     return state[0]
 
 
+def _free_table_too_large(problem, u, v):
+    """Whether C(u+v, u)·|L0|^u·|L1|^v, with |x| the term count of x taken
+    as at least 1, exceeds FREE_MONOMIAL_CAP: it bounds the monomials of
+    every cell of bench's table up to (u, v) on the free backend.  Clamping
+    u and v at 64, where any factor above 1 has passed the cap, is exact."""
+    c0, c1 = (max(len(x.terms), 1) for x in (problem.L0, problem.L1))
+    bound = math.comb(u + v, min(u, v, 64)) * c0 ** min(u, 64) * c1 ** min(v, 64)
+    return bound > FREE_MONOMIAL_CAP
+
+
 def _load(path):
     """(problem file, None) for ``path``, or (None, message for exit 2)."""
     try:
         return load_problem(path), None
     except FileNotFoundError:
         return None, f"cannot read {path}: no such file"
+    except OSError as exc:
+        return None, f"cannot read {path}: {exc.strerror}"
+    except UnicodeDecodeError:
+        return None, f"cannot read {path}: not UTF-8 text"
     except ProblemFileError as exc:
         return None, str(exc)
 
@@ -158,7 +173,13 @@ def cmd_solve(args):
         return _fail(EXIT_SOLVER, f"solver error: {exc}")
     except MemoryError:
         return _fail(EXIT_SOLVER, f"solver error: out of memory computing Y_{args.p}")
-    print(result)
+    # Print the exact result in full; problem files keep the int/str digit limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        print(result)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 
@@ -202,6 +223,10 @@ def cmd_bench(args):
         doc, error = _load(args.input)
         if error:
             return _fail(EXIT_PARSE, error)
+        if doc.backend == "free" and _free_table_too_large(doc.problem, args.u, args.v):
+            return _fail(EXIT_USAGE,
+                         f"refusing to bench: cell ({args.u},{args.v}) may have more "
+                         f"than {FREE_MONOMIAL_CAP} monomials on the free backend")
         L0, L1 = doc.problem.L0, doc.problem.L1
     else:
         rng = Random(args.seed)

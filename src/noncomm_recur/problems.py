@@ -40,6 +40,7 @@ from .solver import CauchyProblem
 BACKENDS = ("rational-matrix", "float-matrix", "scalar", "free")
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_TOO_MANY_DIGITS = "integer has more digits than Python's int/str conversion limit"
 
 
 class ProblemFileError(ValueError):
@@ -80,6 +81,8 @@ def loads_problem(text, source="<string>"):
         raise ProblemFileError(exc.msg, source=source, line=exc.lineno) from None
     except RecursionError:
         raise ProblemFileError("JSON nested too deeply", source=source) from None
+    except ValueError:  # an integer past Python's int/str digit limit
+        raise ProblemFileError(_TOO_MANY_DIGITS, source=source) from None
     if not isinstance(data, dict):
         raise ProblemFileError("top level must be a JSON object", source=source)
     backend = data.get("backend")
@@ -157,6 +160,8 @@ def _parse_rational(value, field, source):
         except ZeroDivisionError:
             raise ProblemFileError(
                 f"zero denominator in {value!r}", source=source, field=field) from None
+        except ValueError:
+            raise ProblemFileError(_TOO_MANY_DIGITS, source=source, field=field) from None
     raise ProblemFileError(f"invalid rational {value!r}", source=source, field=field)
 
 
@@ -200,30 +205,22 @@ def _parse_free_map(value, field, source, factory):
     if not isinstance(value, dict):
         raise ProblemFileError("expected an object mapping words to integers",
                                source=source, field=field)
-    terms = {}
     for text, coeff in value.items():
         if isinstance(coeff, bool) or not isinstance(coeff, int):
             raise ProblemFileError(
                 f"coefficient of {text!r} must be an integer, got {coeff!r}",
                 source=source, field=field)
-        try:
-            word = tuple("AB".index(ch) for ch in text)
-        except ValueError:
-            raise ProblemFileError(
-                f"invalid word {text!r}: letters must be 'A' or 'B'",
-                source=source, field=field) from None
-        if coeff:
-            terms[word] = terms.get(word, 0) + coeff
-    return factory(terms)
+    try:
+        return factory.from_coeff_map(value)
+    except ValueError as exc:
+        raise ProblemFileError(str(exc), source=source, field=field) from None
 
 
 def _parse_free_problem(data, source):
-    A, B = FreeElement.generators()
-    L0 = _parse_free_map(data["L0"], "L0", source, FreeElement) if "L0" in data else A
-    L1 = _parse_free_map(data["L1"], "L1", source, FreeElement) if "L1" in data else B
-    y1 = (_parse_free_map(data["Y1"], "Y1", source, FreeVector)
-          if "Y1" in data else FreeVector.generator())
-    return CauchyProblem(L0, L1, y1)
+    return CauchyProblem(
+        _parse_free_map(data.get("L0", {"A": 1}), "L0", source, FreeElement),
+        _parse_free_map(data.get("L1", {"B": 1}), "L1", source, FreeElement),
+        _parse_free_map(data.get("Y1", {"": 1}), "Y1", source, FreeVector))
 
 
 def _entry_data(value):

@@ -266,9 +266,9 @@ def test_mixed_entry_fields_rejected():
 def test_values_are_immutable():
     with pytest.raises(AttributeError, match="^FreeElement is immutable$"):
         A.terms = {}
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^Matrix is immutable$"):
         Matrix.identity(2).rows = ()
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^ColumnVector is immutable$"):
         ColumnVector([1]).entries = ()
     with pytest.raises(AttributeError, match="^FreeVector is immutable$"):
         FreeVector.generator().terms = {}
@@ -281,6 +281,25 @@ def test_free_elements_and_vectors_never_mix():
     for mixed in (lambda: one + y, lambda: y - one, lambda: y * one, lambda: y * 2):
         with pytest.raises(TypeError):
             mixed()
+
+
+def test_matrices_and_column_vectors_never_mix():
+    m, y = Matrix([[1]]), ColumnVector([1])
+    assert m.entries == y.entries
+    assert m != y and y != m
+    assert not m.isclose(y) and not y.isclose(m)
+    for mixed in (lambda: m + y, lambda: y - m, lambda: y * m):
+        with pytest.raises(TypeError):
+            mixed()
+    equal_pairs = [
+        (Matrix([[1, Fraction(1, 2)], [0, 3]]),
+         Matrix([[Fraction(2, 2), Fraction(2, 4)], (0, 3)])),
+        (ColumnVector([1, Fraction(1, 2)]), ColumnVector((Fraction(3, 3), Fraction(1, 2)))),
+        (Matrix([[1.0, 2], [0, 1]]), Matrix([[1, 2.0], [0.0, 1]])),
+        (ColumnVector([1.0, 2]), ColumnVector([1, 2.0])),
+    ]
+    for a, b in equal_pairs:
+        assert a == b and hash(a) == hash(b)
 
 
 def test_vector_zero_and_ring_constants():

@@ -1,5 +1,6 @@
 """CLI behavior: output formats and the documented exit-code mapping."""
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,12 +91,51 @@ def test_solve_parse_failure_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_solve_deeply_nested_file_exits_2(tmp_path, capsys):
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100000)
-    code, out, err = run(capsys, "solve", "--input", str(deep), "--p", "1")
+LONG_INT = "1" * 4301  # one digit past Python's default int/str limit
+
+UNREADABLE_INPUTS = {
+    "directory": None,
+    "not-utf8": b'{"backend": "scalar", "L0": "\xff"}',
+    "json-int-too-long": f'{{"backend": "scalar", "L0": {LONG_INT}, "L1": 1, "Y1": 1}}',
+    "rational-too-long": f'{{"backend": "scalar", "L0": "1/{LONG_INT}", "L1": 1, "Y1": 1}}',
+    "missing": None,
+    "deep-nesting": "[" * 100000,
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_INPUTS)
+@pytest.mark.parametrize("command", [["solve", "--p", "1"], ["bench", "--u", "1", "--v", "1"]],
+                         ids=["solve", "bench"])
+def test_unreadable_input_exits_2(tmp_path, capsys, case, command):
+    path = tmp_path / case
+    content = UNREADABLE_INPUTS[case]
+    if case == "directory":
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, *command, "--input", str(path))
     assert (code, out) == (2, "")
-    assert "deep.json" in err
+    assert case in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_solve_prints_results_past_the_int_str_digit_limit(capsys):
+    # F_21000 has 4389 digits, more than the default limit of 4300
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "solve", "--input", str(PROBLEMS_DIR / "fibonacci.json"),
+                         "--p", "21000", "--method", "iterative")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    a, b = 0, 1
+    for _ in range(21000):
+        a, b = b, a + b
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{a}\n" and len(out) == 4390
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_solve_solver_error_exits_4(tmp_path, capsys):
@@ -287,6 +327,22 @@ def test_bench_budget_skips_naive(capsys):
     assert rows[("naive", 1, 1)][0] == "2"         # 2 words of length 2
     assert "skipped" in err
     assert rows[("dp", 3, 3)][0] != "-"
+
+
+def test_bench_free_table_too_large_exits_3(capsys, monkeypatch):
+    import noncomm_recur.cli as cli_module
+    monkeypatch.setattr(cli_module, "perm_sum_dp", None)  # refused before any cell runs
+    free = str(PROBLEMS_DIR / "free-generators.json")
+    for size in ("12", "1000000000"):
+        code, out, err = run(capsys, "bench", "--u", size, "--v", size, "--input", free)
+        assert (code, out) == (3, "")
+        assert "1000000 monomials" in err
+    monkeypatch.undo()
+    # C(22, 11) = 705432 words at (11, 11) stays under the cap; run a small grid
+    assert not cli_module._free_table_too_large(load_problem(free).problem, 11, 11)
+    code, out, _ = run(capsys, "bench", "--u", "3", "--v", "3", "--input", free)
+    assert code == 0
+    assert parse_rows(out)[("naive", 3, 3)][0] == "100"
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
