@@ -9,10 +9,11 @@ Subcommands:
 * ``bench``      -- compare naive and DP evaluation with exact
                     multiplication counts and wall times.
 
-Exit codes: 0 success; 1 verification failure; 2 problem-file parse
-failure; 3 method/backend mismatch, enumeration cap exceeded or a free
-solve, verify or bench too large; 4 solver error, running out of memory
-included.  Results go to stdout, diagnostics to stderr.
+Exit codes: 0 success; 1 verification failure; 2 unreadable or malformed
+problem file; 3 method/backend mismatch or a cap exceeded (words, monomials
+or closed-form table); 4 solver error, double overflow or out of memory;
+141 the reader closed stdout.  Commands raise, and ``main`` alone maps each
+failure to its code and one stderr line.  Results go to stdout.
 
 The enumeration cap (default 30 letters) can be overridden with the
 ``NONCOMM_RECUR_CAP`` environment variable.
@@ -38,8 +39,6 @@ from .permsum import (
 )
 from .problems import ProblemFileError, load_problem
 from .solver import (
-    InvalidCoefficientError,
-    NonRealResultError,
     solve_closed,
     solve_iterative,
     solve_scalar_roots,
@@ -52,46 +51,48 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 3
 EXIT_SOLVER = 4
+EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for death by SIGPIPE
 
 EMPTY_WORD_TOKEN = "<empty>"
 
 CAP_ENV_VAR = "NONCOMM_RECUR_CAP"
-
-_SCALAR_METHODS = ("scalar-roots", "scalar-sum")
 
 # A free-backend solve, or verify's free suite up to --max-p, is refused
 # when Y_p may have more monomials than this: the generators give F_p of
 # them, so p = 30 (832,040) runs and p = 31 does not.
 FREE_MONOMIAL_CAP = 10 ** 6
 
+# A matrix or scalar solve by the closed form is refused when its
+# permutation-sum table has more cells than this (about p = 2000).
+CLOSED_TABLE_CAP = 10 ** 6
 
-def _nonneg_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+
+class _Exit(Exception):
+    """``_Exit(code, message)``: ``main`` prints message to stderr and returns code."""
+
+
+def _nonneg_int(text, least=0):
+    if (value := int(text)) < least:
+        raise argparse.ArgumentTypeError(
+            f"must be {'positive' if least else 'nonnegative'}, got {value}")
     return value
-
-
-def _fail(code, message):
-    print(message, file=sys.stderr)
-    return code
-
-
-def _env_cap():
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_WORD_CAP, None
-    try:
-        return int(raw), None
-    except ValueError:
-        return None, f"invalid {CAP_ENV_VAR}={raw!r}: expected an integer"
 
 
 def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+    return _nonneg_int(text, least=1)
+
+
+def _env_cap():
+    raw = os.environ.get(CAP_ENV_VAR, str(DEFAULT_WORD_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise _Exit(EXIT_USAGE, f"invalid {CAP_ENV_VAR}={raw!r}: expected an integer") from None
+
+
+def _too_many_monomials(verb, what):
+    return _Exit(EXIT_USAGE, f"refusing to {verb}: {what} may have more than "
+                             f"{FREE_MONOMIAL_CAP} monomials on the free backend")
 
 
 def _free_monomial_bound(problem, p):
@@ -128,51 +129,35 @@ def _free_table_too_large(problem, u, v):
     return bound > FREE_MONOMIAL_CAP
 
 
-def _load(path):
-    """(problem file, None) for ``path``, or (None, message for exit 2)."""
-    try:
-        return load_problem(path), None
-    except FileNotFoundError:
-        return None, f"cannot read {path}: no such file"
-    except OSError as exc:
-        return None, f"cannot read {path}: {exc.strerror}"
-    except UnicodeDecodeError:
-        return None, f"cannot read {path}: not UTF-8 text"
-    except ProblemFileError as exc:
-        return None, str(exc)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args):
-    doc, error = _load(args.input)
-    if error:
-        return _fail(EXIT_PARSE, error)
-    if args.method in _SCALAR_METHODS and doc.backend != "scalar":
-        return _fail(EXIT_USAGE,
-                     f"method {args.method} requires the scalar backend, "
-                     f"but {args.input} uses {doc.backend}")
-    problem = doc.problem
-    if doc.backend == "free" and _free_monomial_bound(problem, args.p) > FREE_MONOMIAL_CAP:
-        return _fail(EXIT_USAGE,
-                     f"refusing to solve: Y_{args.p} may have more than "
-                     f"{FREE_MONOMIAL_CAP} monomials on the free backend")
+    doc = load_problem(args.input)
+    if args.method.startswith("scalar") and doc.backend != "scalar":
+        raise _Exit(EXIT_USAGE, f"method {args.method} requires the scalar backend, "
+                                f"but {args.input} uses {doc.backend}")
+    problem, p = doc.problem, args.p
+    if doc.backend == "free":
+        if _free_monomial_bound(problem, p) > FREE_MONOMIAL_CAP:
+            raise _too_many_monomials("solve", f"Y_{p}")
+    elif args.method == "closed" and (p * p + 3) // 4 > CLOSED_TABLE_CAP:
+        raise _Exit(EXIT_USAGE, f"refusing to solve: the closed form's table for Y_{p} has "
+                                f"more than {CLOSED_TABLE_CAP} cells; use --method iterative")
     try:
         if args.method == "closed":
-            result = solve_closed(problem, args.p)
+            result = solve_closed(problem, p)
         elif args.method == "iterative":
-            result = solve_iterative(problem, args.p)
+            result = solve_iterative(problem, p)
         elif args.method == "scalar-roots":
-            result = solve_scalar_roots(problem.L0, problem.L1, problem.y1bar, args.p)
+            result = solve_scalar_roots(problem.L0, problem.L1, problem.y1bar, p)
         else:
-            result = solve_scalar_sum(problem.L0, problem.L1, problem.y1bar, args.p)
-    except (InvalidCoefficientError, NonRealResultError, BackendMismatchError,
-            ValueError, ArithmeticError) as exc:
-        return _fail(EXIT_SOLVER, f"solver error: {exc}")
-    except MemoryError:
-        return _fail(EXIT_SOLVER, f"solver error: out of memory computing Y_{args.p}")
+            result = solve_scalar_sum(problem.L0, problem.L1, problem.y1bar, p)
+    except (BackendMismatchError, ValueError, ArithmeticError) as exc:
+        raise _Exit(EXIT_SOLVER, f"solver error: {exc}") from exc
+    if doc.backend == "float-matrix" and not all(map(math.isfinite, result.entries)):
+        raise _Exit(EXIT_SOLVER, f"solver error: Y_{p} exceeds the range of double precision")
     # Print the exact result in full; problem files keep the int/str digit limit.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -184,15 +169,8 @@ def cmd_solve(args):
 
 
 def cmd_enumerate(args):
-    cap, error = _env_cap()
-    if error:
-        return _fail(EXIT_USAGE, error)
-    try:
-        words = enumerate_words(args.u, args.v, cap=cap)
-    except CapExceededError as exc:
-        return _fail(EXIT_USAGE, str(exc))
     total = 0
-    for word in words:
+    for word in enumerate_words(args.u, args.v, cap=_env_cap()):
         print(word_to_str(word) if word else EMPTY_WORD_TOKEN)
         total += 1
     print(f"count={total}")
@@ -201,32 +179,30 @@ def cmd_enumerate(args):
 
 def cmd_verify(args):
     if _free_monomial_bound(verify.free_problem(), args.max_p) > FREE_MONOMIAL_CAP:
-        return _fail(EXIT_USAGE,
-                     f"refusing to verify: Y_{args.max_p} may have more than "
-                     f"{FREE_MONOMIAL_CAP} monomials on the free backend")
-    results = verify.run_all(max_p=args.max_p, seed=args.seed)
+        raise _too_many_monomials("verify", f"Y_{args.max_p}")
     failed = False
-    for result in results:
-        status = "pass" if result.passed else "FAIL"
-        print(f"{result.name:<20} {status}  {result.detail if result.passed else ''}".rstrip())
-        if not result.passed:
-            print(f"  counterexample: {result.detail}")
+    for result in verify.run_all(max_p=args.max_p, seed=args.seed):
+        if result.passed:
+            print(f"{result.name:<20} pass  {result.detail}".rstrip())
+        else:
+            print(f"{result.name:<20} FAIL\n  counterexample: {result.detail}")
             failed = True
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+def _bench_row(strategy, evaluate, L0, L1, u, v, **options):
+    counter, start = MultCounter(), time.perf_counter_ns()
+    evaluate(L0, L1, u, v, counter=counter, **options)
+    elapsed = time.perf_counter_ns() - start
+    print(f"{strategy}\t{u}\t{v}\t{counter.count}\t{elapsed}")
+
+
 def cmd_bench(args):
-    cap, error = _env_cap()
-    if error:
-        return _fail(EXIT_USAGE, error)
+    cap = _env_cap()
     if args.input is not None:
-        doc, error = _load(args.input)
-        if error:
-            return _fail(EXIT_PARSE, error)
+        doc = load_problem(args.input)
         if doc.backend == "free" and _free_table_too_large(doc.problem, args.u, args.v):
-            return _fail(EXIT_USAGE,
-                         f"refusing to bench: cell ({args.u},{args.v}) may have more "
-                         f"than {FREE_MONOMIAL_CAP} monomials on the free backend")
+            raise _too_many_monomials("bench", f"cell ({args.u},{args.v})")
         L0, L1 = doc.problem.L0, doc.problem.L1
     else:
         rng = Random(args.seed)
@@ -244,16 +220,8 @@ def cmd_bench(args):
                 print(f"naive ({u},{v}) skipped: {reason}", file=sys.stderr)
                 print(f"naive\t{u}\t{v}\t-\t-")
             else:
-                counter = MultCounter()
-                start = time.perf_counter_ns()
-                perm_sum_naive(L0, L1, u, v, counter=counter, cap=cap)
-                elapsed = time.perf_counter_ns() - start
-                print(f"naive\t{u}\t{v}\t{counter.count}\t{elapsed}")
-            counter = MultCounter()
-            start = time.perf_counter_ns()
-            perm_sum_dp(L0, L1, u, v, counter=counter)
-            elapsed = time.perf_counter_ns() - start
-            print(f"dp\t{u}\t{v}\t{counter.count}\t{elapsed}")
+                _bench_row("naive", perm_sum_naive, L0, L1, u, v, cap=cap)
+            _bench_row("dp", perm_sum_dp, L0, L1, u, v)
     return EXIT_OK
 
 
@@ -266,9 +234,10 @@ def build_parser():
         prog="noncomm-recur",
         description="Exact solver for second-order linear recurrences with "
                     "noncommutative constant coefficients.",
-        epilog="exit codes: 0 ok, 1 verification failure, 2 parse failure, "
-               "3 method/backend mismatch or cap exceeded (words or monomials), "
-               "4 solver error")
+        epilog="exit codes: 0 ok, 1 verification failure, 2 unreadable or "
+               "malformed problem file, 3 method/backend mismatch or cap exceeded "
+               "(words, monomials or closed-form table), 4 solver error, double "
+               "overflow or out of memory, 141 reader closed stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="compute Y_p from a problem file")
@@ -304,7 +273,7 @@ def build_parser():
                        help="dimension of the default random matrices (default 2)")
     bench.add_argument("--seed", type=int, default=42,
                        help="seed for the default random matrices (default 42)")
-    bench.add_argument("--naive-budget", type=int, default=1_000_000,
+    bench.add_argument("--naive-budget", type=_nonneg_int, default=1_000_000,
                        help="skip naive cells with more words than this "
                             "(default 1000000)")
     bench.set_defaults(func=cmd_bench)
@@ -313,7 +282,24 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # Send the unflushed rest to devnull so that shutdown prints nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except _Exit as exc:
+        code, message = exc.args
+    except ProblemFileError as exc:
+        code, message = EXIT_PARSE, str(exc)
+    except CapExceededError as exc:
+        code, message = EXIT_USAGE, str(exc)
+    except MemoryError:
+        code, message = EXIT_SOLVER, f"{args.command}: out of memory"
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,12 +23,14 @@ Per backend:
   for the empty word) to integer coefficients.  All three are optional
   and default to the generators A, B and the formal initial vector.
 
-Parse failures raise :class:`ProblemFileError` carrying the offending
-source, line (for malformed JSON) and field path.
+Parse failures, and files that cannot be read, raise
+:class:`ProblemFileError` carrying the offending source, line (for
+malformed JSON) and field path.
 """
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,8 +70,13 @@ class ProblemFile:
 
 
 def load_problem(path):
-    """Parse the problem file at ``path``."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse the problem file at ``path``; an unreadable one raises ProblemFileError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ProblemFileError(exc.strerror or str(exc), source=str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError("not UTF-8 text", source=str(path)) from exc
     return loads_problem(text, source=str(path))
 
 
@@ -170,7 +177,14 @@ def _parse_float(value, field, source):
         raise ProblemFileError(
             f"invalid float entry {value!r}; expected a JSON number",
             source=source, field=field)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the largest double
+        number = math.inf
+    if not math.isfinite(number):
+        raise ProblemFileError("float entry must be finite and within the range of a double",
+                               source=source, field=field)
+    return number
 
 
 def _parse_matrix_problem(data, backend, source):

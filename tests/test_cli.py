@@ -1,10 +1,19 @@
 """CLI behavior: output formats and the documented exit-code mapping."""
+import contextlib
+import io
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import noncomm_recur
 from noncomm_recur.cli import FREE_MONOMIAL_CAP, _free_monomial_bound, main
 from noncomm_recur.problems import load_problem
 
@@ -100,6 +109,10 @@ UNREADABLE_INPUTS = {
     "rational-too-long": f'{{"backend": "scalar", "L0": "1/{LONG_INT}", "L1": 1, "Y1": 1}}',
     "missing": None,
     "deep-nesting": "[" * 100000,
+    "non-finite-float": '{"backend": "float-matrix", "n": 1, "L0": [[NaN]], "L1": [[1e999]], '
+                        '"Y1": [1]}',
+    "float-past-double": f'{{"backend": "float-matrix", "n": 1, "L0": [[1{"0" * 400}]], '
+                         f'"L1": [[1]], "Y1": [1]}}',
 }
 
 
@@ -171,9 +184,44 @@ def test_solve_out_of_memory_exits_4(capsys, monkeypatch):
 
     monkeypatch.setattr(cli_module, "solve_closed", exhausted)
     code, out, err = run(capsys, "solve", "--input",
-                         str(PROBLEMS_DIR / "rational-2x2.json"), "--p", "100000000")
+                         str(PROBLEMS_DIR / "rational-2x2.json"), "--p", "10")
     assert (code, out) == (4, "")
     assert "out of memory" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("method", ["closed", "iterative"])
+def test_solve_float_overflow_exits_4(tmp_path, capsys, method):
+    # y_p = 1e200^(p-1) for p >= 2 is finite at p = 2 and overflows at p = 3
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"backend": "float-matrix", "n": 1, "L0": [[0]], "L1": [[1e200]], "Y1": [1]}))
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "2", "--method", method)
+    assert (code, out) == (0, "[1e+200]\n")
+    code, out, err = run(capsys, "solve", "--input", str(path), "--p", "3", "--method", method)
+    assert (code, out) == (4, "")
+    assert "double precision" in err and len(err.splitlines()) == 1
+    # the bundled 2x2 file leaves double range between p = 600 and p = 1300
+    bundled = str(PROBLEMS_DIR / "float-2x2.json")
+    code, out, _ = run(capsys, "solve", "--input", bundled, "--p", "1300", "--method", "iterative")
+    assert code == 4
+    code, out, _ = run(capsys, "solve", "--input", bundled, "--p", "600", "--method", "iterative")
+    assert code == 0 and "e+154" in out
+
+
+def test_solve_closed_table_too_large_exits_3(capsys, monkeypatch):
+    import noncomm_recur.cli as cli_module
+    monkeypatch.setattr(cli_module, "solve_closed", lambda problem, p: 0)
+    fibonacci = str(PROBLEMS_DIR / "fibonacci.json")
+    # ceil(p^2 / 4) cells: p = 2000 fills the cap exactly, p = 2001 passes it
+    code, out, _ = run(capsys, "solve", "--input", fibonacci, "--p", "2000")
+    assert (code, out) == (0, "0\n")
+    for p in ("2001", "100000000"):
+        code, out, err = run(capsys, "solve", "--input", fibonacci, "--p", p)
+        assert (code, out) == (3, "")
+        assert "iterative" in err and len(err.splitlines()) == 1
+    code, out, _ = run(capsys, "solve", "--input", fibonacci, "--p", "2001",
+                       "--method", "iterative")
+    assert code == 0 and out.strip().isdigit()
 
 
 @pytest.mark.parametrize("p", ["31", "40", "1000000000"])
@@ -239,6 +287,21 @@ def test_enumerate_cap_exit_3(capsys):
     code, _, err = run(capsys, "enumerate", "--u", "16", "--v", "15")
     assert code == 3
     assert "30" in err
+
+
+def test_enumerate_into_a_closed_pipe_exits_141():
+    # the reader takes one line and goes away, as `| head -1` does
+    env = dict(os.environ, PYTHONPATH=str(Path(noncomm_recur.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "noncomm_recur.cli", "enumerate", "--u", "10", "--v", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"AAAAAAAAAABBBBBBBBBB\n"
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_enumerate_env_cap_override(capsys, monkeypatch):
@@ -345,9 +408,93 @@ def test_bench_free_table_too_large_exits_3(capsys, monkeypatch):
     assert parse_rows(out)[("naive", 3, 3)][0] == "100"
 
 
+def test_bench_negative_naive_budget_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--naive-budget", "-1", "--u", "1", "--v", "1"])
+    assert excinfo.value.code == 2
+    assert "--naive-budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_bench_nonpositive_n_is_a_usage_error(capsys, n):
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", "--n", n, "--u", "1", "--v", "1"])
     assert excinfo.value.code == 2
     assert "--n" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# every command, bundled and corrupted inputs
+# ---------------------------------------------------------------------------
+
+BUNDLED = sorted(PROBLEMS_DIR.glob("*.json"))
+
+# valid entries for some backend, and the odd values a problem file can hold
+ENTRIES = st.integers(-3, 3) | st.sampled_from(["1/2", "-2", 0.5]) | st.sampled_from(
+    [10 ** 400, float("nan"), float("inf"), "1/0", "x", True, None, []])
+
+
+@st.composite
+def problem_texts(draw):
+    """(text, is free): a bundled problem file, maybe cut short, or a
+    generated one of the right shape with valid or odd entries."""
+    kind = draw(st.sampled_from(["bundled", "truncated", "generated"]))
+    if kind != "generated":
+        text = draw(st.sampled_from(BUNDLED)).read_text()
+        if kind == "truncated":
+            text = text[:draw(st.integers(0, len(text) - 1))]
+        return text, '"free"' in text
+    backend = draw(st.sampled_from(["rational-matrix", "float-matrix", "scalar", "free", "x"]))
+    n = draw(st.integers(1, 2))
+    if backend == "free":
+        value = vector = st.dictionaries(st.text("AB", max_size=2), ENTRIES, max_size=2)
+    elif backend == "scalar" or backend == "x":
+        value = vector = ENTRIES
+    else:
+        vector = st.lists(ENTRIES, min_size=n, max_size=n)
+        value = st.lists(vector, min_size=n, max_size=n)
+    data = {"backend": backend, "n": n, "L0": draw(value), "L1": draw(value), "Y1": draw(vector)}
+    return json.dumps(data), backend == "free"
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, problem file text or None, NONCOMM_RECUR_CAP or None)."""
+    text, free = draw(problem_texts())
+    command = draw(st.sampled_from(["solve", "bench", "enumerate", "verify"]))
+    cap = draw(st.sampled_from([None, "3", "-1", "x"]))
+    ints = lambda low, high: str(draw(st.integers(low, high)))
+    if command == "solve":
+        method = draw(st.sampled_from(["closed", "iterative", "scalar-roots", "scalar-sum"]))
+        # a free Y_p grows exponentially in p, so keep p small there
+        return ["solve", "--p", ints(-1, 8 if free else 60), "--method", method], text, cap
+    if command == "bench":
+        argv = ["bench", "--u", ints(0, 4), "--v", ints(0, 4), "--naive-budget", ints(-1, 100)]
+        if draw(st.booleans()):
+            return argv, text, cap
+        return argv + ["--n", ints(-1, 2)], None, cap
+    if command == "enumerate":
+        return ["enumerate", "--u", ints(0, 5), "--v", ints(0, 5)], None, cap
+    return ["verify", "--max-p", ints(31, 10 ** 9), "--seed", ints(0, 9)], None, cap
+
+
+@settings(max_examples=500, deadline=None)
+@given(run_=cli_runs())
+def test_no_command_exits_1_or_prints_a_traceback(run_):
+    argv, text, cap = run_
+    out, err = io.StringIO(), io.StringIO()
+    env = {} if cap is None else {"NONCOMM_RECUR_CAP": cap}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if text is not None:
+            path = Path(tmp) / "problem.json"
+            path.write_text(text)
+            argv = argv + ["--input", str(path)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected an argument: a pass
+            assert exc.code == 2
+            return
+    assert code != 1
+    assert "Traceback" not in err.getvalue()
+    assert len([line for line in err.getvalue().splitlines() if " skipped: " not in line]) <= 1

@@ -149,6 +149,30 @@ def test_string_entries_rejected_in_float_backend():
             "L0": [["1/2"]], "L1": [[1.0]], "Y1": [1.0]}))
 
 
+@pytest.mark.parametrize("field, fields", [
+    ("L0[0][0]", '"L0": [[NaN]], "L1": [[1]], "Y1": [1]'),
+    ("L1[0][0]", '"L0": [[1]], "L1": [[-Infinity]], "Y1": [1]'),
+    ("Y1[0]", '"L0": [[1]], "L1": [[1]], "Y1": [1e999]'),
+    ("Y1[0]", f'"L0": [[1]], "L1": [[1]], "Y1": [1{"0" * 400}]'),
+], ids=["nan", "infinity", "1e999", "int-past-double"])
+def test_non_finite_float_entries_rejected(field, fields):
+    with pytest.raises(ProblemFileError) as excinfo:
+        loads_problem(f'{{"backend": "float-matrix", "n": 1, {fields}}}')
+    assert excinfo.value.field == field
+
+
+def test_unreadable_file_raises_problem_file_error(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(ProblemFileError) as excinfo:
+        load_problem(missing)
+    assert excinfo.value.source == str(missing)
+    assert isinstance(excinfo.value.__cause__, FileNotFoundError)
+    (tmp_path / "latin1.json").write_bytes(b'{"label": "\xe9"}')
+    with pytest.raises(ProblemFileError) as excinfo:
+        load_problem(tmp_path / "latin1.json")
+    assert isinstance(excinfo.value.__cause__, UnicodeDecodeError)
+
+
 def test_dump_uses_rational_strings():
     doc = load_problem(PROBLEMS_DIR / "rational-2x2.json")
     data = json.loads(dumps_problem(doc))
