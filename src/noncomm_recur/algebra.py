@@ -11,8 +11,8 @@ Three backends, each a ring kind paired with the module kind it acts on:
 * ``FreeElement`` -> ``FreeVector`` -- integer-coefficient formal sums
   of words over the two-letter alphabet, the symbolic backend on which
   closed-form identities can be checked monomial by monomial.  Both
-  share one word-sum base, ``_WordSum``, for storage, ``+``, ``-``,
-  ``==`` and text; only ``FreeElement`` multiplies.
+  share one word-sum base, ``_WordSum``, for storage, ``+``, binary and
+  unary ``-``, ``==`` and text; only ``FreeElement`` multiplies.
 
 The contract they share: one lookup maps exact scalars to the kind
 ``Fraction`` and every other value to its class; ``*`` is the (generally
@@ -76,33 +76,16 @@ def word_from_str(text):
         raise ValueError(f"invalid word text {text!r}: letters must be 'A' or 'B'") from None
 
 
-def _merged(left, right, sign=1):
-    """Merge two word->coefficient maps, dropping cancelled terms."""
-    out = dict(left)
-    for word, coeff in right.items():
-        total = out.get(word, 0) + sign * coeff
-        if total:
-            out[word] = total
-        elif word in out:
-            del out[word]
-    return out
-
-
-def _concat_product(left, right):
-    """Bilinear extension of word concatenation to coefficient maps."""
-    out = {}
-    for w1, c1 in left.items():
-        for w2, c2 in right.items():
-            word = w1 + w2
-            total = out.get(word, 0) + c1 * c2
-            if total:
-                out[word] = total
-            elif word in out:
-                del out[word]
+def _accumulate(out, pairs):
+    """Add each (word, coeff) pair into ``out``; cancelled terms stay
+    until the word-sum constructor drops them."""
+    for word, coeff in pairs:
+        out[word] = out.get(word, 0) + coeff
     return out
 
 
 def _canonical_terms(terms):
+    """The one canonical form of a word sum: letters 0/1, no zero coefficients."""
     bad = [w for w in terms if not all(letter in (0, 1) for letter in w)]
     if bad:
         raise ValueError(f"invalid word {bad[0]!r}: letters must be 0 or 1")
@@ -137,12 +120,15 @@ class _WordSum:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(_merged(self.terms, other.terms))
+        return type(self)(_accumulate(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return type(self)({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(_merged(self.terms, other.terms, sign=-1))
+        return self + -other
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -210,16 +196,15 @@ class FreeElement(_WordSum):
         """The pair (A, B) of one-letter generators."""
         return cls.letter(L0_LETTER), cls.letter(L1_LETTER)
 
-    def __neg__(self):
-        return FreeElement({w: -c for w, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
-            return FreeElement({w: c * other for w, c in self.terms.items()} if other else {})
+            return FreeElement({w: c * other for w, c in self.terms.items()})
         if not isinstance(other, (FreeElement, FreeVector)):
             return NotImplemented
         # Concatenation is both the ring product and the action on vectors.
-        return type(other)(_concat_product(self.terms, other.terms))
+        return type(other)(_accumulate({}, ((w1 + w2, c1 * c2)
+                                            for w1, c1 in self.terms.items()
+                                            for w2, c2 in other.terms.items())))
 
     def __rmul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -228,9 +213,6 @@ class FreeElement(_WordSum):
 
     def monomial_count(self):
         return len(self.terms)
-
-    def coefficient(self, word):
-        return self.terms.get(tuple(word), 0)
 
 
 class FreeVector(_WordSum):

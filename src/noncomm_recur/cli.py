@@ -11,7 +11,7 @@ Subcommands:
 
 Exit codes: 0 success; 1 verification failure; 2 unreadable or malformed
 problem file; 3 method/backend mismatch or a cap exceeded (words, monomials
-or closed-form table); 4 solver error, double overflow or out of memory;
+or table cells); 4 solver error, double overflow or out of memory;
 141 the reader closed stdout.  Commands raise, and ``main`` alone maps each
 failure to its code and one stderr line.  Results go to stdout.
 
@@ -62,8 +62,9 @@ CAP_ENV_VAR = "NONCOMM_RECUR_CAP"
 # them, so p = 30 (832,040) runs and p = 31 does not.
 FREE_MONOMIAL_CAP = 10 ** 6
 
-# A matrix or scalar solve by the closed form is refused when its
-# permutation-sum table has more cells than this (about p = 2000).
+# A closed-form solve is refused when its permutation-sum table has more
+# cells than this, (p+1)^2 // 4 of them (p = 1999 runs, p = 2000 does not);
+# so is a bench grid whose dp tables have more cells in total.
 CLOSED_TABLE_CAP = 10 ** 6
 
 
@@ -93,6 +94,12 @@ def _env_cap():
 def _too_many_monomials(verb, what):
     return _Exit(EXIT_USAGE, f"refusing to {verb}: {what} may have more than "
                              f"{FREE_MONOMIAL_CAP} monomials on the free backend")
+
+
+def _refuse_large_tables(verb, cells, what, advice=""):
+    if cells > CLOSED_TABLE_CAP:
+        raise _Exit(EXIT_USAGE, f"refusing to {verb}: {what} more than "
+                                f"{CLOSED_TABLE_CAP} cells{advice}")
 
 
 def _free_monomial_bound(problem, p):
@@ -139,12 +146,11 @@ def cmd_solve(args):
         raise _Exit(EXIT_USAGE, f"method {args.method} requires the scalar backend, "
                                 f"but {args.input} uses {doc.backend}")
     problem, p = doc.problem, args.p
-    if doc.backend == "free":
-        if _free_monomial_bound(problem, p) > FREE_MONOMIAL_CAP:
-            raise _too_many_monomials("solve", f"Y_{p}")
-    elif args.method == "closed" and (p * p + 3) // 4 > CLOSED_TABLE_CAP:
-        raise _Exit(EXIT_USAGE, f"refusing to solve: the closed form's table for Y_{p} has "
-                                f"more than {CLOSED_TABLE_CAP} cells; use --method iterative")
+    if doc.backend == "free" and _free_monomial_bound(problem, p) > FREE_MONOMIAL_CAP:
+        raise _too_many_monomials("solve", f"Y_{p}")
+    if args.method == "closed":
+        _refuse_large_tables("solve", (p + 1) ** 2 // 4, f"the closed form's table for Y_{p} has",
+                             "; use --method iterative")
     try:
         if args.method == "closed":
             result = solve_closed(problem, p)
@@ -208,6 +214,10 @@ def cmd_bench(args):
         rng = Random(args.seed)
         L0 = verify.random_matrix(rng, args.n)
         L1 = verify.random_matrix(rng, args.n)
+    # Cell (u, v) fills (u+1)(v+1) table cells; summed over the grid, that factors.
+    u_sum, v_sum = ((k + 1) * (k + 2) // 2 for k in (args.u, args.v))
+    _refuse_large_tables("bench", u_sum * v_sum,
+                         f"the dp tables of the grid up to ({args.u},{args.v}) have")
 
     print("# strategy\tu\tv\tmults\tns")
     for u in range(args.u + 1):
@@ -236,7 +246,7 @@ def build_parser():
                     "noncommutative constant coefficients.",
         epilog="exit codes: 0 ok, 1 verification failure, 2 unreadable or "
                "malformed problem file, 3 method/backend mismatch or cap exceeded "
-               "(words, monomials or closed-form table), 4 solver error, double "
+               "(words, monomials or table cells), 4 solver error, double "
                "overflow or out of memory, 141 reader closed stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 

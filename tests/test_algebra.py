@@ -1,4 +1,5 @@
 """Backend contracts: ring axioms, module action, canonical forms."""
+from collections import defaultdict
 from fractions import Fraction
 from random import Random
 
@@ -25,7 +26,8 @@ from noncomm_recur.verify import random_fraction, random_matrix, random_vector
 A, B = FreeElement.generators()
 
 words = st.lists(st.sampled_from([0, 1]), max_size=6).map(tuple)
-free_elements = st.dictionaries(words, st.integers(-9, 9), max_size=5).map(FreeElement)
+term_maps = st.dictionaries(words, st.integers(-9, 9), max_size=5)
+free_elements = term_maps.map(FreeElement)
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
@@ -183,6 +185,35 @@ def test_free_coeff_map_round_trip(element):
 @given(st.dictionaries(words, st.integers(-9, 9), max_size=5).map(FreeVector))
 def test_free_vector_coeff_map_round_trip(vector):
     assert FreeVector.from_coeff_map(vector.to_coeff_map()) == vector
+
+
+@given(term_maps, term_maps, st.integers(-3, 3))
+def test_word_sum_arithmetic_matches_a_dict_reference(x, y, k):
+    def reference(pairs):
+        out = defaultdict(int)
+        for word, coeff in pairs:
+            out[word] += coeff
+        return {word: coeff for word, coeff in out.items() if coeff != 0}
+
+    def scaled(terms, factor):
+        return [(word, factor * coeff) for word, coeff in terms.items()]
+
+    left = FreeElement(x)
+    cases = [(k * left, FreeElement, reference(scaled(x, k))),
+             (left * k, FreeElement, reference(scaled(x, k)))]
+    for cls in (FreeElement, FreeVector):
+        a, b = cls(x), cls(y)
+        cases += [
+            (a + b, cls, reference([*x.items(), *y.items()])),
+            (a - b, cls, reference([*x.items(), *scaled(y, -1)])),
+            (-a, cls, reference(scaled(x, -1))),
+            (left * b, cls, reference([(w1 + w2, c1 * c2) for w1, c1 in x.items()
+                                       for w2, c2 in y.items()])),
+        ]
+    for result, cls, expected in cases:
+        assert type(result) is cls
+        assert result.terms == expected
+        assert 0 not in result.terms.values()
 
 
 def test_free_text_forms():

@@ -212,16 +212,28 @@ def test_solve_closed_table_too_large_exits_3(capsys, monkeypatch):
     import noncomm_recur.cli as cli_module
     monkeypatch.setattr(cli_module, "solve_closed", lambda problem, p: 0)
     fibonacci = str(PROBLEMS_DIR / "fibonacci.json")
-    # ceil(p^2 / 4) cells: p = 2000 fills the cap exactly, p = 2001 passes it
-    code, out, _ = run(capsys, "solve", "--input", fibonacci, "--p", "2000")
+    # (p+1)^2 // 4 cells: p = 1999 fills the cap exactly, p = 2000 passes it
+    code, out, _ = run(capsys, "solve", "--input", fibonacci, "--p", "1999")
     assert (code, out) == (0, "0\n")
-    for p in ("2001", "100000000"):
+    for p in ("2000", "100000000"):
         code, out, err = run(capsys, "solve", "--input", fibonacci, "--p", p)
         assert (code, out) == (3, "")
         assert "iterative" in err and len(err.splitlines()) == 1
-    code, out, _ = run(capsys, "solve", "--input", fibonacci, "--p", "2001",
+    code, out, _ = run(capsys, "solve", "--input", fibonacci, "--p", "2000",
                        "--method", "iterative")
     assert code == 0 and out.strip().isdigit()
+
+
+def test_solve_closed_table_cap_covers_the_free_backend(tmp_path, capsys, monkeypatch):
+    import noncomm_recur.cli as cli_module
+    monkeypatch.setattr(cli_module, "solve_closed", None)  # refused before the solver runs
+    # with L0 = 0, Y_p is the single word B^(p-1), so the monomial guard lets any p pass
+    path = tmp_path / "l0-zero.json"
+    path.write_text(json.dumps({"backend": "free", "L0": {}, "L1": {"B": 1}}))
+    assert _free_monomial_bound(load_problem(path).problem, 10 ** 8) == 1
+    code, out, err = run(capsys, "solve", "--input", str(path), "--p", "100000000")
+    assert (code, out) == (3, "")
+    assert "iterative" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("p", ["31", "40", "1000000000"])
@@ -406,6 +418,24 @@ def test_bench_free_table_too_large_exits_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "bench", "--u", "3", "--v", "3", "--input", free)
     assert code == 0
     assert parse_rows(out)[("naive", 3, 3)][0] == "100"
+
+
+def test_bench_grid_too_large_exits_3(capsys, monkeypatch):
+    import noncomm_recur.cli as cli_module
+    monkeypatch.setattr(cli_module, "perm_sum_dp", None)  # refused before any cell runs
+    fibonacci = str(PROBLEMS_DIR / "fibonacci.json")
+    # the grid up to (u, v) fills (u+1)(u+2)/2 · (v+1)(v+2)/2 table cells:
+    # 990 · 990 at (43, 43) and 1035 · 990 at (44, 43)
+    for grid in (("--u", "44", "--v", "43", "--input", fibonacci),
+                 ("--u", "100000", "--v", "100000", "--input", fibonacci),
+                 ("--u", "43", "--v", "44")):
+        code, out, err = run(capsys, "bench", *grid, "--naive-budget", "0")
+        assert (code, out) == (3, "")
+        assert "1000000 cells" in err and len(err.splitlines()) == 1
+    monkeypatch.setattr(cli_module, "perm_sum_dp", lambda *args, **kwargs: None)
+    code, out, _ = run(capsys, "bench", "--u", "43", "--v", "43", "--naive-budget", "0",
+                       "--input", fibonacci)
+    assert code == 0 and ("dp", 43, 43) in parse_rows(out)
 
 
 def test_bench_negative_naive_budget_is_a_usage_error(capsys):
