@@ -10,10 +10,12 @@ Subcommands:
                     multiplication counts and wall times.
 
 Exit codes: 0 success; 1 verification failure; 2 unreadable or malformed
-problem file; 3 method/backend mismatch or a cap exceeded (words, monomials
-or table cells); 4 solver error, double overflow or out of memory;
-141 the reader closed stdout.  Commands raise, and ``main`` alone maps each
-failure to its code and one stderr line.  Results go to stdout.
+problem file; 3 method/backend mismatch or a cap exceeded (words, table
+cells, then monomials: the cell cap also bounds every free-backend solve
+and weighs bench cells by matrix size); 4 solver error, double overflow
+or out of memory; 141 the reader closed stdout.  Commands raise, and
+``main`` alone maps each failure to its code and one stderr line.
+Results go to stdout.
 
 The enumeration cap (default 30 letters) can be overridden with the
 ``NONCOMM_RECUR_CAP`` environment variable.
@@ -64,7 +66,10 @@ FREE_MONOMIAL_CAP = 10 ** 6
 
 # A closed-form solve is refused when its permutation-sum table has more
 # cells than this, (p+1)^2 // 4 of them (p = 1999 runs, p = 2000 does not);
-# so is a bench grid whose dp tables have more cells in total.
+# so is every free-backend solve, whose iteration copies about as many
+# letters, and a bench grid whose dp tables have more cells in total, an
+# n×n cell counting (n/2)^3 times.  These size checks run first, so the
+# monomial bounds only ever see small inputs.
 CLOSED_TABLE_CAP = 10 ** 6
 
 
@@ -91,49 +96,42 @@ def _env_cap():
         raise _Exit(EXIT_USAGE, f"invalid {CAP_ENV_VAR}={raw!r}: expected an integer") from None
 
 
-def _too_many_monomials(verb, what):
-    return _Exit(EXIT_USAGE, f"refusing to {verb}: {what} may have more than "
-                             f"{FREE_MONOMIAL_CAP} monomials on the free backend")
-
-
-def _refuse_large_tables(verb, cells, what, advice=""):
-    if cells > CLOSED_TABLE_CAP:
-        raise _Exit(EXIT_USAGE, f"refusing to {verb}: {what} more than "
-                                f"{CLOSED_TABLE_CAP} cells{advice}")
+def _refusal(verb, what, cap, unit, advice=""):
+    return _Exit(EXIT_USAGE, f"refusing to {verb}: {what} more than {cap} {unit}{advice}")
 
 
 def _free_monomial_bound(problem, p):
-    """min(a_p, FREE_MONOMIAL_CAP + 1), where a_0 = 0, a_1 = |Y1| and
-    a_{k+2} = |L0|·a_k + |L1|·a_{k+1}, |x| counting the terms of x.
-
-    a_p bounds the monomials of Y_p on the free backend, exactly for the
-    generators.  Saturating at the cap keeps the pair (a_k, a_{k+1})
-    within finitely many states, and it settles into a cycle of length
-    one or two within O(log cap) steps; the loop stops at the first
-    repeated state and reads a_p off the cycle, so any p answers at once.
-    """
+    """a_p, where a_0 = 0, a_1 = |Y1| and a_{k+2} = |L0|·a_k + |L1|·a_{k+1},
+    |x| counting the terms of x: it bounds the monomials of Y_p on the free
+    backend, exactly for the generators.  It takes p big-integer steps, so
+    callers bound p first."""
     c0, c1 = len(problem.L0.terms), len(problem.L1.terms)
-    limit = FREE_MONOMIAL_CAP + 1
-    state = (0, min(len(problem.y1bar.terms), limit))
-    states, seen = [], {}
-    while len(states) < p and state not in seen:
-        seen[state] = len(states)
-        states.append(state)
-        state = (state[1], min(limit, c0 * state[0] + c1 * state[1]))
-    if len(states) < p:
-        first = seen[state]
-        state = states[first + (p - first) % (len(states) - first)]
-    return state[0]
+    a, b = 0, len(problem.y1bar.terms)
+    for _ in range(p):
+        a, b = b, c0 * a + c1 * b
+    return a
 
 
 def _free_table_too_large(problem, u, v):
     """Whether C(u+v, u)·|L0|^u·|L1|^v, with |x| the term count of x taken
     as at least 1, exceeds FREE_MONOMIAL_CAP: it bounds the monomials of
-    every cell of bench's table up to (u, v) on the free backend.  Clamping
-    u and v at 64, where any factor above 1 has passed the cap, is exact."""
+    every cell of bench's table up to (u, v) on the free backend.  Callers
+    bound the grid first."""
     c0, c1 = (max(len(x.terms), 1) for x in (problem.L0, problem.L1))
-    bound = math.comb(u + v, min(u, v, 64)) * c0 ** min(u, 64) * c1 ** min(v, 64)
-    return bound > FREE_MONOMIAL_CAP
+    return math.comb(u + v, u) * c0 ** u * c1 ** v > FREE_MONOMIAL_CAP
+
+
+def _check_solve_size(verb, problem, p, free):
+    """Refuse a solve up to Y_p whose closed-form table is too large, which
+    on the free backend bounds iteration too, then a free Y_p that may
+    have too many monomials."""
+    if (p + 1) ** 2 // 4 > CLOSED_TABLE_CAP:
+        raise _refusal(verb, f"the closed form's table for Y_{p} has", CLOSED_TABLE_CAP, "cells",
+                       "; on the free backend --method iterative copies as many letters"
+                       if free else "; use --method iterative")
+    if free and _free_monomial_bound(problem, p) > FREE_MONOMIAL_CAP:
+        raise _refusal(verb, f"Y_{p} may have", FREE_MONOMIAL_CAP, "monomials",
+                       " on the free backend")
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +143,9 @@ def cmd_solve(args):
     if args.method.startswith("scalar") and doc.backend != "scalar":
         raise _Exit(EXIT_USAGE, f"method {args.method} requires the scalar backend, "
                                 f"but {args.input} uses {doc.backend}")
-    problem, p = doc.problem, args.p
-    if doc.backend == "free" and _free_monomial_bound(problem, p) > FREE_MONOMIAL_CAP:
-        raise _too_many_monomials("solve", f"Y_{p}")
-    if args.method == "closed":
-        _refuse_large_tables("solve", (p + 1) ** 2 // 4, f"the closed form's table for Y_{p} has",
-                             "; use --method iterative")
+    problem, p, free = doc.problem, args.p, doc.backend == "free"
+    if free or args.method == "closed":
+        _check_solve_size("solve", problem, p, free)
     try:
         if args.method == "closed":
             result = solve_closed(problem, p)
@@ -184,8 +179,7 @@ def cmd_enumerate(args):
 
 
 def cmd_verify(args):
-    if _free_monomial_bound(verify.free_problem(), args.max_p) > FREE_MONOMIAL_CAP:
-        raise _too_many_monomials("verify", f"Y_{args.max_p}")
+    _check_solve_size("verify", verify.free_problem(), args.max_p, free=True)
     failed = False
     for result in verify.run_all(max_p=args.max_p, seed=args.seed):
         if result.passed:
@@ -205,19 +199,23 @@ def _bench_row(strategy, evaluate, L0, L1, u, v, **options):
 
 def cmd_bench(args):
     cap = _env_cap()
-    if args.input is not None:
-        doc = load_problem(args.input)
-        if doc.backend == "free" and _free_table_too_large(doc.problem, args.u, args.v):
-            raise _too_many_monomials("bench", f"cell ({args.u},{args.v})")
-        L0, L1 = doc.problem.L0, doc.problem.L1
-    else:
-        rng = Random(args.seed)
-        L0 = verify.random_matrix(rng, args.n)
-        L1 = verify.random_matrix(rng, args.n)
-    # Cell (u, v) fills (u+1)(v+1) table cells; summed over the grid, that factors.
+    doc = None if args.input is None else load_problem(args.input)
+    n = args.n if doc is None else getattr(doc.problem.L0, "n", 1)
+    # Cell (u, v) fills (u+1)(v+1) table cells; summed over the grid, that
+    # factors.  An n×n cell costs (n/2)^3 times a 2×2 one, for n >= 2.
     u_sum, v_sum = ((k + 1) * (k + 2) // 2 for k in (args.u, args.v))
-    _refuse_large_tables("bench", u_sum * v_sum,
-                         f"the dp tables of the grid up to ({args.u},{args.v}) have")
+    if u_sum * v_sum * max(n, 2) ** 3 > 8 * CLOSED_TABLE_CAP:
+        weight = f", a {n}×{n} cell counting ({n}/2)^3 times" if n > 2 else ""
+        raise _refusal("bench", f"the dp tables of the grid up to ({args.u},{args.v}) have",
+                       CLOSED_TABLE_CAP, "cells", weight)
+    if doc is None:
+        rng = Random(args.seed)
+        L0, L1 = verify.random_matrix(rng, n), verify.random_matrix(rng, n)
+    else:
+        L0, L1 = doc.problem.L0, doc.problem.L1
+        if doc.backend == "free" and _free_table_too_large(doc.problem, args.u, args.v):
+            raise _refusal("bench", f"cell ({args.u},{args.v}) may have", FREE_MONOMIAL_CAP,
+                           "monomials", " on the free backend")
 
     print("# strategy\tu\tv\tmults\tns")
     for u in range(args.u + 1):
@@ -246,7 +244,7 @@ def build_parser():
                     "noncommutative constant coefficients.",
         epilog="exit codes: 0 ok, 1 verification failure, 2 unreadable or "
                "malformed problem file, 3 method/backend mismatch or cap exceeded "
-               "(words, monomials or table cells), 4 solver error, double "
+               "(words, table cells or monomials), 4 solver error, double "
                "overflow or out of memory, 141 reader closed stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 

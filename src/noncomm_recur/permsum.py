@@ -41,10 +41,11 @@ from .algebra import (
     word_to_element,
 )
 
-# Words longer than this are refused by the enumerator: materializing
-# C(30, 15) ~ 1.55e8 words is already infeasible, so fail fast instead
-# of exhausting memory or time.  The CLI can override via the
-# NONCOMM_RECUR_CAP environment variable.
+# Words longer than this are refused by the enumerator, which fails fast
+# instead of exhausting memory or time.  30 letters is the longest length
+# allowed, and already costly: (15, 15) has C(30, 15) ~ 1.55e8 words,
+# about two minutes only to enumerate and hours for a naive scalar sum.
+# The CLI can override via the NONCOMM_RECUR_CAP environment variable.
 DEFAULT_WORD_CAP = 30
 
 

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,8 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noncomm_recur
+from noncomm_recur.algebra import FreeElement, FreeVector
 from noncomm_recur.cli import FREE_MONOMIAL_CAP, _free_monomial_bound, main
+from noncomm_recur.permsum import perm_sum_dp
 from noncomm_recur.problems import load_problem
+from noncomm_recur.solver import CauchyProblem, solve_closed, solve_iterative
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 EXACT_BUNDLED = [p for p in sorted(PROBLEMS_DIR.glob("*.json"))
@@ -230,20 +234,38 @@ def test_solve_closed_table_cap_covers_the_free_backend(tmp_path, capsys, monkey
     # with L0 = 0, Y_p is the single word B^(p-1), so the monomial guard lets any p pass
     path = tmp_path / "l0-zero.json"
     path.write_text(json.dumps({"backend": "free", "L0": {}, "L1": {"B": 1}}))
-    assert _free_monomial_bound(load_problem(path).problem, 10 ** 8) == 1
+    assert _free_monomial_bound(load_problem(path).problem, 1999) == 1
     code, out, err = run(capsys, "solve", "--input", str(path), "--p", "100000000")
     assert (code, out) == (3, "")
     assert "iterative" in err and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("p", ["31", "40", "1000000000"])
+def test_solve_free_iteration_is_bounded_by_the_table_size(tmp_path, capsys, monkeypatch):
+    import noncomm_recur.cli as cli_module
+    # Y_p is the single word B^(p-1), but iterating copies words of up to
+    # p-1 letters at each of p steps, about as many letters as the table has cells
+    path = tmp_path / "l0-zero.json"
+    path.write_text(json.dumps({"backend": "free", "L0": {}, "L1": {"B": 1}}))
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "1999",
+                       "--method", "iterative")
+    assert (code, out) == (0, f"{'B' * 1998}·y1\n")
+    monkeypatch.setattr(cli_module, "solve_iterative", None)  # refused before the solver runs
+    for p in ("2000", "1000000000"):
+        code, out, err = run(capsys, "solve", "--input", str(path), "--p", p,
+                             "--method", "iterative")
+        assert (code, out) == (3, "")
+        assert "1000000 cells" in err and "iterative" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("p", ["31", "40", "1999", "1000000000"])
 @pytest.mark.parametrize("method", ["closed", "iterative"])
 def test_solve_free_too_many_monomials_exits_3(capsys, p, method):
     code, out, err = run(capsys, "solve", "--input",
                          str(PROBLEMS_DIR / "free-generators.json"), "--p", p,
                          "--method", method)
     assert (code, out) == (3, "")
-    assert "1000000 monomials" in err
+    # past the table cap the size check refuses first, before any bound is computed
+    assert ("1000000 cells" if p == "1000000000" else "1000000 monomials") in err
 
 
 def test_free_monomial_bound_is_fibonacci_for_the_generators():
@@ -267,10 +289,29 @@ def test_free_bound_allows_a_zero_coefficient(tmp_path, capsys):
         code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "41",
                            "--method", method)
         assert (code, out) == (0, f"{2 ** 20}·{'A' * 40}·y1\n")
-    # the term count stays 1 however large p is, so no refusal
+    # the term count stays at most 1 however large p is, so no monomial refusal
     problem = load_problem(path).problem
-    assert _free_monomial_bound(problem, 10 ** 9 + 1) == 1
-    assert _free_monomial_bound(problem, 10 ** 9) == 0
+    assert _free_monomial_bound(problem, 1999) == 1
+    assert _free_monomial_bound(problem, 1998) == 0
+
+
+short_words = st.lists(st.integers(0, 1), max_size=2).map(tuple)
+small_sums = st.dictionaries(short_words, st.integers(-2, 2), max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_sums, small_sums, small_sums, st.integers(0, 8))
+def test_free_monomial_bounds_hold_on_random_problems(l0, l1, y1, p):
+    problem = CauchyProblem(FreeElement(l0), FreeElement(l1), FreeVector(y1))
+    bound = _free_monomial_bound(problem, p)
+    assert len(solve_iterative(problem, p).terms) <= bound
+    assert len(solve_closed(problem, p).terms) <= bound
+    # bench's bound on every cell, each term count taken as at least 1
+    c0, c1 = (max(len(x.terms), 1) for x in (problem.L0, problem.L1))
+    for u in range(5):
+        for v in range(5):
+            cell = perm_sum_dp(problem.L0, problem.L1, u, v)
+            assert len(cell.terms) <= math.comb(u + v, u) * c0 ** u * c1 ** v
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +449,11 @@ def test_bench_free_table_too_large_exits_3(capsys, monkeypatch):
     import noncomm_recur.cli as cli_module
     monkeypatch.setattr(cli_module, "perm_sum_dp", None)  # refused before any cell runs
     free = str(PROBLEMS_DIR / "free-generators.json")
-    for size in ("12", "1000000000"):
+    # the grid check runs first, so only grids inside it reach the monomial bound
+    for size, refused in (("12", "monomials"), ("40", "monomials"), ("1000000000", "cells")):
         code, out, err = run(capsys, "bench", "--u", size, "--v", size, "--input", free)
         assert (code, out) == (3, "")
-        assert "1000000 monomials" in err
+        assert f"1000000 {refused}" in err and len(err.splitlines()) == 1
     monkeypatch.undo()
     # C(22, 11) = 705432 words at (11, 11) stays under the cap; run a small grid
     assert not cli_module._free_table_too_large(load_problem(free).problem, 11, 11)
@@ -436,6 +478,23 @@ def test_bench_grid_too_large_exits_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "bench", "--u", "43", "--v", "43", "--naive-budget", "0",
                        "--input", fibonacci)
     assert code == 0 and ("dp", 43, 43) in parse_rows(out)
+
+
+def test_bench_large_n_is_refused_before_building_matrices(capsys, monkeypatch):
+    import noncomm_recur.cli as cli_module
+    import noncomm_recur.verify as verify_module
+    monkeypatch.setattr(verify_module, "random_matrix", None)  # refused before any matrix is built
+    # an n×n cell counts (n/2)^3 times: 3 · 500^3 cells at (1, 0), 1 · 100.5^3 at (0, 0)
+    for grid in (("--n", "1000", "--u", "1", "--v", "0"), ("--n", "201", "--u", "0", "--v", "0")):
+        code, out, err = run(capsys, "bench", *grid)
+        assert (code, out) == (3, "")
+        assert "1000000 cells" in err and len(err.splitlines()) == 1
+    # 100^3 cells at (0, 0) with n = 200 meets the cap exactly
+    monkeypatch.setattr(verify_module, "random_matrix", lambda rng, n: None)
+    for name in ("perm_sum_naive", "perm_sum_dp"):
+        monkeypatch.setattr(cli_module, name, lambda *args, **kwargs: None)
+    code, out, _ = run(capsys, "bench", "--n", "200", "--u", "0", "--v", "0")
+    assert code == 0 and ("dp", 0, 0) in parse_rows(out)
 
 
 def test_bench_negative_naive_budget_is_a_usage_error(capsys):
@@ -496,13 +555,17 @@ def cli_runs(draw):
     ints = lambda low, high: str(draw(st.integers(low, high)))
     if command == "solve":
         method = draw(st.sampled_from(["closed", "iterative", "scalar-roots", "scalar-sum"]))
-        # a free Y_p grows exponentially in p, so keep p small there
-        return ["solve", "--p", ints(-1, 8 if free else 60), "--method", method], text, cap
+        # a free Y_p grows exponentially in p, so keep p small there, or past
+        # the table cap, where every method is refused at once; a closed solve
+        # of a one-term file at p in 1000-1999 takes seconds, so not between
+        p = st.integers(-1, 8) | st.integers(2000, 10 ** 9) if free else st.integers(-1, 60)
+        return ["solve", "--p", str(draw(p)), "--method", method], text, cap
     if command == "bench":
         argv = ["bench", "--u", ints(0, 4), "--v", ints(0, 4), "--naive-budget", ints(-1, 100)]
         if draw(st.booleans()):
             return argv, text, cap
-        return argv + ["--n", ints(-1, 2)], None, cap
+        n = draw(st.integers(-1, 2) | st.integers(200, 10 ** 6))  # from 201 up, refused at once
+        return argv + ["--n", str(n)], None, cap
     if command == "enumerate":
         return ["enumerate", "--u", ints(0, 5), "--v", ints(0, 5)], None, cap
     return ["verify", "--max-p", ints(31, 10 ** 9), "--seed", ints(0, 9)], None, cap
