@@ -3,8 +3,9 @@
 Three backends, each a ring kind paired with the module kind it acts on:
 
 * ``Matrix`` -> ``ColumnVector`` -- dense square matrices over exact
-  rationals (``fractions.Fraction``) or 64-bit floats.  Both share one
-  dense base, ``_Dense``, for flat storage, entry coercion, ``+``,
+  rationals (integer numerators over one common denominator; the
+  entries read as ``fractions.Fraction``) or 64-bit floats.  Both share
+  one dense base, ``_Dense``, for flat storage, entry coercion, ``+``,
   ``-``, ``==``, ``isclose`` and ``repr``; only ``Matrix`` multiplies;
 * ``Fraction`` -> ``Fraction`` -- exact rational scalars (``Fraction``
   or ``int``) serve as both ring element and vector;
@@ -33,6 +34,7 @@ dimensions, or exact and float entries) raises
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 # Word letters.  Letter 0 stands for a left factor L0, letter 1 for a
@@ -244,19 +246,22 @@ def _check_space(a, b):
 
 
 class _Dense:
-    """Immutable flat tuple of entries at dimension ``n``, either all
-    exact rationals (kept in canonical reduced form by ``Fraction``) or
-    all floats (``exact`` is False).
+    """Immutable flat entries at dimension ``n``, either all exact
+    rationals or all floats (``exact`` is False).
 
     The storage shared by :class:`Matrix` (row-major) and
-    :class:`ColumnVector`.  Integers are exact and join either field;
-    mixing Fraction and float entries is rejected rather than silently
-    losing exactness.  ``+``, ``-``, ``==`` and :meth:`isclose` take only
-    a value of the same class, so matrices and vectors never mix.
-    ``_WHAT`` names the value in entry errors.
+    :class:`ColumnVector`: integer numerators ``_nums`` over one positive
+    denominator ``_den`` with ``gcd(_den, *_nums) == 1``, so equal values
+    have equal stored pairs and arithmetic runs on plain integers with
+    one gcd per result; floats are kept in ``_nums`` with ``_den == 1``.
+    ``entries`` builds the ``Fraction``s on demand.  Integers are exact
+    and join either field; mixing Fraction and float entries is rejected
+    rather than silently losing exactness.  ``+``, ``-``, ``==`` and
+    :meth:`isclose` take only a value of the same class, so matrices and
+    vectors never mix.  ``_WHAT`` names the value in entry errors.
     """
 
-    __slots__ = ("entries", "n", "exact")
+    __slots__ = ("_nums", "_den", "n", "exact")
 
     def __init__(self, entries, n):
         values = list(entries)
@@ -266,39 +271,64 @@ class _Dense:
         for v in values:
             if isinstance(v, bool) or not isinstance(v, (int, float, Fraction)):
                 raise ValueError(f"{self._WHAT}: invalid entry {v!r}")
-        object.__setattr__(self, "entries", tuple(map(float if has_float else Fraction, values)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "exact", not has_float)
+        if has_float:
+            nums, den = tuple(map(float, values)), 1
+        else:  # the lcm of reduced denominators leaves the pair canonical
+            den = math.lcm(*(v.denominator for v in values))
+            nums = tuple(v.numerator * (den // v.denominator) for v in values)
+        self._store(nums, den, n, not has_float)
+
+    def _store(self, nums, den, n, exact):
+        setattr_ = object.__setattr__
+        setattr_(self, "_nums", nums)
+        setattr_(self, "_den", den)
+        setattr_(self, "n", n)
+        setattr_(self, "exact", exact)
+        return self
+
+    @classmethod
+    def _new(cls, nums, den, n, exact):
+        """The value ``nums / den``, reduced to canonical form; no entry checks."""
+        if den != 1 and (g := math.gcd(den, *nums)) != 1:
+            nums, den = tuple(x // g for x in nums), den // g
+        return object.__new__(cls)._store(nums, den, n, exact)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _like(self, entries):
-        """The value of this class and shape holding ``entries``."""
-        return type(self)(entries)
+    @property
+    def entries(self):
+        """The entries as a flat tuple of ``Fraction``s, or of floats."""
+        if not self.exact:
+            return self._nums
+        return tuple(Fraction(x, self._den) for x in self._nums)
 
     def zero(self):
         return type(self).zeros(self.n, self.exact)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """``op`` entrywise over the common denominator of two values."""
         if type(other) is not type(self):
             return NotImplemented
         _check_space(self, other)
-        return self._like([a + b for a, b in zip(self.entries, other.entries)])
+        den = math.lcm(self._den, other._den)
+        a, b = ([x * (den // v._den) for x in v._nums] if v._den != den else v._nums
+                for v in (self, other))
+        return self._new(tuple(map(op, a, b)), den, self.n, self.exact)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        _check_space(self, other)
-        return self._like([a - b for a, b in zip(self.entries, other.entries)])
+        return self._combine(other, operator.sub)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.exact == other.exact and self.entries == other.entries  # implies equal n
+        return (self.exact, self._den, self._nums) == (other.exact, other._den, other._nums)
 
     def __hash__(self):
-        return hash((self.n, self.exact, self.entries))
+        return hash((self.n, self.exact, self._den, self._nums))
 
     def isclose(self, other, rel_tol=FLOAT_REL_TOL, abs_tol=FLOAT_ABS_TOL):
         """Entrywise tolerant comparison (the float backend's equality)."""
@@ -317,13 +347,13 @@ class _Dense:
 class Matrix(_Dense):
     """Square matrix backend element.
 
-    ``rows`` holds the same entries as ``entries``, one tuple per row.
-    ``a * b`` is the matrix product when ``b`` is a :class:`Matrix` and
-    the action on a :class:`ColumnVector` otherwise.  ``==`` is exact
-    entrywise equality; use :meth:`isclose` for float comparisons.
+    ``rows`` is a view of ``entries``, one tuple per row.  ``a * b`` is
+    the matrix product when ``b`` is a :class:`Matrix` and the action on
+    a :class:`ColumnVector` otherwise.  ``==`` is exact entrywise
+    equality; use :meth:`isclose` for float comparisons.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ()
     _WHAT = "matrix"
     __add__ = _Dense.__add__  # see FreeElement
 
@@ -333,11 +363,12 @@ class Matrix(_Dense):
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square with at least one row")
         super().__init__([v for r in rows for v in r], n)
-        object.__setattr__(self, "rows", tuple(self.entries[i * n:(i + 1) * n] for i in range(n)))
 
-    def _like(self, entries):
-        n = self.n
-        return Matrix([entries[i * n:(i + 1) * n] for i in range(n)])
+    @property
+    def rows(self):
+        """The entries, one tuple per row."""
+        e, n = self.entries, self.n
+        return tuple(e[i:i + n] for i in range(0, n * n, n))
 
     @classmethod
     def identity(cls, n, exact=True):
@@ -357,12 +388,11 @@ class Matrix(_Dense):
         if not isinstance(other, (Matrix, ColumnVector)):
             return NotImplemented
         _check_space(self, other)
-        if isinstance(other, Matrix):
-            cols = tuple(zip(*other.rows))
-            return Matrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
-                           for row in self.rows])
-        return ColumnVector([sum(a * b for a, b in zip(row, other.entries))
-                             for row in self.rows])
+        n, a, b = self.n, self._nums, other._nums
+        cols = [b[j::n] for j in range(n)] if isinstance(other, Matrix) else [b]
+        nums = tuple(sum(map(operator.mul, a[i:i + n], col))
+                     for i in range(0, n * n, n) for col in cols)
+        return type(other)._new(nums, self._den * other._den, n, self.exact)
 
     def __str__(self):
         return "[" + ", ".join("[" + ", ".join(format_entry(v) for v in row) + "]"

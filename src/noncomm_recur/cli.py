@@ -67,9 +67,10 @@ FREE_MONOMIAL_CAP = 10 ** 6
 # A closed-form solve is refused when its permutation-sum table has more
 # cells than this, (p+1)^2 // 4 of them (p = 1999 runs, p = 2000 does not);
 # so is every free-backend solve, whose iteration copies about as many
-# letters, and a bench grid whose dp tables have more cells in total, an
-# n×n cell counting (n/2)^3 times.  These size checks run first, so the
-# monomial bounds only ever see small inputs.
+# letters, a cell weighing the longest word of its coefficients; and so is
+# a bench grid whose dp tables have more cells in total, an n×n cell
+# counting (n/2)^3 times.  These size checks run first, so the monomial
+# bounds only ever see small inputs.
 CLOSED_TABLE_CAP = 10 ** 6
 
 
@@ -123,12 +124,16 @@ def _free_table_too_large(problem, u, v):
 
 def _check_solve_size(verb, problem, p, free):
     """Refuse a solve up to Y_p whose closed-form table is too large, which
-    on the free backend bounds iteration too, then a free Y_p that may
-    have too many monomials."""
-    if (p + 1) ** 2 // 4 > CLOSED_TABLE_CAP:
+    on the free backend bounds iteration too, a cell counting as many
+    times as the longest word of L0, L1 and Y1 has letters (at least 1);
+    then a free Y_p that may have too many monomials."""
+    weight = max([1, *(len(word) for x in (problem.L0, problem.L1, problem.y1bar)
+                       for word in x.terms)]) if free else 1
+    if (p + 1) ** 2 // 4 * weight > CLOSED_TABLE_CAP:
+        counting = f", a cell counting {weight} times" if weight > 1 else ""
         raise _refusal(verb, f"the closed form's table for Y_{p} has", CLOSED_TABLE_CAP, "cells",
-                       "; on the free backend --method iterative copies as many letters"
-                       if free else "; use --method iterative")
+                       f"{counting}; on the free backend --method iterative copies as many "
+                       "letters" if free else "; use --method iterative")
     if free and _free_monomial_bound(problem, p) > FREE_MONOMIAL_CAP:
         raise _refusal(verb, f"Y_{p} may have", FREE_MONOMIAL_CAP, "monomials",
                        " on the free backend")

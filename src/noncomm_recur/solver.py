@@ -215,15 +215,26 @@ def solve_scalar_sum(c0, c1, y1bar, p):
 
     sum_{t=0}^{tbar(p)} C(p-t-1, t) c0^t c1^(p-1-2t) * y1bar, with the
     convention 0^0 = 1 so c1 = 0 (and c0 = 0) are admissible.
+
+    With c0 = a/b, c1 = c/d, n = p-1 and T = tbar(p) the sum is
+    c^(n-2T) / (b^T d^n) * sum_t C(n-t, t) (a d^2)^t (b c^2)^(T-t).  That
+    integer sum runs by Horner's rule, each binomial updated from the one
+    before, so it costs O(p) big-integer steps.
     """
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
-    c0 = Fraction(c0)
-    c1 = Fraction(c1)
-    total = Fraction(0)
-    for t in range(t_bar(p) + 1):
-        total += binom(p - t - 1, t) * c0 ** t * c1 ** (p - 1 - 2 * t)
-    return total * Fraction(y1bar)
+    c0, c1, y1bar = Fraction(c0), Fraction(c1), Fraction(y1bar)
+    n, top = p - 1, t_bar(p)
+    if top < 0:
+        return Fraction(0)
+    a, b, c, d = c0.numerator, c0.denominator, c1.numerator, c1.denominator
+    x, y = a * d * d, b * c * c
+    total = coeff = x_power = 1  # the t = 0 term
+    for t in range(top):
+        coeff = coeff * (n - 2 * t) * (n - 2 * t - 1) // ((t + 1) * (n - t))
+        x_power *= x
+        total = total * y + coeff * x_power
+    return Fraction(total * c ** (n - 2 * top), b ** top * d ** n) * y1bar
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Backend contracts: ring axioms, module action, canonical forms."""
+import math
 from collections import defaultdict
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncomm_recur.algebra import (
@@ -134,6 +135,48 @@ def test_equality_is_transitive_on_canonical_forms():
     y = FreeElement({(1,): 1})
     z = FreeElement.letter(1)
     assert x == y and y == z and x == z
+
+
+# Zeros, negatives and denominators sharing factors, so that sums cancel
+# and common denominators reduce.
+dense_entries = st.one_of(st.just(Fraction(0)),
+                          st.fractions(min_value=-9, max_value=9, max_denominator=12))
+dense_operands = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), *(st.lists(dense_entries, min_size=k, max_size=k) for k in (n * n, n * n, n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_operands)
+def test_dense_storage_matches_a_fraction_list_reference(operands):
+    n, a, b, y = operands
+
+    def rows(flat):
+        return [flat[i:i + n] for i in range(0, len(flat), n)]
+
+    def dot(row, col):
+        return sum((p * q for p, q in zip(row, col)), Fraction(0))
+
+    x, z, v = Matrix(rows(a)), Matrix(rows(b)), ColumnVector(y)
+    cases = [
+        (x, a), (v, y),
+        (x * z, [dot(row, b[j::n]) for row in rows(a) for j in range(n)]),
+        (x * v, [dot(row, y) for row in rows(a)]),
+        (x + z, [p + q for p, q in zip(a, b)]),
+        (x - z, [p - q for p, q in zip(a, b)]),
+        (x - x, [Fraction(0)] * (n * n)),
+        (v + v, [2 * p for p in y]),
+        (v - v, [Fraction(0)] * n),
+    ]
+    for value, expected in cases:
+        assert value.entries == tuple(expected)
+        assert all(type(e) is Fraction for e in value.entries)
+        rebuilt = Matrix(rows(expected)) if isinstance(value, Matrix) else ColumnVector(expected)
+        assert value == rebuilt and hash(value) == hash(rebuilt)
+        # canonical: equal values have equal stored pairs
+        assert value._den > 0 and math.gcd(value._den, *value._nums) == 1
+        assert (value._nums, value._den) == (rebuilt._nums, rebuilt._den)
+    assert (x == z) == (a == b)
+    assert (x * v == z * v) == (cases[3][1] == [dot(row, y) for row in rows(b)])
 
 
 # ---------------------------------------------------------------------------

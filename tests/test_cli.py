@@ -257,6 +257,24 @@ def test_solve_free_iteration_is_bounded_by_the_table_size(tmp_path, capsys, mon
         assert "1000000 cells" in err and "iterative" in err and len(err.splitlines()) == 1
 
 
+def test_solve_free_table_cells_weigh_the_longest_word(tmp_path, capsys, monkeypatch):
+    import noncomm_recur.cli as cli_module
+    # Y_p is the single word B^(1000(p-1)): iterating copies about 1000
+    # letters per table cell, so the check counts each cell 1000 times
+    path = tmp_path / "long-word.json"
+    path.write_text(json.dumps({"backend": "free", "L0": {}, "L1": {"B" * 1000: 1}}))
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "20",
+                       "--method", "iterative")
+    assert (code, out) == (0, f"{'B' * 19000}·y1\n")
+    for method in ("closed", "iterative"):
+        monkeypatch.setattr(cli_module, f"solve_{method}", None)  # refused before it runs
+        code, out, err = run(capsys, "solve", "--input", str(path), "--p", "100",
+                             "--method", method)
+        assert (code, out) == (3, "")
+        assert "1000000 cells, a cell counting 1000 times" in err
+        assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("p", ["31", "40", "1999", "1000000000"])
 @pytest.mark.parametrize("method", ["closed", "iterative"])
 def test_solve_free_too_many_monomials_exits_3(capsys, p, method):

@@ -273,6 +273,25 @@ def test_scalar_sum_examples():
     assert solve_scalar_sum(2, 1, 1, 3) == 3
 
 
+def direct_binomial_sum(c0, c1, y1, p):
+    """Reference: the closed form's scalar sum evaluated term by term."""
+    c0, c1 = Fraction(c0), Fraction(c1)
+    return sum((math.comb(p - t - 1, t) * c0 ** t * c1 ** (p - 1 - 2 * t)
+                for t in range(t_bar(p) + 1)), Fraction(0)) * Fraction(y1)
+
+
+@pytest.mark.parametrize("c0, c1, y1", [(Fraction(-3, 7), Fraction(5, 2), Fraction(2, 3)),
+                                        (2, 0, 1), (0, Fraction(3, 2), 1), (5, 0, 1)])
+def test_scalar_sum_equals_the_direct_sum(c0, c1, y1):
+    # zero coefficients take the 0^0 = 1 convention
+    for p in range(40):
+        assert solve_scalar_sum(c0, c1, y1, p) == direct_binomial_sum(c0, c1, y1, p)
+
+
+def test_scalar_sum_equals_iteration_at_large_p():
+    assert solve_scalar_sum(1, 1, 1, 5000) == iterate_scalar(1, 1, 1, 5000)
+
+
 @given(st.fractions(min_value=-6, max_value=6, max_denominator=3),
        st.fractions(min_value=-6, max_value=6, max_denominator=3),
        st.fractions(min_value=-6, max_value=6, max_denominator=3),
