@@ -33,6 +33,7 @@ dimensions, or exact and float entries) raises
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -388,11 +389,8 @@ class Matrix(_Dense):
         if not isinstance(other, (Matrix, ColumnVector)):
             return NotImplemented
         _check_space(self, other)
-        n, a, b = self.n, self._nums, other._nums
-        cols = [b[j::n] for j in range(n)] if isinstance(other, Matrix) else [b]
-        nums = tuple(sum(map(operator.mul, a[i:i + n], col))
-                     for i in range(0, n * n, n) for col in cols)
-        return type(other)._new(nums, self._den * other._den, n, self.exact)
+        return type(other)._new(_mul_nums(self.n, self._nums, other._nums),
+                                self._den * other._den, self.n, self.exact)
 
     def __str__(self):
         return "[" + ", ".join("[" + ", ".join(format_entry(v) for v in row) + "]"
@@ -415,6 +413,14 @@ class ColumnVector(_Dense):
     @classmethod
     def zeros(cls, n, exact=True):
         return cls([Fraction(0) if exact else 0.0] * n)
+
+
+def _mul_nums(n, a, b):
+    """The numerators of a product: row-major n×n ``a`` times the n×n
+    matrix or the n-vector ``b``, all flat tuples of one field."""
+    cols = [b[j::n] for j in range(n)] if len(b) > n else [b]
+    return tuple([sum(map(operator.mul, a[i:i + n], col))
+                  for i in range(0, n * n, n) for col in cols])
 
 
 def format_entry(value):
@@ -494,6 +500,28 @@ def apply(ring_element, vector):
     if check_apply_compat(ring_element, vector) is Fraction:
         return Fraction(ring_element) * vector
     return ring_element * vector
+
+
+def table_arithmetic(L0, L1, origin, product):
+    """The cell arithmetic of a permutation-sum table grown from ``origin``
+    by ``product``: the factors for L0 and L1, the origin cell, the product
+    and sum of cells, and ``value(u, v, cell)``, the value cell (u, v) is.
+
+    Backends other than ``Matrix`` keep their values, ``product`` and
+    ``+``.  A ``Matrix`` cell, exact or float, is a numerator tuple: with
+    L0 = M0/m0, L1 = M1/m1 and the origin w/d, W(u, v) = M0·W(u-1, v) +
+    M1·W(u, v-1) takes no lcm or gcd and stands for W(u, v)/(m0^u·m1^v·d).
+    Floats have scale 1, so they run the same operations as ``product``.
+    """
+    if _kind(L0) is not Matrix:
+        return L0, L1, origin, product, operator.add, lambda u, v, cell: cell
+    n, m0, m1, d = L0.n, L0._den, L1._den, origin._den
+
+    def value(u, v, cell):
+        return type(origin)._new(cell, m0 ** u * m1 ** v * d, n, L0.exact)
+
+    return (L0._nums, L1._nums, origin._nums, functools.partial(_mul_nums, n),
+            lambda a, b: tuple(map(operator.add, a, b)), value)
 
 
 def _require_kind(value, kinds, what):

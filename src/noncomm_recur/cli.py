@@ -12,7 +12,8 @@ Subcommands:
 Exit codes: 0 success; 1 verification failure; 2 unreadable or malformed
 problem file; 3 method/backend mismatch or a cap exceeded (words, table
 cells, then monomials: the cell cap also bounds every free-backend solve
-and weighs bench cells by matrix size); 4 solver error, double overflow
+and weighs bench cells by matrix size; every other solve meets a cap on
+its estimated bit operations); 4 solver error, double overflow
 or out of memory; 141 the reader closed stdout.  Commands raise, and
 ``main`` alone maps each failure to its code and one stderr line.
 Results go to stdout.
@@ -72,6 +73,16 @@ FREE_MONOMIAL_CAP = 10 ** 6
 # counting (n/2)^3 times.  These size checks run first, so the monomial
 # bounds only ever see small inputs.
 CLOSED_TABLE_CAP = 10 ** 6
+
+# A scalar or dense solve up to Y_p is refused when its estimated work has
+# more bit operations than this: p steps of n^2 entry products, an entry of
+# Y_p having at most bits(Y1) + p·g bits, where g is the longest numerator
+# or denominator in L0 and L1 plus log2(2n) bits for the sums.  An entry
+# product counts at least ENTRY_FLOOR_BITS, the interpreter's cost per
+# product, so a float entry counts exactly that: about 20 µs a step for
+# float-2x2.json, as much as a 2x2 product on 4096-bit integers.
+SOLVE_WORK_CAP = 5 * 10 ** 9
+ENTRY_FLOOR_BITS = 2 ** 12
 
 
 class _Exit(Exception):
@@ -139,6 +150,22 @@ def _check_solve_size(verb, problem, p, free):
                        " on the free backend")
 
 
+def _check_solve_work(problem, p):
+    """Refuse a scalar or dense solve up to Y_p whose estimated work, see
+    SOLVE_WORK_CAP, is above that cap."""
+    n, width = getattr(problem.L0, "n", 1), ENTRY_FLOOR_BITS
+    if getattr(problem.L0, "exact", True):
+        def bits(*values):
+            return max(max(x.numerator.bit_length(), x.denominator.bit_length())
+                       for value in values for x in getattr(value, "entries", (value,)))
+        growth = bits(problem.L0, problem.L1) + (2 * n - 1).bit_length()
+        width = max(width, bits(problem.y1bar) + p * growth)
+    if p * n * n * width > SOLVE_WORK_CAP:
+        raise _refusal("solve", f"the steps up to Y_{p} take", SOLVE_WORK_CAP,
+                       "bit operations", f" (estimated from {n}×{n} products on entries "
+                       f"of up to {width} bits)")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -151,6 +178,8 @@ def cmd_solve(args):
     problem, p, free = doc.problem, args.p, doc.backend == "free"
     if free or args.method == "closed":
         _check_solve_size("solve", problem, p, free)
+    if not free:
+        _check_solve_work(problem, p)
     try:
         if args.method == "closed":
             result = solve_closed(problem, p)

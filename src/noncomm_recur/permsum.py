@@ -20,7 +20,9 @@ gives Z(u, v) = P(u, v)·y with one module action per step, a
 matrix-vector product instead of a matrix product on matrix backends.
 The table is built row by row, keeping one row and the requested
 cells, and lives for a single top-level call; there is no cross-call
-caching.
+caching.  ``algebra.table_arithmetic`` supplies the cell arithmetic
+by backend kind: on matrix backends the cells are integer numerator
+tuples, and only the requested keys become values.
 
 The evaluators accept a :class:`MultCounter` that records the exact
 number of ring multiplications (or module actions) performed, for
@@ -38,6 +40,7 @@ from .algebra import (
     compose,
     ring_one,
     ring_zero,
+    table_arithmetic,
     word_to_element,
 )
 
@@ -168,6 +171,13 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
     With a module ``vector`` y the cells are Z(u, v) = P(u, v)·y, built
     by the same recursion from Z(0, 0) = y with one module action per
     product, and the result holds P(u, v)·y for each key.
+
+    On ``Matrix`` backends, with L0 = M0/m0 and L1 = M1/m1, a cell is the
+    numerator tuple W(u, v) = M0·W(u-1, v) + M1·W(u, v-1): two products
+    and one entrywise add, with no value object, lcm or gcd.  Each
+    requested key becomes a value once, W(u, v) over m0^u·m1^v times the
+    origin's denominator, reduced by one gcd.  The counts are unchanged,
+    and float results are bit for bit those of ``compose``/``apply``.
     """
     check_same_backend(L0, L1)
     if vector is None:
@@ -180,6 +190,7 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
         _check_counts(u, v)
     if not keys:
         return []
+    f0, f1, origin, product, add, value = table_arithmetic(L0, L1, origin, product)
 
     def step(factor, cell):
         # factor·1 is factor: the ring table gets P(1, 0) and P(0, 1) free.
@@ -197,11 +208,11 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
     row = []
     for i in range(max_u + 1):
         above = row
-        row = [origin if i == 0 else step(L0, above[0])]
+        row = [origin if i == 0 else step(f0, above[0])]
         for j in range(1, col_limit[i] + 1):
-            left = step(L1, row[j - 1])
-            row.append(left if i == 0 else step(L0, above[j]) + left)
+            left = step(f1, row[j - 1])
+            row.append(left if i == 0 else add(step(f0, above[j]), left))
         for u, v in found:
             if u == i:
-                found[(u, v)] = row[v]
+                found[(u, v)] = value(u, v, row[v])
     return [found[key] for key in keys]

@@ -228,6 +228,43 @@ def test_solve_closed_table_too_large_exits_3(capsys, monkeypatch):
     assert code == 0 and out.strip().isdigit()
 
 
+@pytest.mark.parametrize("name, p, method", [
+    ("fibonacci.json", "10000000", "iterative"),
+    ("fibonacci.json", "10000000", "scalar-sum"),
+    ("scalar-split-roots.json", "100000000", "scalar-roots"),
+    ("float-2x2.json", "100000000", "iterative"),
+    ("rational-2x2.json", "1000000000", "iterative"),
+])
+def test_solve_work_above_the_cap_exits_3(capsys, monkeypatch, name, p, method):
+    import noncomm_recur.cli as cli_module
+    for solver in ("solve_iterative", "solve_scalar_sum", "solve_scalar_roots"):
+        monkeypatch.setattr(cli_module, solver, None)  # refused before the solver runs
+    code, out, err = run(capsys, "solve", "--input", str(PROBLEMS_DIR / name), "--p", p,
+                         "--method", method)
+    assert (code, out) == (3, "")
+    assert f"Y_{p}" in err and "5000000000 bit operations" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_solve_work_cap_boundaries(capsys, monkeypatch):
+    import noncomm_recur.cli as cli_module
+    fibonacci, float_2x2 = (str(PROBLEMS_DIR / name) for name in ("fibonacci.json",
+                                                                  "float-2x2.json"))
+    code, out, _ = run(capsys, "solve", "--input", fibonacci, "--p", "21000",
+                       "--method", "scalar-sum")
+    assert code == 0 and len(out) == 4390
+    monkeypatch.setattr(cli_module, "solve_iterative", lambda problem, p: problem.y1bar)
+    # fibonacci: p steps of one product on 1 + 2p bits; float 2x2: p steps
+    # of four products at the 4096-bit floor
+    for path, last in ((fibonacci, 49999), (float_2x2, 305175)):
+        code, out, _ = run(capsys, "solve", "--input", path, "--p", str(last),
+                           "--method", "iterative")
+        assert code == 0 and out == f"{load_problem(path).problem.y1bar}\n"
+        code, out, err = run(capsys, "solve", "--input", path, "--p", str(last + 1),
+                             "--method", "iterative")
+        assert (code, out) == (3, "") and "bit operations" in err
+
+
 def test_solve_closed_table_cap_covers_the_free_backend(tmp_path, capsys, monkeypatch):
     import noncomm_recur.cli as cli_module
     monkeypatch.setattr(cli_module, "solve_closed", None)  # refused before the solver runs
@@ -575,8 +612,10 @@ def cli_runs(draw):
         method = draw(st.sampled_from(["closed", "iterative", "scalar-roots", "scalar-sum"]))
         # a free Y_p grows exponentially in p, so keep p small there, or past
         # the table cap, where every method is refused at once; a closed solve
-        # of a one-term file at p in 1000-1999 takes seconds, so not between
-        p = st.integers(-1, 8) | st.integers(2000, 10 ** 9) if free else st.integers(-1, 60)
+        # of a one-term file at p in 1000-1999 takes seconds, so not between.
+        # Elsewhere keep p small, or past the work cap, refused just as fast.
+        p = (st.integers(-1, 8) | st.integers(2000, 10 ** 9) if free
+             else st.integers(-1, 60) | st.integers(10 ** 7, 10 ** 9))
         return ["solve", "--p", str(draw(p)), "--method", method], text, cap
     if command == "bench":
         argv = ["bench", "--u", ints(0, 4), "--v", ints(0, 4), "--naive-budget", ints(-1, 100)]

@@ -1,15 +1,17 @@
 """Permutation-sum evaluators against brute-force oracles."""
 import itertools
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noncomm_recur import permsum
+from noncomm_recur import algebra, permsum
 from noncomm_recur.algebra import (
     BackendMismatchError,
+    ColumnVector,
     FreeElement,
     FreeVector,
     Matrix,
@@ -248,11 +250,17 @@ def test_vector_table_applies_each_sum_to_the_vector():
 def test_vector_table_counts_each_action(monkeypatch):
     actions = []
 
-    def counted_apply(element, vector):
-        actions.append(element)
-        return apply(element, vector)
+    def counted(product):
+        def wrapped(*args):
+            actions.append(args)
+            return product(*args)
+        return wrapped
 
-    monkeypatch.setattr(permsum, "apply", counted_apply)
+    # Matrix cells are numerator tuples, multiplied by algebra's shared
+    # numerator product; the other backends act through apply.  Both are
+    # counted, so an action made twice over would show.
+    monkeypatch.setattr(permsum, "apply", counted(apply))
+    monkeypatch.setattr(algebra, "_mul_nums", counted(algebra._mul_nums))
     for L0, L1, y in vector_backends():
         for keys in ([(0, 0)], [(0, 5)], [(4, 0)], [(3, 2)], VECTOR_KEYS):
             actions.clear()
@@ -263,6 +271,78 @@ def test_vector_table_counts_each_action(monkeypatch):
                 (u, v), = keys
                 # every cell but Z(0, 0) is one action, interior cells two
                 assert counter.count == 2 * u * v + u + v
+
+
+def split_recursion_reference(L0, L1, keys, y=None):
+    """Each key's P(u, v), or P(u, v)·y, as a flat list of entries from
+    the split recursion on Fractions or floats, adding in the table's
+    order: P(u, v) = L0·P(u-1, v) + L1·P(u, v-1), with L·1 = L on rings."""
+    n = L0.n
+    a, b = list(L0.entries), list(L1.entries)
+    origin = list(Matrix.identity(n, L0.exact).entries) if y is None else list(y.entries)
+
+    def times(factor, cell):
+        if cell is origin and y is None:
+            return factor
+        width = len(cell) // n
+        return [sum(factor[i * n + k] * cell[k * width + j] for k in range(n))
+                for i in range(n) for j in range(width)]
+
+    cells = {(0, 0): origin}
+    for u in range(max(u for u, _ in keys) + 1):
+        for v in range(max(v for _, v in keys) + 1):
+            if u and v:
+                cells[u, v] = [x + z for x, z in zip(times(a, cells[u - 1, v]),
+                                                     times(b, cells[u, v - 1]))]
+            elif u or v:
+                cells[u, v] = times(a, cells[u - 1, v]) if u else times(b, cells[u, v - 1])
+    return [cells[key] for key in keys]
+
+
+# Denominators that share factors, so L0, L1 and Y1 have common and
+# distinct primes in their scales.
+TABLE_ENTRIES = {
+    True: st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 12])),
+    False: st.floats(-4, 4),
+}
+
+
+@st.composite
+def numerator_tables(draw):
+    """(L0, L1, keys, vector or None) on exact or float matrices, n <= 4."""
+    n, exact = draw(st.integers(1, 4)), draw(st.booleans())
+    entries = TABLE_ENTRIES[exact]
+
+    def coefficient():
+        shape = draw(st.sampled_from(["dense", "dense", "dense", "zero", "identity"]))
+        if shape != "dense":
+            return Matrix.zeros(n, exact) if shape == "zero" else Matrix.identity(n, exact)
+        return Matrix([[draw(entries) for _ in range(n)] for _ in range(n)])
+
+    L0, L1 = coefficient(), coefficient()
+    y = ColumnVector([draw(entries) for _ in range(n)]) if draw(st.booleans()) else None
+    # (0, 0), a key on each edge and several keys in one row, in any order
+    row, top = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    columns = draw(st.lists(st.integers(0, 4), min_size=2, max_size=3))
+    extra = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3))
+    keys = [(0, 0), (row, 0), (0, top)] + [(row, v) for v in columns] + extra
+    return L0, L1, draw(st.permutations(keys)), y
+
+
+@settings(deadline=None)
+@given(numerator_tables())
+def test_numerator_table_matches_a_fraction_reference(table):
+    L0, L1, keys, y = table
+    results = perm_sum_batch(L0, L1, keys, vector=y)
+    expected = split_recursion_reference(L0, L1, keys, y)
+    assert len(results) == len(keys)
+    for result, entries in zip(results, expected):
+        assert type(result) is (Matrix if y is None else ColumnVector)
+        if L0.exact:
+            assert list(result.entries) == entries
+            assert result._den > 0 and math.gcd(result._den, *result._nums) == 1
+        else:  # the same float operations in the same order, bit for bit
+            assert [x.hex() for x in result.entries] == [x.hex() for x in entries]
 
 
 def test_vector_table_rejects_a_foreign_vector():
