@@ -10,13 +10,11 @@ Subcommands:
                     multiplication counts and wall times.
 
 Exit codes: 0 success; 1 verification failure; 2 unreadable or malformed
-problem file; 3 method/backend mismatch or a cap exceeded (words, table
-cells, then monomials: the cell cap also bounds every free-backend solve
-and weighs bench cells by matrix size; every other solve meets a cap on
-its estimated bit operations); 4 solver error, double overflow
-or out of memory; 141 the reader closed stdout.  Commands raise, and
-``main`` alone maps each failure to its code and one stderr line.
-Results go to stdout.
+problem file; 3 method/backend mismatch, too many letters to enumerate,
+or estimated work above the cap (``solver.estimate``, one estimate per
+route); 4 solver error, double overflow or out of memory; 141 the reader
+closed stdout.  Commands raise, and ``main`` alone maps each failure to
+its code and one stderr line.  Results go to stdout.
 
 The enumeration cap (default 30 letters) can be overridden with the
 ``NONCOMM_RECUR_CAP`` environment variable.
@@ -42,6 +40,8 @@ from .permsum import (
 )
 from .problems import ProblemFileError, load_problem
 from .solver import (
+    WORK_CAP,
+    estimate,
     solve_closed,
     solve_iterative,
     solve_scalar_roots,
@@ -60,29 +60,7 @@ EMPTY_WORD_TOKEN = "<empty>"
 
 CAP_ENV_VAR = "NONCOMM_RECUR_CAP"
 
-# A free-backend solve, or verify's free suite up to --max-p, is refused
-# when Y_p may have more monomials than this: the generators give F_p of
-# them, so p = 30 (832,040) runs and p = 31 does not.
-FREE_MONOMIAL_CAP = 10 ** 6
-
-# A closed-form solve is refused when its permutation-sum table has more
-# cells than this, (p+1)^2 // 4 of them (p = 1999 runs, p = 2000 does not);
-# so is every free-backend solve, whose iteration copies about as many
-# letters, a cell weighing the longest word of its coefficients; and so is
-# a bench grid whose dp tables have more cells in total, an n×n cell
-# counting (n/2)^3 times.  These size checks run first, so the monomial
-# bounds only ever see small inputs.
-CLOSED_TABLE_CAP = 10 ** 6
-
-# A scalar or dense solve up to Y_p is refused when its estimated work has
-# more bit operations than this: p steps of n^2 entry products, an entry of
-# Y_p having at most bits(Y1) + p·g bits, where g is the longest numerator
-# or denominator in L0 and L1 plus log2(2n) bits for the sums.  An entry
-# product counts at least ENTRY_FLOOR_BITS, the interpreter's cost per
-# product, so a float entry counts exactly that: about 20 µs a step for
-# float-2x2.json, as much as a 2x2 product on 4096-bit integers.
-SOLVE_WORK_CAP = 5 * 10 ** 9
-ENTRY_FLOOR_BITS = 2 ** 12
+ROUTES = ("closed", "iterative", "scalar-roots", "scalar-sum")
 
 
 class _Exit(Exception):
@@ -108,62 +86,23 @@ def _env_cap():
         raise _Exit(EXIT_USAGE, f"invalid {CAP_ENV_VAR}={raw!r}: expected an integer") from None
 
 
-def _refusal(verb, what, cap, unit, advice=""):
-    return _Exit(EXIT_USAGE, f"refusing to {verb}: {what} more than {cap} {unit}{advice}")
+def _approx(value):
+    """A positive integer to four digits, as 1.234e+45, however large."""
+    shift = max(int(math.log10(value)) - 100, 0)  # a float holds up to 1e308
+    mantissa, exponent = f"{value // 10 ** shift:.3e}".split("e")
+    return f"{mantissa}e{int(exponent) + shift:+03d}"
 
 
-def _free_monomial_bound(problem, p):
-    """a_p, where a_0 = 0, a_1 = |Y1| and a_{k+2} = |L0|·a_k + |L1|·a_{k+1},
-    |x| counting the terms of x: it bounds the monomials of Y_p on the free
-    backend, exactly for the generators.  It takes p big-integer steps, so
-    callers bound p first."""
-    c0, c1 = len(problem.L0.terms), len(problem.L1.terms)
-    a, b = 0, len(problem.y1bar.terms)
-    for _ in range(p):
-        a, b = b, c0 * a + c1 * b
-    return a
-
-
-def _free_table_too_large(problem, u, v):
-    """Whether C(u+v, u)·|L0|^u·|L1|^v, with |x| the term count of x taken
-    as at least 1, exceeds FREE_MONOMIAL_CAP: it bounds the monomials of
-    every cell of bench's table up to (u, v) on the free backend.  Callers
-    bound the grid first."""
-    c0, c1 = (max(len(x.terms), 1) for x in (problem.L0, problem.L1))
-    return math.comb(u + v, u) * c0 ** u * c1 ** v > FREE_MONOMIAL_CAP
-
-
-def _check_solve_size(verb, problem, p, free):
-    """Refuse a solve up to Y_p whose closed-form table is too large, which
-    on the free backend bounds iteration too, a cell counting as many
-    times as the longest word of L0, L1 and Y1 has letters (at least 1);
-    then a free Y_p that may have too many monomials."""
-    weight = max([1, *(len(word) for x in (problem.L0, problem.L1, problem.y1bar)
-                       for word in x.terms)]) if free else 1
-    if (p + 1) ** 2 // 4 * weight > CLOSED_TABLE_CAP:
-        counting = f", a cell counting {weight} times" if weight > 1 else ""
-        raise _refusal(verb, f"the closed form's table for Y_{p} has", CLOSED_TABLE_CAP, "cells",
-                       f"{counting}; on the free backend --method iterative copies as many "
-                       "letters" if free else "; use --method iterative")
-    if free and _free_monomial_bound(problem, p) > FREE_MONOMIAL_CAP:
-        raise _refusal(verb, f"Y_{p} may have", FREE_MONOMIAL_CAP, "monomials",
-                       " on the free backend")
-
-
-def _check_solve_work(problem, p):
-    """Refuse a scalar or dense solve up to Y_p whose estimated work, see
-    SOLVE_WORK_CAP, is above that cap."""
-    n, width = getattr(problem.L0, "n", 1), ENTRY_FLOOR_BITS
-    if getattr(problem.L0, "exact", True):
-        def bits(*values):
-            return max(max(x.numerator.bit_length(), x.denominator.bit_length())
-                       for value in values for x in getattr(value, "entries", (value,)))
-        growth = bits(problem.L0, problem.L1) + (2 * n - 1).bit_length()
-        width = max(width, bits(problem.y1bar) + p * growth)
-    if p * n * n * width > SOLVE_WORK_CAP:
-        raise _refusal("solve", f"the steps up to Y_{p} take", SOLVE_WORK_CAP,
-                       "bit operations", f" (estimated from {n}×{n} products on entries "
-                       f"of up to {width} bits)")
+def _check_work(what, work, alternatives=()):
+    """Refuse ``what`` when its estimated ``work`` (see ``solver.estimate``)
+    is above WORK_CAP, naming the cheapest of the (work, route)
+    ``alternatives`` that the cap admits."""
+    if work <= WORK_CAP:
+        return
+    fits = sorted(alt for alt in alternatives if alt[0] <= WORK_CAP)
+    advice = f"; --method {fits[0][1]} is estimated at {_approx(fits[0][0])}" if fits else ""
+    raise _Exit(EXIT_USAGE, f"refusing to {what}: an estimated {_approx(work)} bit operations, "
+                            f"above the cap of {_approx(WORK_CAP)}{advice}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +114,10 @@ def cmd_solve(args):
     if args.method.startswith("scalar") and doc.backend != "scalar":
         raise _Exit(EXIT_USAGE, f"method {args.method} requires the scalar backend, "
                                 f"but {args.input} uses {doc.backend}")
-    problem, p, free = doc.problem, args.p, doc.backend == "free"
-    if free or args.method == "closed":
-        _check_solve_size("solve", problem, p, free)
-    if not free:
-        _check_solve_work(problem, p)
+    problem, p = doc.problem, args.p
+    routes = ROUTES if doc.backend == "scalar" else ROUTES[:2]
+    _check_work(f"solve Y_{p} by {args.method}", estimate(args.method, problem, p),
+                [(estimate(route, problem, p), route) for route in routes if route != args.method])
     try:
         if args.method == "closed":
             result = solve_closed(problem, p)
@@ -213,7 +151,13 @@ def cmd_enumerate(args):
 
 
 def cmd_verify(args):
-    _check_solve_size("verify", verify.free_problem(), args.max_p, free=True)
+    # The free suite solves Y_0 .. Y_max-p by both routes; the last two
+    # solves alone refuse a large --max-p before the sum runs over p.
+    problem, top = verify.free_problem(), args.max_p
+    work = sum(estimate(route, problem, top) for route in ROUTES[:2])
+    if work <= WORK_CAP:
+        work = sum(estimate(route, problem, p) for route in ROUTES[:2] for p in range(top + 1))
+    _check_work(f"verify closed and iterative solves up to Y_{top}", work)
     failed = False
     for result in verify.run_all(max_p=args.max_p, seed=args.seed):
         if result.passed:
@@ -234,22 +178,14 @@ def _bench_row(strategy, evaluate, L0, L1, u, v, **options):
 def cmd_bench(args):
     cap = _env_cap()
     doc = None if args.input is None else load_problem(args.input)
-    n = args.n if doc is None else getattr(doc.problem.L0, "n", 1)
-    # Cell (u, v) fills (u+1)(v+1) table cells; summed over the grid, that
-    # factors.  An n×n cell costs (n/2)^3 times a 2×2 one, for n >= 2.
-    u_sum, v_sum = ((k + 1) * (k + 2) // 2 for k in (args.u, args.v))
-    if u_sum * v_sum * max(n, 2) ** 3 > 8 * CLOSED_TABLE_CAP:
-        weight = f", a {n}×{n} cell counting ({n}/2)^3 times" if n > 2 else ""
-        raise _refusal("bench", f"the dp tables of the grid up to ({args.u},{args.v}) have",
-                       CLOSED_TABLE_CAP, "cells", weight)
+    # The default matrices are built only once their grid is admitted.
+    _check_work(f"bench the dp tables up to ({args.u},{args.v})",
+                estimate("bench", args.n if doc is None else doc.problem, (args.u, args.v)))
     if doc is None:
         rng = Random(args.seed)
-        L0, L1 = verify.random_matrix(rng, n), verify.random_matrix(rng, n)
+        L0, L1 = verify.random_matrix(rng, args.n), verify.random_matrix(rng, args.n)
     else:
         L0, L1 = doc.problem.L0, doc.problem.L1
-        if doc.backend == "free" and _free_table_too_large(doc.problem, args.u, args.v):
-            raise _refusal("bench", f"cell ({args.u},{args.v}) may have", FREE_MONOMIAL_CAP,
-                           "monomials", " on the free backend")
 
     print("# strategy\tu\tv\tmults\tns")
     for u in range(args.u + 1):
@@ -277,16 +213,15 @@ def build_parser():
         description="Exact solver for second-order linear recurrences with "
                     "noncommutative constant coefficients.",
         epilog="exit codes: 0 ok, 1 verification failure, 2 unreadable or "
-               "malformed problem file, 3 method/backend mismatch or cap exceeded "
-               "(words, table cells or monomials), 4 solver error, double "
+               "malformed problem file, 3 method/backend mismatch, too many "
+               "letters or estimated work above the cap, 4 solver error, double "
                "overflow or out of memory, 141 reader closed stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="compute Y_p from a problem file")
     solve.add_argument("--input", required=True, help="problem file (JSON)")
     solve.add_argument("--p", type=_nonneg_int, required=True, help="target index")
-    solve.add_argument("--method", default="closed",
-                       choices=("closed", "iterative", "scalar-roots", "scalar-sum"),
+    solve.add_argument("--method", default="closed", choices=ROUTES,
                        help="evaluation route (scalar-* need the scalar backend)")
     solve.set_defaults(func=cmd_solve)
 

@@ -19,16 +19,18 @@ Three routes to the same answer:
 
 Exact backends give exact equality between all routes; the
 characteristic-root route falls back to complex doubles when the
-discriminant has no rational square root.
+discriminant has no rational square root.  :func:`estimate` puts each
+route's cost in one unit, bit operations, for the CLI's one cap.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, isqrt
+from math import ceil, comb, isfinite, isqrt, log2
 
-from .algebra import apply, check_apply_compat, check_same_backend, vector_zero
+from .algebra import (FreeElement, Matrix, _kind, apply, check_apply_compat, check_same_backend,
+                      vector_zero)
 from .permsum import binom, perm_sum_batch
 
 # A complex-double evaluation must come out real to this relative slack
@@ -268,3 +270,106 @@ def verify_identity_23(n):
         raise ValueError(f"n must be nonnegative, got {n}")
     lhs = sum(Fraction(-1, 4) ** k * binom(n - k, k) for k in range(n // 2 + 1))
     return lhs == Fraction(n + 1, 2 ** n)
+
+
+# ---------------------------------------------------------------------------
+# Cost estimates
+# ---------------------------------------------------------------------------
+
+# A command estimated above this many bit operations is refused up front;
+# at the cap the bundled problems run for 0.5 to 7 s (README, "Work cap").
+WORK_CAP = 5 * 10 ** 9
+# An entry product counts at least this many bit operations: a
+# float-2x2.json step of four products took 15 µs, near the 19 µs of a 2x2
+# step on 4096-bit integers (Python 3.11, shared 2-vCPU machine).
+ENTRY_FLOOR_BITS = 2 ** 12
+# Printing a w-bit integer counts w²/PRINT_DIVISOR: int to str took 1.6 s
+# at 10^6 bits and 6.6 s at 2·10^6, where solves near the cap run at 0.3
+# to 2 ns per estimated bit operation.
+PRINT_DIVISOR = 1000
+
+
+def estimate(method, problem, p):
+    """Estimated bit operations to compute Y_p by ``method`` and print it.
+
+    Iterative and scalar-sum take p steps of n² entry products, closed
+    ⌊(p+1)²/4⌋ cells of 2n², scalar-roots 2·bits(p) powers, and "bench",
+    the dp tables up to ``p = (u, v)``, (u+1)(u+2)/2·(v+1)(v+2)/2 cells of
+    2n³, where ``problem`` may be the n of matrices not built yet.  Each
+    product counts the width of its entries, at least ENTRY_FLOOR_BITS, or
+    on the free backend 64 bits a letter and one for the coefficient of
+    each term it makes.  Past WORK_CAP, the part that grows with p and n
+    alone is returned before any size is read.
+    """
+    unbuilt = isinstance(problem, int)
+    n = problem if unbuilt else getattr(problem.L0, "n", 1)
+    if method == "bench":
+        u, v = p
+        count, products = (u + 1) * (u + 2) // 2 * ((v + 1) * (v + 2) // 2), 2 * n ** 3
+    else:
+        count, products = {"closed": ((p + 1) ** 2 // 4, 2 * n * n),
+                           "scalar-roots": (p.bit_length(), 2)}.get(method, (p, n * n))
+    work = count * products * ENTRY_FLOOR_BITS
+    if work > WORK_CAP or unbuilt or not getattr(problem.L0, "exact", True):
+        return work
+    if _kind(problem.L0) is FreeElement:
+        c0, c1 = (len(x.terms) for x in (problem.L0, problem.L1))
+        if method == "bench":  # C(u+v, u)·c0^u·c1^v bounds the terms of every cell
+            c0, c1 = max(c0, 1), max(c1, 1)
+            terms = comb(u + v, u) * c0 ** u * c1 ** v * max(c0, c1)
+            term_bits = 64 * (term_bounds(problem, u + v + 1)[2] + 1)
+            return count * products * max(ENTRY_FLOOR_BITS, terms * term_bits)
+        # The products make at most (c0 + c1)·total terms; printing copies
+        # Y_p's, and the closed form's sum of (p+1)//2 keys as many per key.
+        last, total, letters = term_bounds(problem, p)
+        copies = (p + 1) // 2 + 1 if method == "closed" else 1
+        return work + ((c0 + c1) * total + copies * last) * 64 * (letters + 1)
+    if method != "scalar-roots":
+        width = entry_width(problem, sum(p) if method == "bench" else p)
+    else:  # y_p = y1·sum_k m1^k·m2^(p-1-k) over the roots m_i = a_i/b_i has at
+        # most p·|y1|·h^(p-1) over (b1·b2)^(p-1), h = max(|a1|·b2, |a2|·b1, b1·b2)
+        c0, c1, y1 = Fraction(problem.L0), Fraction(problem.L1), Fraction(problem.y1bar)
+        if (root := rational_sqrt(c1 * c1 + 4 * c0)) is None:
+            return work  # complex roots: doubles
+        (a1, b1), (a2, b2) = (((c1 + s * root) / 2).as_integer_ratio() for s in (1, -1))
+        h = max(abs(a1) * b2, abs(a2) * b1, b1 * b2)
+        width = (max(y1.numerator.bit_length(), y1.denominator.bit_length()) + p.bit_length()
+                 + ceil(max(p - 1, 0) * Fraction(log2(h))))
+    printing = 0 if method == "bench" else 2 * n * width * width // PRINT_DIVISOR
+    return count * products * max(ENTRY_FLOOR_BITS, width) + printing
+
+
+def entry_width(problem, steps):
+    """bits(Y1) + steps·g on an exact dense or scalar problem, with g the
+    longest numerator or denominator of L0 and L1 plus ⌈log2(2n)⌉ bits for
+    the sums: it bounds the stored numerators and denominators of Y_k, k <=
+    steps, and of the ring cells P(u, v), u + v <= steps."""
+    dense = _kind(problem.L0) is Matrix
+
+    def bits(*values):
+        return max(x.bit_length() for value in values for x in (
+            (*value._nums, value._den) if dense else (value.numerator, value.denominator)))
+    growth = bits(problem.L0, problem.L1) + (2 * getattr(problem.L0, "n", 1) - 1).bit_length()
+    return bits(problem.y1bar) + steps * growth
+
+
+def term_bounds(problem, p):
+    """(a_p, a_1 + ... + a_p, letters) on the free backend, where a_0 = 0,
+    a_1 = |Y1|, a_{k+2} = |L0|·a_k + |L1|·a_{k+1} and |x| counts the terms
+    of x.  a_k bounds the terms of Y_k (exactly for the generators), the
+    sum those of the closed form's table, and ``letters`` every word.  a_k
+    stays at most a_1 when |L0| + |L1| < 2 or Y1 = 0, and otherwise grows
+    geometrically, so the sum stops past WORK_CAP within a hundred steps."""
+    c0, c1 = len(problem.L0.terms), len(problem.L1.terms)
+    last = total = len(problem.y1bar.terms)
+    if c0 + c1 < 2 or not last:
+        total *= p
+    else:
+        previous = 0
+        for _ in range(p - 1):
+            if total > WORK_CAP:
+                break
+            previous, last = last, c0 * previous + c1 * last
+            total += last
+    longest = max((len(word) for x in (problem.L0, problem.L1) for word in x.terms), default=0)
+    return last, total, max(map(len, problem.y1bar.terms), default=0) + max(p - 1, 0) * longest

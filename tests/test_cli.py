@@ -2,7 +2,6 @@
 import contextlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -15,11 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noncomm_recur
-from noncomm_recur.algebra import FreeElement, FreeVector
-from noncomm_recur.cli import FREE_MONOMIAL_CAP, _free_monomial_bound, main
-from noncomm_recur.permsum import perm_sum_dp
+from noncomm_recur.cli import main
 from noncomm_recur.problems import load_problem
-from noncomm_recur.solver import CauchyProblem, solve_closed, solve_iterative
+from noncomm_recur.solver import term_bounds
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 EXACT_BUNDLED = [p for p in sorted(PROBLEMS_DIR.glob("*.json"))
@@ -216,13 +213,20 @@ def test_solve_closed_table_too_large_exits_3(capsys, monkeypatch):
     import noncomm_recur.cli as cli_module
     monkeypatch.setattr(cli_module, "solve_closed", lambda problem, p: 0)
     fibonacci = str(PROBLEMS_DIR / "fibonacci.json")
-    # (p+1)^2 // 4 cells: p = 1999 fills the cap exactly, p = 2000 passes it
-    code, out, _ = run(capsys, "solve", "--input", fibonacci, "--p", "1999")
+    # (p+1)^2 // 4 cells of two products at the 4096-bit floor, plus printing
+    # 2·(1 + 2p)^2 // 1000: p = 1561 costs 609961·8192 + 19506 = 4996820018,
+    # p = 1562 costs 610742·8192 + 19518 = 5003217982, past the 5·10^9 cap
+    code, out, _ = run(capsys, "solve", "--input", fibonacci, "--p", "1561")
     assert (code, out) == (0, "0\n")
-    for p in ("2000", "100000000"):
+    monkeypatch.setattr(cli_module, "solve_closed", None)  # refused before the solver runs
+    for p in ("1562", "100000000"):
         code, out, err = run(capsys, "solve", "--input", fibonacci, "--p", p)
         assert (code, out) == (3, "")
-        assert "iterative" in err and len(err.splitlines()) == 1
+        # the refusal names the cheapest route under the cap: complex roots, at the floor
+        assert f"Y_{p} by closed" in err and "above the cap of 5.000e+09" in err
+        assert "--method scalar-roots" in err and len(err.splitlines()) == 1
+    code, out, err = run(capsys, "solve", "--input", fibonacci, "--p", "1562")
+    assert "an estimated 5.003e+09 bit operations" in err
     code, out, _ = run(capsys, "solve", "--input", fibonacci, "--p", "2000",
                        "--method", "iterative")
     assert code == 0 and out.strip().isdigit()
@@ -242,7 +246,7 @@ def test_solve_work_above_the_cap_exits_3(capsys, monkeypatch, name, p, method):
     code, out, err = run(capsys, "solve", "--input", str(PROBLEMS_DIR / name), "--p", p,
                          "--method", method)
     assert (code, out) == (3, "")
-    assert f"Y_{p}" in err and "5000000000 bit operations" in err
+    assert f"Y_{p} by {method}" in err and "above the cap of 5.000e+09" in err
     assert len(err.splitlines()) == 1
 
 
@@ -253,10 +257,20 @@ def test_solve_work_cap_boundaries(capsys, monkeypatch):
     code, out, _ = run(capsys, "solve", "--input", fibonacci, "--p", "21000",
                        "--method", "scalar-sum")
     assert code == 0 and len(out) == 4390
+    # scalar-roots takes O(log p) powers of the roots 2 and -1: Y_p has
+    # p + 21 bits, so printing it, 2·(p + 21)^2 // 1000, is the cost
+    p = 10 ** 6
+    code, out, err = run(capsys, "solve", "--input", str(PROBLEMS_DIR / "scalar-split-roots.json"),
+                         "--p", str(p), "--method", "scalar-roots")
+    assert (code, err) == (0, "")
+    low = (pow(2, p, 3 * 10 ** 20) - 1) // 3  # y_p = (2^p - 1)/3 mod 10^20
+    assert len(out) == 301031 and out.endswith(f"{low:020d}\n")
     monkeypatch.setattr(cli_module, "solve_iterative", lambda problem, p: problem.y1bar)
-    # fibonacci: p steps of one product on 1 + 2p bits; float 2x2: p steps
-    # of four products at the 4096-bit floor
-    for path, last in ((fibonacci, 49999), (float_2x2, 305175)):
+    # fibonacci: p steps of one product on 1 + 2p bits, plus printing
+    # 2·(1 + 2p)^2 // 1000: 49900·99801 + 19920479 = 4999790379 and
+    # 49901·99803 + 19921277 = 5000190580.  float 2x2: p steps of four
+    # products at the 4096-bit floor, 305175·16384 = 4999987200
+    for path, last in ((fibonacci, 49900), (float_2x2, 305175)):
         code, out, _ = run(capsys, "solve", "--input", path, "--p", str(last),
                            "--method", "iterative")
         assert code == 0 and out == f"{load_problem(path).problem.y1bar}\n"
@@ -267,49 +281,71 @@ def test_solve_work_cap_boundaries(capsys, monkeypatch):
 
 def test_solve_closed_table_cap_covers_the_free_backend(tmp_path, capsys, monkeypatch):
     import noncomm_recur.cli as cli_module
-    monkeypatch.setattr(cli_module, "solve_closed", None)  # refused before the solver runs
-    # with L0 = 0, Y_p is the single word B^(p-1), so the monomial guard lets any p pass
+    # with L0 = 0, Y_p is the single word B^(p-1), so a_p stays at 1
     path = tmp_path / "l0-zero.json"
     path.write_text(json.dumps({"backend": "free", "L0": {}, "L1": {"B": 1}}))
-    assert _free_monomial_bound(load_problem(path).problem, 1999) == 1
-    code, out, err = run(capsys, "solve", "--input", str(path), "--p", "100000000")
-    assert (code, out) == (3, "")
-    assert "iterative" in err and len(err.splitlines()) == 1
+    assert term_bounds(load_problem(path).problem, 1999)[0] == 1
+    # (p+1)^2 // 4 cells at two floors, and p products plus (p+1)//2 + 1
+    # copies of one term of p - 1 letters, 64·p bits a term:
+    # p = 1526: 582932·8192 + (1526 + 764)·64·1526 = 4999029504
+    # p = 1527: 583696·8192 + (1527 + 765)·64·1527 = 5005630208
+    monkeypatch.setattr(cli_module, "solve_closed", lambda problem, p: problem.y1bar)
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "1526")
+    assert (code, out) == (0, "y1\n")
+    monkeypatch.setattr(cli_module, "solve_closed", None)  # refused before the solver runs
+    for p in ("1527", "100000000"):
+        code, out, err = run(capsys, "solve", "--input", str(path), "--p", p)
+        assert (code, out) == (3, "")
+        assert f"Y_{p} by closed" in err and len(err.splitlines()) == 1
 
 
 def test_solve_free_iteration_is_bounded_by_the_table_size(tmp_path, capsys, monkeypatch):
     import noncomm_recur.cli as cli_module
     # Y_p is the single word B^(p-1), but iterating copies words of up to
-    # p-1 letters at each of p steps, about as many letters as the table has cells
+    # p-1 letters at each of p steps
     path = tmp_path / "l0-zero.json"
     path.write_text(json.dumps({"backend": "free", "L0": {}, "L1": {"B": 1}}))
     code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "1999",
                        "--method", "iterative")
     assert (code, out) == (0, f"{'B' * 1998}·y1\n")
+    # p steps at the floor, and p products plus one copy of a term of 64·p bits:
+    # p = 8806: 8806·4096 + 8807·64·8806 = 4999553664
+    # p = 8807: 8807·4096 + 8808·64·8807 = 5000685056
+    monkeypatch.setattr(cli_module, "solve_iterative", lambda problem, p: problem.y1bar)
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "8806",
+                       "--method", "iterative")
+    assert (code, out) == (0, "y1\n")
     monkeypatch.setattr(cli_module, "solve_iterative", None)  # refused before the solver runs
-    for p in ("2000", "1000000000"):
+    for p in ("8807", "1000000000"):
         code, out, err = run(capsys, "solve", "--input", str(path), "--p", p,
                              "--method", "iterative")
         assert (code, out) == (3, "")
-        assert "1000000 cells" in err and "iterative" in err and len(err.splitlines()) == 1
+        assert f"Y_{p} by iterative" in err and len(err.splitlines()) == 1
 
 
 def test_solve_free_table_cells_weigh_the_longest_word(tmp_path, capsys, monkeypatch):
     import noncomm_recur.cli as cli_module
-    # Y_p is the single word B^(1000(p-1)): iterating copies about 1000
-    # letters per table cell, so the check counts each cell 1000 times
+    # Y_p is the single word B^(1000(p-1)): a term weighs 64 bits a letter
     path = tmp_path / "long-word.json"
     path.write_text(json.dumps({"backend": "free", "L0": {}, "L1": {"B" * 1000: 1}}))
     code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "20",
                        "--method", "iterative")
     assert (code, out) == (0, f"{'B' * 19000}·y1\n")
-    for method in ("closed", "iterative"):
+    # a term has 1000(p-1) letters and one coefficient, 64·(1000p - 999) bits:
+    # iterative p = 279: 279·4096 + 280·64·278001 = 4982920704
+    #           p = 280: 280·4096 + 281·64·279001 = 5018700864
+    # closed    p = 225: 12769·8192 + (225 + 114)·64·224001 = 4964529344
+    #           p = 226: 12882·8192 + (226 + 114)·64·225001 = 5001551104
+    for method, last in (("closed", 225), ("iterative", 279)):
+        monkeypatch.setattr(cli_module, f"solve_{method}", lambda problem, p: problem.y1bar)
+        code, out, _ = run(capsys, "solve", "--input", str(path), "--p", str(last),
+                           "--method", method)
+        assert (code, out) == (0, "y1\n")
         monkeypatch.setattr(cli_module, f"solve_{method}", None)  # refused before it runs
-        code, out, err = run(capsys, "solve", "--input", str(path), "--p", "100",
+        code, out, err = run(capsys, "solve", "--input", str(path), "--p", str(last + 1),
                              "--method", method)
         assert (code, out) == (3, "")
-        assert "1000000 cells, a cell counting 1000 times" in err
-        assert len(err.splitlines()) == 1
+        assert f"Y_{last + 1} by {method}" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("p", ["31", "40", "1999", "1000000000"])
@@ -319,18 +355,32 @@ def test_solve_free_too_many_monomials_exits_3(capsys, p, method):
                          str(PROBLEMS_DIR / "free-generators.json"), "--p", p,
                          "--method", method)
     assert (code, out) == (3, "")
-    # past the table cap the size check refuses first, before any bound is computed
-    assert ("1000000 cells" if p == "1000000000" else "1000000 monomials") in err
+    assert f"Y_{p} by {method}" in err and len(err.splitlines()) == 1
 
 
-def test_free_monomial_bound_is_fibonacci_for_the_generators():
-    problem = load_problem(PROBLEMS_DIR / "free-generators.json").problem
+def test_free_monomial_bound_is_fibonacci_for_the_generators(capsys, monkeypatch):
+    import noncomm_recur.cli as cli_module
+    generators = str(PROBLEMS_DIR / "free-generators.json")
+    problem = load_problem(generators).problem
     fib = [0, 1]
-    while len(fib) < 32:
+    while len(fib) < 33:
         fib.append(fib[-1] + fib[-2])
-    assert [_free_monomial_bound(problem, p) for p in range(31)] == fib[:31]
-    assert fib[30] == 832040 <= FREE_MONOMIAL_CAP < fib[31]
-    assert _free_monomial_bound(problem, 31) > FREE_MONOMIAL_CAP
+    assert [term_bounds(problem, p)[0] for p in range(1, 31)] == fib[1:31]
+    assert [term_bounds(problem, p)[1] for p in range(1, 31)] == [f - 1 for f in fib[3:33]]
+    # F_p terms of p - 1 letters and a coefficient, 64·p bits each:
+    # iterative p = 28: 28·4096 + (2·832039 + 317811)·64·28 = 3551659776
+    #           p = 29: 29·4096 + (2·1346268 + 514229)·64·29 = 5951874624
+    # closed    p = 26: 182·8192 + (2·317810 + 14·121393)·64·26 = 3887133952
+    #           p = 27: 196·8192 + (2·514228 + 15·196418)·64·27 = 6869932160
+    for method, last in (("closed", 26), ("iterative", 28)):
+        monkeypatch.setattr(cli_module, f"solve_{method}", lambda problem, p: problem.y1bar)
+        code, out, _ = run(capsys, "solve", "--input", generators, "--p", str(last),
+                           "--method", method)
+        assert (code, out) == (0, "y1\n")
+        monkeypatch.setattr(cli_module, f"solve_{method}", None)  # refused before it runs
+        code, out, err = run(capsys, "solve", "--input", generators, "--p", str(last + 1),
+                             "--method", method)
+        assert (code, out) == (3, "") and len(err.splitlines()) == 1
 
 
 def test_free_bound_allows_a_zero_coefficient(tmp_path, capsys):
@@ -344,29 +394,9 @@ def test_free_bound_allows_a_zero_coefficient(tmp_path, capsys):
         code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "41",
                            "--method", method)
         assert (code, out) == (0, f"{2 ** 20}·{'A' * 40}·y1\n")
-    # the term count stays at most 1 however large p is, so no monomial refusal
+    # the term count stays at most 1 however large p is
     problem = load_problem(path).problem
-    assert _free_monomial_bound(problem, 1999) == 1
-    assert _free_monomial_bound(problem, 1998) == 0
-
-
-short_words = st.lists(st.integers(0, 1), max_size=2).map(tuple)
-small_sums = st.dictionaries(short_words, st.integers(-2, 2), max_size=3)
-
-
-@settings(max_examples=100, deadline=None)
-@given(small_sums, small_sums, small_sums, st.integers(0, 8))
-def test_free_monomial_bounds_hold_on_random_problems(l0, l1, y1, p):
-    problem = CauchyProblem(FreeElement(l0), FreeElement(l1), FreeVector(y1))
-    bound = _free_monomial_bound(problem, p)
-    assert len(solve_iterative(problem, p).terms) <= bound
-    assert len(solve_closed(problem, p).terms) <= bound
-    # bench's bound on every cell, each term count taken as at least 1
-    c0, c1 = (max(len(x.terms), 1) for x in (problem.L0, problem.L1))
-    for u in range(5):
-        for v in range(5):
-            cell = perm_sum_dp(problem.L0, problem.L1, u, v)
-            assert len(cell.terms) <= math.comb(u + v, u) * c0 ** u * c1 ** v
+    assert term_bounds(problem, 1999)[:2] == (1, 1999)
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +469,20 @@ def test_verify_small_run_passes(capsys):
     assert any(l.startswith("matrix-oracle") for l in lines)
 
 
-def test_verify_max_p_above_the_monomial_cap_exits_3(capsys, monkeypatch):
+def test_verify_max_p_above_the_work_cap_exits_3(capsys, monkeypatch):
     import noncomm_recur.verify as verify_module
+    # the free suite solves Y_0 .. Y_max-p by both routes; summed, their
+    # estimates are 4175944064 up to 24, where p = 24 alone costs
+    # 1300070400 + 444235776, and 7235099712 up to 25, where p = 25 adds
+    # 2310478848 + 748676800
+    monkeypatch.setattr(verify_module, "run_all", lambda max_p, seed: [])
+    code, out, _ = run(capsys, "verify", "--max-p", "24")
+    assert (code, out) == (0, "")
     monkeypatch.setattr(verify_module, "run_all", None)  # refused before any suite runs
-    code, out, err = run(capsys, "verify", "--max-p", "31")
-    assert (code, out) == (3, "")
-    assert "1000000 monomials" in err
+    for top in ("25", "1000000000"):
+        code, out, err = run(capsys, "verify", "--max-p", top)
+        assert (code, out) == (3, "")
+        assert f"up to Y_{top}" in err and len(err.splitlines()) == 1
 
 
 def test_verify_detects_corrupted_solver(capsys, monkeypatch):
@@ -504,14 +542,18 @@ def test_bench_free_table_too_large_exits_3(capsys, monkeypatch):
     import noncomm_recur.cli as cli_module
     monkeypatch.setattr(cli_module, "perm_sum_dp", None)  # refused before any cell runs
     free = str(PROBLEMS_DIR / "free-generators.json")
-    # the grid check runs first, so only grids inside it reach the monomial bound
-    for size, refused in (("12", "monomials"), ("40", "monomials"), ("1000000000", "cells")):
-        code, out, err = run(capsys, "bench", "--u", size, "--v", size, "--input", free)
+    # cells (u+1)(u+2)/2·(v+1)(v+2)/2 of two products, each making C(u+v, u)
+    # terms of u + v letters and a coefficient: (7, 6) costs
+    # 36·28·2·1716·64·14 = 3099672576, (7, 7) 36·36·2·3432·64·15 = 8539914240
+    for u, v in (("7", "7"), ("12", "12"), ("40", "40"), ("1000000000", "1000000000")):
+        code, out, err = run(capsys, "bench", "--u", u, "--v", v, "--input", free)
         assert (code, out) == (3, "")
-        assert f"1000000 {refused}" in err and len(err.splitlines()) == 1
+        assert f"up to ({u},{v})" in err and len(err.splitlines()) == 1
+    for name in ("perm_sum_naive", "perm_sum_dp"):
+        monkeypatch.setattr(cli_module, name, lambda *args, **kwargs: None)
+    code, out, _ = run(capsys, "bench", "--u", "7", "--v", "6", "--input", free)
+    assert code == 0 and ("dp", 7, 6) in parse_rows(out)
     monkeypatch.undo()
-    # C(22, 11) = 705432 words at (11, 11) stays under the cap; run a small grid
-    assert not cli_module._free_table_too_large(load_problem(free).problem, 11, 11)
     code, out, _ = run(capsys, "bench", "--u", "3", "--v", "3", "--input", free)
     assert code == 0
     assert parse_rows(out)[("naive", 3, 3)][0] == "100"
@@ -521,34 +563,38 @@ def test_bench_grid_too_large_exits_3(capsys, monkeypatch):
     import noncomm_recur.cli as cli_module
     monkeypatch.setattr(cli_module, "perm_sum_dp", None)  # refused before any cell runs
     fibonacci = str(PROBLEMS_DIR / "fibonacci.json")
-    # the grid up to (u, v) fills (u+1)(u+2)/2 · (v+1)(v+2)/2 table cells:
-    # 990 · 990 at (43, 43) and 1035 · 990 at (44, 43)
-    for grid in (("--u", "44", "--v", "43", "--input", fibonacci),
+    # the grid up to (u, v) fills (u+1)(u+2)/2 · (v+1)(v+2)/2 table cells of
+    # two products at the 4096-bit floor, 2n^3 of them for n×n matrices:
+    # 780·780·8192 = 4984012800 at (38, 38) and 820·780·8192 = 5239603200 at
+    # (39, 38); 276·276·65536 = 4992270336 at (22, 22) with the default n = 2
+    # and 276·300·65536 = 5426380800 at (22, 23)
+    for grid in (("--u", "39", "--v", "38", "--input", fibonacci),
                  ("--u", "100000", "--v", "100000", "--input", fibonacci),
-                 ("--u", "43", "--v", "44")):
+                 ("--u", "22", "--v", "23")):
         code, out, err = run(capsys, "bench", *grid, "--naive-budget", "0")
         assert (code, out) == (3, "")
-        assert "1000000 cells" in err and len(err.splitlines()) == 1
+        assert "above the cap of 5.000e+09" in err and len(err.splitlines()) == 1
     monkeypatch.setattr(cli_module, "perm_sum_dp", lambda *args, **kwargs: None)
-    code, out, _ = run(capsys, "bench", "--u", "43", "--v", "43", "--naive-budget", "0",
-                       "--input", fibonacci)
-    assert code == 0 and ("dp", 43, 43) in parse_rows(out)
+    for grid in (("--u", "38", "--v", "38", "--input", fibonacci), ("--u", "22", "--v", "22")):
+        code, out, _ = run(capsys, "bench", *grid, "--naive-budget", "0")
+        assert code == 0 and ("dp", int(grid[1]), int(grid[3])) in parse_rows(out)
 
 
 def test_bench_large_n_is_refused_before_building_matrices(capsys, monkeypatch):
     import noncomm_recur.cli as cli_module
     import noncomm_recur.verify as verify_module
     monkeypatch.setattr(verify_module, "random_matrix", None)  # refused before any matrix is built
-    # an n×n cell counts (n/2)^3 times: 3 · 500^3 cells at (1, 0), 1 · 100.5^3 at (0, 0)
-    for grid in (("--n", "1000", "--u", "1", "--v", "0"), ("--n", "201", "--u", "0", "--v", "0")):
+    # an n×n cell costs 2n^3 products at the floor: 3·2·1000^3·4096 at (1, 0),
+    # and 2·85^3·4096 = 5030912000 at (0, 0)
+    for grid in (("--n", "1000", "--u", "1", "--v", "0"), ("--n", "85", "--u", "0", "--v", "0")):
         code, out, err = run(capsys, "bench", *grid)
         assert (code, out) == (3, "")
-        assert "1000000 cells" in err and len(err.splitlines()) == 1
-    # 100^3 cells at (0, 0) with n = 200 meets the cap exactly
+        assert "above the cap of 5.000e+09" in err and len(err.splitlines()) == 1
+    # 2·84^3·4096 = 4855431168 at (0, 0) stays under the cap
     monkeypatch.setattr(verify_module, "random_matrix", lambda rng, n: None)
     for name in ("perm_sum_naive", "perm_sum_dp"):
         monkeypatch.setattr(cli_module, name, lambda *args, **kwargs: None)
-    code, out, _ = run(capsys, "bench", "--n", "200", "--u", "0", "--v", "0")
+    code, out, _ = run(capsys, "bench", "--n", "84", "--u", "0", "--v", "0")
     assert code == 0 and ("dp", 0, 0) in parse_rows(out)
 
 
@@ -610,22 +656,26 @@ def cli_runs(draw):
     ints = lambda low, high: str(draw(st.integers(low, high)))
     if command == "solve":
         method = draw(st.sampled_from(["closed", "iterative", "scalar-roots", "scalar-sum"]))
-        # a free Y_p grows exponentially in p, so keep p small there, or past
-        # the table cap, where every method is refused at once; a closed solve
-        # of a one-term file at p in 1000-1999 takes seconds, so not between.
-        # Elsewhere keep p small, or past the work cap, refused just as fast.
-        p = (st.integers(-1, 8) | st.integers(2000, 10 ** 9) if free
-             else st.integers(-1, 60) | st.integers(10 ** 7, 10 ** 9))
+        # Keep p small, or so large that the part of the estimate that grows
+        # with p alone refuses every method at once: from 1221000 free steps
+        # at the floor, past 5·10^9/4096, and from 10^7 dense or scalar ones,
+        # past 5·10^9/(4096·n^2) whatever the entries.  Between, a free file
+        # with zero coefficients or a float file iterates for seconds.
+        p = (st.integers(-1, 8) | st.integers(1221000, 10 ** 30) if free
+             else st.integers(-1, 60) | st.integers(10 ** 7, 10 ** 30))
         return ["solve", "--p", str(draw(p)), "--method", method], text, cap
     if command == "bench":
-        argv = ["bench", "--u", ints(0, 4), "--v", ints(0, 4), "--naive-budget", ints(-1, 100)]
+        # from 1104 on one side the grid has 611065 cells or more, past
+        # 5·10^9/8192 at any n, so it is refused at once
+        side = lambda: str(draw(st.integers(0, 4) | st.integers(1104, 10 ** 30)))
+        argv = ["bench", "--u", side(), "--v", side(), "--naive-budget", ints(-1, 100)]
         if draw(st.booleans()):
             return argv, text, cap
-        n = draw(st.integers(-1, 2) | st.integers(200, 10 ** 6))  # from 201 up, refused at once
+        n = draw(st.integers(-1, 2) | st.integers(85, 10 ** 6))  # from 85 up, refused at once
         return argv + ["--n", str(n)], None, cap
     if command == "enumerate":
         return ["enumerate", "--u", ints(0, 5), "--v", ints(0, 5)], None, cap
-    return ["verify", "--max-p", ints(31, 10 ** 9), "--seed", ints(0, 9)], None, cap
+    return ["verify", "--max-p", ints(25, 10 ** 30), "--seed", ints(0, 9)], None, cap
 
 
 @settings(max_examples=500, deadline=None)

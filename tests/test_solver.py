@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noncomm_recur.algebra import (
@@ -21,15 +21,18 @@ from noncomm_recur.solver import (
     InvalidCoefficientError,
     NotARationalSquareError,
     characteristic_roots,
+    entry_width,
     rational_sqrt,
     solve_closed,
     solve_iterative,
     solve_scalar_roots,
     solve_scalar_sum,
     t_bar,
+    term_bounds,
     verify_identity_21,
     verify_identity_23,
 )
+from noncomm_recur.permsum import perm_sum_batch
 from noncomm_recur.verify import (
     free_problem,
     random_matrix_problem,
@@ -188,6 +191,62 @@ def test_closed_matches_iterative_floats(problem, p):
 def test_closed_equals_iterative_scalars(c0, c1, y1, p):
     problem = CauchyProblem(c0, c1, y1)
     assert solve_closed(problem, p) == solve_iterative(problem, p)
+
+
+# Problems for the estimate's size bounds: small entries, or one entry
+# repeated, whose powers grow fastest for the entry's size.
+@st.composite
+def sized_problems(draw):
+    kind = draw(st.sampled_from(["matrix", "scalar", "free"]))
+    if kind == "free":
+        return (CauchyProblem(FreeElement(draw(free_sums)), FreeElement(draw(free_sums)),
+                              FreeVector(draw(free_sums))), draw(st.integers(0, 10)))
+    if kind == "scalar":
+        return CauchyProblem(*(draw(small_fractions) for _ in range(3))), draw(st.integers(0, 20))
+    n = draw(st.integers(1, 3))
+    square = st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+    square |= st.integers(-4, 4).map(lambda c: [[c] * n] * n)
+    vector = ColumnVector(draw(st.lists(small_fractions, min_size=n, max_size=n)))
+    problem = CauchyProblem(Matrix(draw(square)), Matrix(draw(square)), vector)
+    return problem, draw(st.integers(0, 20))
+
+
+def stored_bits(value):
+    parts = (*value._nums, value._den) if isinstance(value, ColumnVector) else (
+        value.numerator, value.denominator)
+    return max(x.bit_length() for x in parts)
+
+
+# L1 = J, the all-ones 3x3 matrix, grows by log2(3) bits a step from 1-bit entries
+@settings(max_examples=300, deadline=None)
+@given(sized_problems())
+@example((CauchyProblem(Matrix([[0] * 3] * 3), Matrix([[1] * 3] * 3), ColumnVector([0, 0, 1])), 8))
+def test_estimate_size_bounds_hold_on_random_problems(drawn):
+    problem, p = drawn
+    values = [solve_iterative(problem, k) for k in range(p + 1)]
+    if not isinstance(problem.L0, FreeElement):
+        for k, value in enumerate(values):
+            assert stored_bits(value) <= entry_width(problem, k)
+        return
+    for k, value in enumerate(values):
+        last, total, letters = term_bounds(problem, k)
+        assert len(value.terms) <= last
+        assert sum(len(y.terms) for y in values[:k + 1]) <= total
+        assert max(map(len, value.terms), default=0) <= letters
+    # the closed form's table: every cell within the total, its keys within a_p
+    keys = [(t, p - 1 - 2 * t) for t in range(t_bar(p) + 1)]
+    cells = [(u, v) for u in range(t_bar(p) + 1) for v in range(p - 2 * u)]
+    table = perm_sum_batch(problem.L0, problem.L1, cells, vector=problem.y1bar)
+    sizes = [len(z.terms) for z in table]
+    last, total, _ = term_bounds(problem, p)
+    assert sum(sizes) <= total
+    assert sum(sizes[cells.index(key)] for key in keys) <= last
+    # bench's ring cells: C(u+v, u)·c0^u·c1^v terms, each count at least 1
+    c0, c1 = (max(len(x.terms), 1) for x in (problem.L0, problem.L1))
+    for u in range(5):
+        for v in range(5):
+            cell = perm_sum_batch(problem.L0, problem.L1, [(u, v)])[0]
+            assert len(cell.terms) <= math.comb(u + v, u) * c0 ** u * c1 ** v
 
 
 def test_problem_construction_checks_backends():
