@@ -22,8 +22,6 @@ from .algebra import (
     word_to_str,
 )
 from .permsum import (
-    CapExceededError,
-    DEFAULT_WORD_CAP,
     MultCounter,
     binom,
     count_terms,
@@ -62,10 +60,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BackendMismatchError",
-    "CapExceededError",
     "CauchyProblem",
     "ColumnVector",
-    "DEFAULT_WORD_CAP",
     "FreeElement",
     "FreeVector",
     "InvalidCoefficientError",

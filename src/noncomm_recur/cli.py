@@ -10,14 +10,12 @@ Subcommands:
                     multiplication counts and wall times.
 
 Exit codes: 0 success; 1 verification failure; 2 unreadable or malformed
-problem file; 3 method/backend mismatch, too many letters to enumerate,
-or estimated work above the cap (``solver.estimate``, one estimate per
-route); 4 solver error, double overflow or out of memory; 141 the reader
+problem file; 3 method/backend mismatch or estimated work above the cap
+(``solver.estimate``, one estimate per route, enumeration and bench
+cell); 4 solver error, double overflow or out of memory; 141 the reader
 closed stdout.  Commands raise, and ``main`` alone maps each failure to
-its code and one stderr line.  Results go to stdout.
-
-The enumeration cap (default 30 letters) can be overridden with the
-``NONCOMM_RECUR_CAP`` environment variable.
+its code and one stderr line.  Results go to stdout.  ``bench`` skips
+the naive cells that the cap leaves no room for, costliest first.
 """
 from __future__ import annotations
 
@@ -29,15 +27,7 @@ import time
 from random import Random
 
 from .algebra import BackendMismatchError, word_to_str
-from .permsum import (
-    CapExceededError,
-    DEFAULT_WORD_CAP,
-    MultCounter,
-    count_terms,
-    enumerate_words,
-    perm_sum_dp,
-    perm_sum_naive,
-)
+from .permsum import MultCounter, enumerate_words, perm_sum_dp, perm_sum_naive
 from .problems import ProblemFileError, load_problem
 from .solver import (
     WORK_CAP,
@@ -58,8 +48,6 @@ EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for death by SIGPIPE
 
 EMPTY_WORD_TOKEN = "<empty>"
 
-CAP_ENV_VAR = "NONCOMM_RECUR_CAP"
-
 ROUTES = ("closed", "iterative", "scalar-roots", "scalar-sum")
 
 
@@ -76,14 +64,6 @@ def _nonneg_int(text, least=0):
 
 def _positive_int(text):
     return _nonneg_int(text, least=1)
-
-
-def _env_cap():
-    raw = os.environ.get(CAP_ENV_VAR, str(DEFAULT_WORD_CAP))
-    try:
-        return int(raw)
-    except ValueError:
-        raise _Exit(EXIT_USAGE, f"invalid {CAP_ENV_VAR}={raw!r}: expected an integer") from None
 
 
 def _approx(value):
@@ -142,8 +122,10 @@ def cmd_solve(args):
 
 
 def cmd_enumerate(args):
+    _check_work(f"enumerate the words of ({args.u},{args.v})",
+                estimate("enumerate", None, (args.u, args.v)))
     total = 0
-    for word in enumerate_words(args.u, args.v, cap=_env_cap()):
+    for word in enumerate_words(args.u, args.v):
         print(word_to_str(word) if word else EMPTY_WORD_TOKEN)
         total += 1
     print(f"count={total}")
@@ -168,19 +150,28 @@ def cmd_verify(args):
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
-def _bench_row(strategy, evaluate, L0, L1, u, v, **options):
+def _bench_row(strategy, evaluate, L0, L1, u, v):
     counter, start = MultCounter(), time.perf_counter_ns()
-    evaluate(L0, L1, u, v, counter=counter, **options)
+    evaluate(L0, L1, u, v, counter=counter)
     elapsed = time.perf_counter_ns() - start
     print(f"{strategy}\t{u}\t{v}\t{counter.count}\t{elapsed}")
 
 
 def cmd_bench(args):
-    cap = _env_cap()
     doc = None if args.input is None else load_problem(args.input)
+    problem = args.n if doc is None else doc.problem
     # The default matrices are built only once their grid is admitted.
-    _check_work(f"bench the dp tables up to ({args.u},{args.v})",
-                estimate("bench", args.n if doc is None else doc.problem, (args.u, args.v)))
+    spent = estimate("bench", problem, (args.u, args.v))
+    _check_work(f"bench the dp tables up to ({args.u},{args.v})", spent)
+    # The naive cells run cheapest first while they and the dp tables stay
+    # within the cap; the costlier rest are skipped.
+    naive = {(u, v): estimate("naive", problem, (u, v))
+             for u in range(args.u + 1) for v in range(args.v + 1)}
+    admitted = set()
+    for cell in sorted(naive, key=naive.get):
+        if (spent := spent + naive[cell]) > WORK_CAP:
+            break
+        admitted.add(cell)
     if doc is None:
         rng = Random(args.seed)
         L0, L1 = verify.random_matrix(rng, args.n), verify.random_matrix(rng, args.n)
@@ -190,15 +181,13 @@ def cmd_bench(args):
     print("# strategy\tu\tv\tmults\tns")
     for u in range(args.u + 1):
         for v in range(args.v + 1):
-            words = count_terms(u, v)
-            if words > args.naive_budget or u + v > cap:
-                reason = (f"{words} words exceeds budget {args.naive_budget}"
-                          if words > args.naive_budget
-                          else f"{u + v} letters exceeds cap {cap}")
-                print(f"naive ({u},{v}) skipped: {reason}", file=sys.stderr)
-                print(f"naive\t{u}\t{v}\t-\t-")
+            if (u, v) in admitted:
+                _bench_row("naive", perm_sum_naive, L0, L1, u, v)
             else:
-                _bench_row("naive", perm_sum_naive, L0, L1, u, v, cap=cap)
+                print(f"naive ({u},{v}) skipped: an estimated {_approx(naive[(u, v)])} bit "
+                      f"operations, more than the cap of {_approx(WORK_CAP)} leaves after "
+                      f"the dp tables and the cheaper naive cells", file=sys.stderr)
+                print(f"naive\t{u}\t{v}\t-\t-")
             _bench_row("dp", perm_sum_dp, L0, L1, u, v)
     return EXIT_OK
 
@@ -213,9 +202,10 @@ def build_parser():
         description="Exact solver for second-order linear recurrences with "
                     "noncommutative constant coefficients.",
         epilog="exit codes: 0 ok, 1 verification failure, 2 unreadable or "
-               "malformed problem file, 3 method/backend mismatch, too many "
-               "letters or estimated work above the cap, 4 solver error, double "
-               "overflow or out of memory, 141 reader closed stdout")
+               "malformed problem file, 3 method/backend mismatch or estimated "
+               "work above the cap (bench skips the naive cells past it), 4 "
+               "solver error, double overflow or out of memory, 141 reader "
+               "closed stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="compute Y_p from a problem file")
@@ -250,9 +240,6 @@ def build_parser():
                        help="dimension of the default random matrices (default 2)")
     bench.add_argument("--seed", type=int, default=42,
                        help="seed for the default random matrices (default 42)")
-    bench.add_argument("--naive-budget", type=_nonneg_int, default=1_000_000,
-                       help="skip naive cells with more words than this "
-                            "(default 1000000)")
     bench.set_defaults(func=cmd_bench)
     return parser
 
@@ -271,8 +258,6 @@ def main(argv=None):
         code, message = exc.args
     except ProblemFileError as exc:
         code, message = EXIT_PARSE, str(exc)
-    except CapExceededError as exc:
-        code, message = EXIT_USAGE, str(exc)
     except MemoryError:
         code, message = EXIT_SOLVER, f"{args.command}: out of memory"
     print(message, file=sys.stderr)

@@ -44,25 +44,6 @@ from .algebra import (
     word_to_element,
 )
 
-# Words longer than this are refused by the enumerator, which fails fast
-# instead of exhausting memory or time.  30 letters is the longest length
-# allowed, and already costly: (15, 15) has C(30, 15) ~ 1.55e8 words,
-# about two minutes only to enumerate and hours for a naive scalar sum.
-# The CLI can override via the NONCOMM_RECUR_CAP environment variable.
-DEFAULT_WORD_CAP = 30
-
-
-class CapExceededError(ValueError):
-    """Word length u+v exceeds the enumeration cap."""
-
-    def __init__(self, total, cap):
-        super().__init__(
-            f"cannot enumerate words of length {total}: "
-            f"exceeds the enumeration cap of {cap} letters")
-        self.total = total
-        self.cap = cap
-
-
 class MultCounter:
     """Monotone counter of ring multiplications during one evaluation."""
 
@@ -110,17 +91,14 @@ def _check_counts(u, v):
         raise ValueError(f"letter counts must be nonnegative, got ({u}, {v})")
 
 
-def enumerate_words(u, v, cap=None):
+def enumerate_words(u, v):
     """All distinct words with u letters 0 and v letters 1, lexicographically.
 
     Returns a lazy iterator of word tuples (letter 0 sorts before 1);
-    its length is ``count_terms(u, v)``.  Raises
-    :class:`CapExceededError` eagerly when ``u + v`` exceeds the cap.
+    its length is ``count_terms(u, v)``.  Nothing is refused by size: the
+    CLI bounds the work up front with ``solver.estimate``.
     """
     _check_counts(u, v)
-    cap = DEFAULT_WORD_CAP if cap is None else cap
-    if u + v > cap:
-        raise CapExceededError(u + v, cap)
     n = u + v
 
     def word(zeros):
@@ -134,15 +112,14 @@ def enumerate_words(u, v, cap=None):
     return map(word, combinations(range(n), u))
 
 
-def perm_sum_naive(L0, L1, u, v, counter=None, cap=None):
+def perm_sum_naive(L0, L1, u, v, counter=None):
     """Sum of all distinct products of u factors L0 and v factors L1,
     evaluated word by word: C(u+v, u) words at max(u+v-1, 0) ring
     multiplications each.
     """
     check_same_backend(L0, L1)
-    words = enumerate_words(u, v, cap=cap)
     total = ring_zero(L0)
-    for word in words:
+    for word in enumerate_words(u, v):
         total = total + word_to_element(word, L0, L1, counter)
     return total
 

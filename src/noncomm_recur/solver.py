@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, isfinite, isqrt, log2
+from math import ceil, comb, isfinite, isqrt, lcm, log2
 
 from .algebra import (FreeElement, Matrix, _kind, apply, check_apply_compat, check_same_backend,
                       vector_zero)
@@ -293,19 +293,29 @@ def estimate(method, problem, p):
     """Estimated bit operations to compute Y_p by ``method`` and print it.
 
     Iterative and scalar-sum take p steps of n² entry products, closed
-    ⌊(p+1)²/4⌋ cells of 2n², scalar-roots 2·bits(p) powers, and "bench",
-    the dp tables up to ``p = (u, v)``, (u+1)(u+2)/2·(v+1)(v+2)/2 cells of
-    2n³, where ``problem`` may be the n of matrices not built yet.  Each
-    product counts the width of its entries, at least ENTRY_FLOOR_BITS, or
-    on the free backend 64 bits a letter and one for the coefficient of
-    each term it makes.  Past WORK_CAP, the part that grows with p and n
-    alone is returned before any size is read.
+    ⌊(p+1)²/4⌋ cells of 2n², scalar-roots 2·bits(p) powers.  With
+    ``p = (u, v)``, "bench" fills the dp tables up to (u, v),
+    (u+1)(u+2)/2·(v+1)(v+2)/2 cells of 2n³, and "naive" multiplies out the
+    C(u+v, u) words of the cell (u, v), max(u+v-1, 0) ring products of n³
+    each; ``problem`` may be the n of matrices not built yet.  Each product
+    counts the width of its entries, at least ENTRY_FLOOR_BITS, or on the
+    free backend 64 bits a letter and one for the coefficient of each term
+    it makes.  "enumerate" lists C(u+v, u) words at ENTRY_FLOOR_BITS and 64
+    bits a letter each, and needs no problem.  Past WORK_CAP, the part that
+    grows with p and n alone is returned before any size is read.
     """
+    if method == "enumerate":  # C(u+v, k) >= 2^k, past the cap from k = 64 on
+        k = min(p)
+        return (comb(sum(p), k) if k < 64 else 2 ** 64) * (ENTRY_FLOOR_BITS + 64 * sum(p))
     unbuilt = isinstance(problem, int)
     n = problem if unbuilt else getattr(problem.L0, "n", 1)
+    cells = method in ("bench", "naive")
     if method == "bench":
         u, v = p
         count, products = (u + 1) * (u + 2) // 2 * ((v + 1) * (v + 2) // 2), 2 * n ** 3
+    elif method == "naive":
+        u, v = p
+        count, products = comb(u + v, u) * max(u + v - 1, 0), n ** 3
     else:
         count, products = {"closed": ((p + 1) ** 2 // 4, 2 * n * n),
                            "scalar-roots": (p.bit_length(), 2)}.get(method, (p, n * n))
@@ -314,18 +324,22 @@ def estimate(method, problem, p):
         return work
     if _kind(problem.L0) is FreeElement:
         c0, c1 = (len(x.terms) for x in (problem.L0, problem.L1))
-        if method == "bench":  # C(u+v, u)·c0^u·c1^v bounds the terms of every cell
-            c0, c1 = max(c0, 1), max(c1, 1)
-            terms = comb(u + v, u) * c0 ** u * c1 ** v * max(c0, c1)
+        if cells:  # a word's product has at most c0^u·c1^v terms, each count at least 1
+            c0, c1, words = max(c0, 1), max(c1, 1), comb(u + v, u)
+            terms, copies = c0 ** u * c1 ** v, 0
             term_bits = 64 * (term_bounds(problem, u + v + 1)[2] + 1)
-            return count * products * max(ENTRY_FLOOR_BITS, terms * term_bits)
+            if method == "bench":  # C(u+v, u) words bound the cell, and a product of it
+                terms *= words * max(c0, c1)
+            else:  # each add copies the running total, j·terms after j words
+                copies = words * (words + 1) // 2 * terms * term_bits
+            return count * products * max(ENTRY_FLOOR_BITS, terms * term_bits) + copies
         # The products make at most (c0 + c1)·total terms; printing copies
         # Y_p's, and the closed form's sum of (p+1)//2 keys as many per key.
         last, total, letters = term_bounds(problem, p)
         copies = (p + 1) // 2 + 1 if method == "closed" else 1
         return work + ((c0 + c1) * total + copies * last) * 64 * (letters + 1)
-    if method != "scalar-roots":
-        width = entry_width(problem, sum(p) if method == "bench" else p)
+    if method != "scalar-roots":  # a ring cell P(u, v) is no wider than Y_2(u+v)
+        width = entry_width(problem, 2 * sum(p) if cells else p)
     else:  # y_p = y1·sum_k m1^k·m2^(p-1-k) over the roots m_i = a_i/b_i has at
         # most p·|y1|·h^(p-1) over (b1·b2)^(p-1), h = max(|a1|·b2, |a2|·b1, b1·b2)
         c0, c1, y1 = Fraction(problem.L0), Fraction(problem.L1), Fraction(problem.y1bar)
@@ -335,22 +349,32 @@ def estimate(method, problem, p):
         h = max(abs(a1) * b2, abs(a2) * b1, b1 * b2)
         width = (max(y1.numerator.bit_length(), y1.denominator.bit_length()) + p.bit_length()
                  + ceil(max(p - 1, 0) * Fraction(log2(h))))
-    printing = 0 if method == "bench" else 2 * n * width * width // PRINT_DIVISOR
+    printing = 0 if cells else 2 * n * width * width // PRINT_DIVISOR
     return count * products * max(ENTRY_FLOOR_BITS, width) + printing
 
 
 def entry_width(problem, steps):
-    """bits(Y1) + steps·g on an exact dense or scalar problem, with g the
-    longest numerator or denominator of L0 and L1 plus ⌈log2(2n)⌉ bits for
-    the sums: it bounds the stored numerators and denominators of Y_k, k <=
-    steps, and of the ring cells P(u, v), u + v <= steps."""
+    """bits(Y1) + steps·g on an exact dense or scalar problem: it bounds the
+    stored numerators and denominators of Y_k, k <= steps.
+
+    With D = lcm of the denominators of L0 and L1, A_i = D·L_i integer, and
+    Y1 = N_1/d, Y_k = N_k/(d·D^(k-1)) where N_k = D·A0·N_(k-2) + A1·N_(k-1).
+    Its largest entry grows at most c-fold a step, c = max(√(2n·D·|A0|),
+    2n·|A1|, 1) with |x| the largest entry, so g = max(bits(D), ⌈log2 c⌉).
+    A ring cell P(u, v) is at most (2n·|A0|)^u·(2n·|A1|)^v over D^(u+v),
+    and 2n·|A0| <= c², so it is within the bound at steps = 2(u + v)."""
     dense = _kind(problem.L0) is Matrix
 
-    def bits(*values):
-        return max(x.bit_length() for value in values for x in (
-            (*value._nums, value._den) if dense else (value.numerator, value.denominator)))
-    growth = bits(problem.L0, problem.L1) + (2 * getattr(problem.L0, "n", 1) - 1).bit_length()
-    return bits(problem.y1bar) + steps * growth
+    def parts(value):
+        return (value._nums, value._den) if dense else ((value.numerator,), value.denominator)
+    (nums0, den0), (nums1, den1), (nums, den) = map(parts, (
+        problem.L0, problem.L1, problem.y1bar))
+    D, n = lcm(den0, den1), getattr(problem.L0, "n", 1)
+    a0, a1 = max(map(abs, nums0)) * (D // den0), max(map(abs, nums1)) * (D // den1)
+    # (x - 1).bit_length() is ⌈log2 x⌉ for x >= 1; at x = 0 it is 1 <= bits(D)
+    growth = max(D.bit_length(), ((2 * n * D * a0 - 1).bit_length() + 1) // 2,
+                 (2 * n * a1 - 1).bit_length())
+    return max(x.bit_length() for x in (*nums, den)) + steps * growth
 
 
 def term_bounds(problem, p):

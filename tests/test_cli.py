@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -214,8 +213,8 @@ def test_solve_closed_table_too_large_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "solve_closed", lambda problem, p: 0)
     fibonacci = str(PROBLEMS_DIR / "fibonacci.json")
     # (p+1)^2 // 4 cells of two products at the 4096-bit floor, plus printing
-    # 2·(1 + 2p)^2 // 1000: p = 1561 costs 609961·8192 + 19506 = 4996820018,
-    # p = 1562 costs 610742·8192 + 19518 = 5003217982, past the 5·10^9 cap
+    # 2·(1 + p)^2 // 1000: p = 1561 costs 609961·8192 + 4879 = 4996805391,
+    # p = 1562 costs 610742·8192 + 4885 = 5003203349, past the 5·10^9 cap
     code, out, _ = run(capsys, "solve", "--input", fibonacci, "--p", "1561")
     assert (code, out) == (0, "0\n")
     monkeypatch.setattr(cli_module, "solve_closed", None)  # refused before the solver runs
@@ -266,11 +265,12 @@ def test_solve_work_cap_boundaries(capsys, monkeypatch):
     low = (pow(2, p, 3 * 10 ** 20) - 1) // 3  # y_p = (2^p - 1)/3 mod 10^20
     assert len(out) == 301031 and out.endswith(f"{low:020d}\n")
     monkeypatch.setattr(cli_module, "solve_iterative", lambda problem, p: problem.y1bar)
-    # fibonacci: p steps of one product on 1 + 2p bits, plus printing
-    # 2·(1 + 2p)^2 // 1000: 49900·99801 + 19920479 = 4999790379 and
-    # 49901·99803 + 19921277 = 5000190580.  float 2x2: p steps of four
-    # products at the 4096-bit floor, 305175·16384 = 4999987200
-    for path, last in ((fibonacci, 49900), (float_2x2, 305175)):
+    # fibonacci: p steps of one product on 1 + p bits (g = 1: D = 1, and
+    # c = max(√2, 2, 1) = 2), plus printing 2·(1 + p)^2 // 1000:
+    # 70639·70640 + 9980019 = 4999918979 and 70640·70641 + 9980301 =
+    # 5000060541.  float 2x2: p steps of four products at the 4096-bit
+    # floor, 305175·16384 = 4999987200
+    for path, last in ((fibonacci, 70639), (float_2x2, 305175)):
         code, out, _ = run(capsys, "solve", "--input", path, "--p", str(last),
                            "--method", "iterative")
         assert code == 0 and out == f"{load_problem(path).problem.y1bar}\n"
@@ -421,10 +421,28 @@ def test_enumerate_three_terms(capsys):
     assert out == "ABB\nBAB\nBBA\ncount=3\n"
 
 
-def test_enumerate_cap_exit_3(capsys):
-    code, _, err = run(capsys, "enumerate", "--u", "16", "--v", "15")
-    assert code == 3
-    assert "30" in err
+def test_enumerate_cap_exit_3(capsys, monkeypatch):
+    import noncomm_recur.cli as cli_module
+    code, out, _ = run(capsys, "enumerate", "--u", "31", "--v", "0")
+    assert (code, out) == (0, f"{'A' * 31}\ncount=1\n")
+    # C(u+v, u) words at 4096 + 64 bits a letter each: (11, 11) costs
+    # 705432·5504 = 3882697728, and (12, 11) and (11, 12) 1352078·5568 =
+    # 7528370304; one word of 78124936 letters costs 4096 + 64·78124936 =
+    # 5·10^9, and one more letter 64 more
+    monkeypatch.setattr(cli_module, "enumerate_words", lambda u, v: iter([]))
+    for u, v in (("11", "11"), ("78124936", "0")):
+        code, out, _ = run(capsys, "enumerate", "--u", u, "--v", v)
+        assert (code, out) == (0, "count=0\n")
+    monkeypatch.setattr(cli_module, "enumerate_words", None)  # refused before it runs
+    huge = str(10 ** 30)
+    for u, v in (("12", "11"), ("11", "12"), ("15", "15"), ("78124937", "0"), (huge, "3"),
+                 (huge, huge)):
+        code, out, err = run(capsys, "enumerate", "--u", u, "--v", v)
+        assert (code, out) == (3, "")
+        assert f"words of ({u},{v})" in err and "above the cap of 5.000e+09" in err
+        assert len(err.splitlines()) == 1
+    code, out, err = run(capsys, "enumerate", "--u", "12", "--v", "11")
+    assert "an estimated 7.528e+09 bit operations" in err
 
 
 def test_enumerate_into_a_closed_pipe_exits_141():
@@ -440,20 +458,6 @@ def test_enumerate_into_a_closed_pipe_exits_141():
     finally:
         proc.kill()
     assert (proc.returncode, err) == (141, b"")
-
-
-def test_enumerate_env_cap_override(capsys, monkeypatch):
-    monkeypatch.setenv("NONCOMM_RECUR_CAP", "5")
-    code, _, err = run(capsys, "enumerate", "--u", "3", "--v", "3")
-    assert code == 3
-    assert "5" in err
-    monkeypatch.setenv("NONCOMM_RECUR_CAP", "6")
-    code, out, _ = run(capsys, "enumerate", "--u", "3", "--v", "3")
-    assert code == 0
-    assert out.endswith("count=20\n")
-    monkeypatch.setenv("NONCOMM_RECUR_CAP", "not-a-number")
-    code, _, err = run(capsys, "enumerate", "--u", "1", "--v", "1")
-    assert code == 3
 
 
 # ---------------------------------------------------------------------------
@@ -526,16 +530,27 @@ def test_bench_counts(capsys):
     assert all(ns == "-" or int(ns) >= 0 for _, ns in rows.values())
 
 
-def test_bench_budget_skips_naive(capsys):
-    code, out, err = run(capsys, "bench", "--u", "3", "--v", "3",
-                         "--naive-budget", "10", "--input",
-                         str(PROBLEMS_DIR / "fibonacci.json"))
-    assert code == 0
+def test_bench_budget_skips_naive(capsys, monkeypatch):
+    import noncomm_recur.cli as cli_module
+    monkeypatch.setattr(cli_module, "perm_sum_naive", lambda *args, **kwargs: None)
+    fibonacci = str(PROBLEMS_DIR / "fibonacci.json")
+    # a naive cell is C(u+v, u)·(u+v-1) products at the 4096-bit floor.  Up
+    # to (8, 8) the dp tables take 45·45·8192 = 16588800 and the naive cells
+    # 2628763648, all within the cap.  Up to (8, 9) the dp tables take
+    # 20275200 and the naive cells 5366136832; without the costliest,
+    # (8, 9) at 24310·16·4096 = 1593180160, the sum is 3793231872.
+    code, out, err = run(capsys, "bench", "--u", "8", "--v", "8", "--input", fibonacci)
     rows = parse_rows(out)
-    assert rows[("naive", 3, 3)] == ("-", "-")     # 20 words > budget 10
-    assert rows[("naive", 1, 1)][0] == "2"         # 2 words of length 2
-    assert "skipped" in err
-    assert rows[("dp", 3, 3)][0] != "-"
+    assert (code, err) == (0, "")
+    assert all(rows[("naive", u, v)][0] == "0" for u in range(9) for v in range(9))
+    code, out, err = run(capsys, "bench", "--u", "8", "--v", "9", "--input", fibonacci)
+    rows = parse_rows(out)
+    assert code == 0 and rows[("naive", 8, 9)] == ("-", "-")
+    assert all(rows[("naive", u, v)][0] == "0" for u in range(9) for v in range(10)
+               if (u, v) != (8, 9))
+    assert all(rows[("dp", u, v)][0] != "-" for u in range(9) for v in range(10))
+    assert err.startswith("naive (8,9) skipped: an estimated 1.593e+09 bit operations")
+    assert len(err.splitlines()) == 1
 
 
 def test_bench_free_table_too_large_exits_3(capsys, monkeypatch):
@@ -551,8 +566,15 @@ def test_bench_free_table_too_large_exits_3(capsys, monkeypatch):
         assert f"up to ({u},{v})" in err and len(err.splitlines()) == 1
     for name in ("perm_sum_naive", "perm_sum_dp"):
         monkeypatch.setattr(cli_module, name, lambda *args, **kwargs: None)
-    code, out, _ = run(capsys, "bench", "--u", "7", "--v", "6", "--input", free)
-    assert code == 0 and ("dp", 7, 6) in parse_rows(out)
+    # the naive cell (7, 6) makes 1716·12 products at the floor and copies its
+    # running total, 1716·1717/2 terms of 14·64 bits: 1404319488 in all,
+    # more than the cap leaves after the dp tables and the other naive cells,
+    # 5·10^9 - 3099672576 - 1087105280
+    code, out, err = run(capsys, "bench", "--u", "7", "--v", "6", "--input", free)
+    rows = parse_rows(out)
+    assert code == 0 and ("dp", 7, 6) in rows and rows[("naive", 7, 6)] == ("-", "-")
+    assert err.startswith("naive (7,6) skipped: an estimated 1.404e+09 bit operations")
+    assert len(err.splitlines()) == 1
     monkeypatch.undo()
     code, out, _ = run(capsys, "bench", "--u", "3", "--v", "3", "--input", free)
     assert code == 0
@@ -561,7 +583,8 @@ def test_bench_free_table_too_large_exits_3(capsys, monkeypatch):
 
 def test_bench_grid_too_large_exits_3(capsys, monkeypatch):
     import noncomm_recur.cli as cli_module
-    monkeypatch.setattr(cli_module, "perm_sum_dp", None)  # refused before any cell runs
+    for name in ("perm_sum_naive", "perm_sum_dp"):
+        monkeypatch.setattr(cli_module, name, None)  # refused before any cell runs
     fibonacci = str(PROBLEMS_DIR / "fibonacci.json")
     # the grid up to (u, v) fills (u+1)(u+2)/2 · (v+1)(v+2)/2 table cells of
     # two products at the 4096-bit floor, 2n^3 of them for n×n matrices:
@@ -571,13 +594,18 @@ def test_bench_grid_too_large_exits_3(capsys, monkeypatch):
     for grid in (("--u", "39", "--v", "38", "--input", fibonacci),
                  ("--u", "100000", "--v", "100000", "--input", fibonacci),
                  ("--u", "22", "--v", "23")):
-        code, out, err = run(capsys, "bench", *grid, "--naive-budget", "0")
+        code, out, err = run(capsys, "bench", *grid)
         assert (code, out) == (3, "")
         assert "above the cap of 5.000e+09" in err and len(err.splitlines()) == 1
-    monkeypatch.setattr(cli_module, "perm_sum_dp", lambda *args, **kwargs: None)
+    # the dp tables leave the naive cells little room: the costliest are skipped
+    for name in ("perm_sum_naive", "perm_sum_dp"):
+        monkeypatch.setattr(cli_module, name, lambda *args, **kwargs: None)
     for grid in (("--u", "38", "--v", "38", "--input", fibonacci), ("--u", "22", "--v", "22")):
-        code, out, _ = run(capsys, "bench", *grid, "--naive-budget", "0")
-        assert code == 0 and ("dp", int(grid[1]), int(grid[3])) in parse_rows(out)
+        code, out, err = run(capsys, "bench", *grid)
+        u, v = int(grid[1]), int(grid[3])
+        rows = parse_rows(out)
+        assert code == 0 and ("dp", u, v) in rows and rows[("naive", u, v)] == ("-", "-")
+        assert f"naive ({u},{v}) skipped: " in err
 
 
 def test_bench_large_n_is_refused_before_building_matrices(capsys, monkeypatch):
@@ -596,13 +624,6 @@ def test_bench_large_n_is_refused_before_building_matrices(capsys, monkeypatch):
         monkeypatch.setattr(cli_module, name, lambda *args, **kwargs: None)
     code, out, _ = run(capsys, "bench", "--n", "84", "--u", "0", "--v", "0")
     assert code == 0 and ("dp", 0, 0) in parse_rows(out)
-
-
-def test_bench_negative_naive_budget_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--naive-budget", "-1", "--u", "1", "--v", "1"])
-    assert excinfo.value.code == 2
-    assert "--naive-budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -649,10 +670,9 @@ def problem_texts(draw):
 
 @st.composite
 def cli_runs(draw):
-    """(argv, problem file text or None, NONCOMM_RECUR_CAP or None)."""
+    """(argv, problem file text or None)."""
     text, free = draw(problem_texts())
     command = draw(st.sampled_from(["solve", "bench", "enumerate", "verify"]))
-    cap = draw(st.sampled_from([None, "3", "-1", "x"]))
     ints = lambda low, high: str(draw(st.integers(low, high)))
     if command == "solve":
         method = draw(st.sampled_from(["closed", "iterative", "scalar-roots", "scalar-sum"]))
@@ -663,28 +683,29 @@ def cli_runs(draw):
         # with zero coefficients or a float file iterates for seconds.
         p = (st.integers(-1, 8) | st.integers(1221000, 10 ** 30) if free
              else st.integers(-1, 60) | st.integers(10 ** 7, 10 ** 30))
-        return ["solve", "--p", str(draw(p)), "--method", method], text, cap
+        return ["solve", "--p", str(draw(p)), "--method", method], text
     if command == "bench":
         # from 1104 on one side the grid has 611065 cells or more, past
         # 5·10^9/8192 at any n, so it is refused at once
         side = lambda: str(draw(st.integers(0, 4) | st.integers(1104, 10 ** 30)))
-        argv = ["bench", "--u", side(), "--v", side(), "--naive-budget", ints(-1, 100)]
+        argv = ["bench", "--u", side(), "--v", side()]
         if draw(st.booleans()):
-            return argv, text, cap
+            return argv, text
         n = draw(st.integers(-1, 2) | st.integers(85, 10 ** 6))  # from 85 up, refused at once
-        return argv + ["--n", str(n)], None, cap
+        return argv + ["--n", str(n)], None
     if command == "enumerate":
-        return ["enumerate", "--u", ints(0, 5), "--v", ints(0, 5)], None, cap
-    return ["verify", "--max-p", ints(25, 10 ** 30), "--seed", ints(0, 9)], None, cap
+        # from 10^8 letters one word alone is past 5·10^9/64
+        side = lambda: str(draw(st.integers(-1, 5) | st.integers(10 ** 8, 10 ** 30)))
+        return ["enumerate", "--u", side(), "--v", side()], None
+    return ["verify", "--max-p", ints(25, 10 ** 30), "--seed", ints(0, 9)], None
 
 
 @settings(max_examples=500, deadline=None)
 @given(run_=cli_runs())
 def test_no_command_exits_1_or_prints_a_traceback(run_):
-    argv, text, cap = run_
+    argv, text = run_
     out, err = io.StringIO(), io.StringIO()
-    env = {} if cap is None else {"NONCOMM_RECUR_CAP": cap}
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env), \
+    with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         if text is not None:
             path = Path(tmp) / "problem.json"

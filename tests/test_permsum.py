@@ -22,7 +22,6 @@ from noncomm_recur.algebra import (
     word_to_str,
 )
 from noncomm_recur.permsum import (
-    CapExceededError,
     MultCounter,
     binom,
     count_terms,
@@ -91,14 +90,12 @@ def test_enumerate_matches_brute_force_in_lex_order():
             assert list(enumerate_words(u, v)) == brute_force_words(u, v)
 
 
-def test_enumerate_cap():
-    with pytest.raises(CapExceededError) as excinfo:
-        enumerate_words(16, 15)
-    assert excinfo.value.cap == 30
-    assert "30" in str(excinfo.value)
-    with pytest.raises(CapExceededError):
-        enumerate_words(3, 3, cap=5)
-    assert len(list(enumerate_words(3, 3, cap=6))) == 20
+def test_enumerate_words_has_no_cap():
+    # the CLI bounds the work up front; the library lists words of any length
+    words = enumerate_words(16, 15)
+    assert next(words) == (0,) * 16 + (1,) * 15
+    assert list(enumerate_words(31, 0)) == [(0,) * 31]
+    assert len(list(enumerate_words(3, 3))) == 20
 
 
 # ---------------------------------------------------------------------------

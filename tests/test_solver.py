@@ -194,7 +194,11 @@ def test_closed_equals_iterative_scalars(c0, c1, y1, p):
 
 
 # Problems for the estimate's size bounds: small entries, or one entry
-# repeated, whose powers grow fastest for the entry's size.
+# repeated, whose powers grow fastest for the entry's size.  Coprime
+# denominators make the common denominator of Y_k grow fastest.
+sized_fractions = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 5, 7, 17, 31]))
+
+
 @st.composite
 def sized_problems(draw):
     kind = draw(st.sampled_from(["matrix", "scalar", "free"]))
@@ -202,31 +206,39 @@ def sized_problems(draw):
         return (CauchyProblem(FreeElement(draw(free_sums)), FreeElement(draw(free_sums)),
                               FreeVector(draw(free_sums))), draw(st.integers(0, 10)))
     if kind == "scalar":
-        return CauchyProblem(*(draw(small_fractions) for _ in range(3))), draw(st.integers(0, 20))
+        return CauchyProblem(*(draw(sized_fractions) for _ in range(3))), draw(st.integers(0, 30))
     n = draw(st.integers(1, 3))
-    square = st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+    square = st.lists(st.lists(sized_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
     square |= st.integers(-4, 4).map(lambda c: [[c] * n] * n)
-    vector = ColumnVector(draw(st.lists(small_fractions, min_size=n, max_size=n)))
+    vector = ColumnVector(draw(st.lists(sized_fractions, min_size=n, max_size=n)))
     problem = CauchyProblem(Matrix(draw(square)), Matrix(draw(square)), vector)
     return problem, draw(st.integers(0, 20))
 
 
 def stored_bits(value):
-    parts = (*value._nums, value._den) if isinstance(value, ColumnVector) else (
+    parts = (*value._nums, value._den) if hasattr(value, "_nums") else (
         value.numerator, value.denominator)
     return max(x.bit_length() for x in parts)
 
 
-# L1 = J, the all-ones 3x3 matrix, grows by log2(3) bits a step from 1-bit entries
+# L1 = J, the all-ones 3x3 matrix, grows by log2(3) bits a step from 1-bit
+# entries.  With L0 = 1/31 and L1 = 1/17, Y_40 has the 254-bit denominator
+# 17^39·31^19: past 1 + 40·6 = 241, the longest stored part of L0 and L1
+# plus a bit for the sums at each step, but within 1 + 40·bits(17·31) = 401.
 @settings(max_examples=300, deadline=None)
 @given(sized_problems())
 @example((CauchyProblem(Matrix([[0] * 3] * 3), Matrix([[1] * 3] * 3), ColumnVector([0, 0, 1])), 8))
+@example((CauchyProblem(Fraction(1, 31), Fraction(1, 17), Fraction(1)), 40))
 def test_estimate_size_bounds_hold_on_random_problems(drawn):
     problem, p = drawn
     values = [solve_iterative(problem, k) for k in range(p + 1)]
     if not isinstance(problem.L0, FreeElement):
         for k, value in enumerate(values):
             assert stored_bits(value) <= entry_width(problem, k)
+        # bench's ring cells P(u, v) are within the bound at 2(u + v) steps
+        cells = [(u, v) for u in range(4) for v in range(4)]
+        for (u, v), cell in zip(cells, perm_sum_batch(problem.L0, problem.L1, cells)):
+            assert stored_bits(cell) <= entry_width(problem, 2 * (u + v))
         return
     for k, value in enumerate(values):
         last, total, letters = term_bounds(problem, k)
