@@ -277,7 +277,7 @@ def verify_identity_23(n):
 # ---------------------------------------------------------------------------
 
 # A command estimated above this many bit operations is refused up front;
-# at the cap the bundled problems run for 0.5 to 7 s (README, "Work cap").
+# the README's "Work cap" section times the largest admitted runs.
 WORK_CAP = 5 * 10 ** 9
 # An entry product counts at least this many bit operations: a
 # float-2x2.json step of four products took 15 µs, near the 19 µs of a 2x2
@@ -301,12 +301,16 @@ def estimate(method, problem, p):
     counts the width of its entries, at least ENTRY_FLOOR_BITS, or on the
     free backend 64 bits a letter and one for the coefficient of each term
     it makes.  "enumerate" lists C(u+v, u) words at ENTRY_FLOOR_BITS and 64
-    bits a letter each, and needs no problem.  Past WORK_CAP, the part that
-    grows with p and n alone is returned before any size is read.
+    bits a letter each, and its longest word ENTRY_FLOOR_BITS a letter once
+    more; it needs no problem.  Past WORK_CAP, the part that grows with p
+    and n alone is returned before any size is read.
     """
     if method == "enumerate":  # C(u+v, k) >= 2^k, past the cap from k = 64 on
-        k = min(p)
-        return (comb(sum(p), k) if k < 64 else 2 ** 64) * (ENTRY_FLOOR_BITS + 64 * sum(p))
+        k, letters = min(p), sum(p)
+        words = comb(letters, k) if k < 64 else 2 ** 64
+        # A word is built and printed whole, about 70 bytes a letter at once
+        # (10^7 letters held 713 MB), so one word stays near 10^6 letters.
+        return words * (ENTRY_FLOOR_BITS + 64 * letters) + ENTRY_FLOOR_BITS * letters
     unbuilt = isinstance(problem, int)
     n = problem if unbuilt else getattr(problem.L0, "n", 1)
     cells = method in ("bench", "naive")

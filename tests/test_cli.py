@@ -425,18 +425,19 @@ def test_enumerate_cap_exit_3(capsys, monkeypatch):
     import noncomm_recur.cli as cli_module
     code, out, _ = run(capsys, "enumerate", "--u", "31", "--v", "0")
     assert (code, out) == (0, f"{'A' * 31}\ncount=1\n")
-    # C(u+v, u) words at 4096 + 64 bits a letter each: (11, 11) costs
-    # 705432·5504 = 3882697728, and (12, 11) and (11, 12) 1352078·5568 =
-    # 7528370304; one word of 78124936 letters costs 4096 + 64·78124936 =
-    # 5·10^9, and one more letter 64 more
+    # C(u+v, u) words at 4096 + 64 bits a letter each, and 4096 bits a
+    # letter of the longest word: (11, 11) costs 705432·5504 + 4096·22 =
+    # 3882787840, and (12, 11) and (11, 12) 1352078·5568 + 4096·23 =
+    # 7528464512; one word of n letters costs 4096 + 4160·n, 4999999616
+    # at n = 1201922 and 5000003776 at n = 1201923
     monkeypatch.setattr(cli_module, "enumerate_words", lambda u, v: iter([]))
-    for u, v in (("11", "11"), ("78124936", "0")):
+    for u, v in (("11", "11"), ("1201922", "0"), ("0", "1201922")):
         code, out, _ = run(capsys, "enumerate", "--u", u, "--v", v)
         assert (code, out) == (0, "count=0\n")
     monkeypatch.setattr(cli_module, "enumerate_words", None)  # refused before it runs
     huge = str(10 ** 30)
-    for u, v in (("12", "11"), ("11", "12"), ("15", "15"), ("78124937", "0"), (huge, "3"),
-                 (huge, huge)):
+    for u, v in (("12", "11"), ("11", "12"), ("15", "15"), ("1201923", "0"), ("0", "1201923"),
+                 (huge, "3"), (huge, huge)):
         code, out, err = run(capsys, "enumerate", "--u", u, "--v", v)
         assert (code, out) == (3, "")
         assert f"words of ({u},{v})" in err and "above the cap of 5.000e+09" in err
@@ -694,8 +695,8 @@ def cli_runs(draw):
         n = draw(st.integers(-1, 2) | st.integers(85, 10 ** 6))  # from 85 up, refused at once
         return argv + ["--n", str(n)], None
     if command == "enumerate":
-        # from 10^8 letters one word alone is past 5·10^9/64
-        side = lambda: str(draw(st.integers(-1, 5) | st.integers(10 ** 8, 10 ** 30)))
+        # from 1201923 letters one word alone is past the cap, 4096 + 4160·n
+        side = lambda: str(draw(st.integers(-1, 5) | st.integers(1201923, 10 ** 30)))
         return ["enumerate", "--u", side(), "--v", side()], None
     return ["verify", "--max-p", ints(25, 10 ** 30), "--seed", ints(0, 9)], None
 
