@@ -34,7 +34,6 @@ from .permsum import (
 from .problems import (
     ProblemFileError,
     ProblemFile,
-    dump_problem,
     dumps_problem,
     load_problem,
     loads_problem,
@@ -77,7 +76,6 @@ __all__ = [
     "characteristic_roots",
     "compose",
     "count_terms",
-    "dump_problem",
     "dumps_problem",
     "enumerate_words",
     "load_problem",

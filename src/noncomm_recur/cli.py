@@ -5,15 +5,18 @@ Subcommands:
 * ``solve``      -- load a problem file, compute Y_p by the chosen method;
 * ``enumerate``  -- list the words of a permutation sum in lexicographic
                     order;
-* ``verify``     -- run the verification suites and report pass/fail;
+* ``verify``     -- run the seven fixed verification suites and report
+                    pass/fail;
 * ``bench``      -- compare naive and DP evaluation with exact
-                    multiplication counts and wall times.
+                    multiplication counts and wall times, on L0 and L1
+                    from a problem file or two fixed random 2x2 matrices.
 
 Exit codes: 0 success; 1 verification failure; 2 unreadable or malformed
 problem file; 3 method/backend mismatch or estimated work above the cap
 (``solver.estimate``, one estimate per route, enumeration and bench
-cell); 4 solver error, double overflow or out of memory; 141 the reader
-closed stdout.  Commands raise, and ``main`` alone maps each failure to
+cell; ``verify`` runs one fixed configuration and meets no cap); 4
+solver error, double overflow or out of memory; 141 the reader closed
+stdout.  Commands raise, and ``main`` alone maps each failure to
 its code and one stderr line.  Results go to stdout.  ``bench`` skips
 the naive cells that the cap leaves no room for, costliest first.
 """
@@ -55,15 +58,10 @@ class _Exit(Exception):
     """``_Exit(code, message)``: ``main`` prints message to stderr and returns code."""
 
 
-def _nonneg_int(text, least=0):
-    if (value := int(text)) < least:
-        raise argparse.ArgumentTypeError(
-            f"must be {'positive' if least else 'nonnegative'}, got {value}")
+def _nonneg_int(text):
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
-
-
-def _positive_int(text):
-    return _nonneg_int(text, least=1)
 
 
 def _approx(value):
@@ -133,15 +131,8 @@ def cmd_enumerate(args):
 
 
 def cmd_verify(args):
-    # The free suite solves Y_0 .. Y_max-p by both routes; the last two
-    # solves alone refuse a large --max-p before the sum runs over p.
-    problem, top = verify.free_problem(), args.max_p
-    work = sum(estimate(route, problem, top) for route in ROUTES[:2])
-    if work <= WORK_CAP:
-        work = sum(estimate(route, problem, p) for route in ROUTES[:2] for p in range(top + 1))
-    _check_work(f"verify closed and iterative solves up to Y_{top}", work)
     failed = False
-    for result in verify.run_all(max_p=args.max_p, seed=args.seed):
+    for result in verify.run_all():
         if result.passed:
             print(f"{result.name:<20} pass  {result.detail}".rstrip())
         else:
@@ -158,9 +149,8 @@ def _bench_row(strategy, evaluate, L0, L1, u, v):
 
 
 def cmd_bench(args):
-    doc = None if args.input is None else load_problem(args.input)
-    problem = args.n if doc is None else doc.problem
-    # The default matrices are built only once their grid is admitted.
+    problem = (verify.random_matrix_problem(Random(42), 2) if args.input is None
+               else load_problem(args.input).problem)
     spent = estimate("bench", problem, (args.u, args.v))
     _check_work(f"bench the dp tables up to ({args.u},{args.v})", spent)
     # The naive cells run cheapest first while they and the dp tables stay
@@ -172,11 +162,7 @@ def cmd_bench(args):
         if (spent := spent + naive[cell]) > WORK_CAP:
             break
         admitted.add(cell)
-    if doc is None:
-        rng = Random(args.seed)
-        L0, L1 = verify.random_matrix(rng, args.n), verify.random_matrix(rng, args.n)
-    else:
-        L0, L1 = doc.problem.L0, doc.problem.L1
+    L0, L1 = problem.L0, problem.L1
 
     print("# strategy\tu\tv\tmults\tns")
     for u in range(args.u + 1):
@@ -203,7 +189,8 @@ def build_parser():
                     "noncommutative constant coefficients.",
         epilog="exit codes: 0 ok, 1 verification failure, 2 unreadable or "
                "malformed problem file, 3 method/backend mismatch or estimated "
-               "work above the cap (bench skips the naive cells past it), 4 "
+               "work above the cap (verify has none; bench skips the naive "
+               "cells past it), 4 "
                "solver error, double overflow or out of memory, 141 reader "
                "closed stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -224,10 +211,6 @@ def build_parser():
     enum.set_defaults(func=cmd_enumerate)
 
     ver = sub.add_parser("verify", help="run the verification suites")
-    ver.add_argument("--max-p", type=_nonneg_int, default=16,
-                     help="index bound for the equivalence suites (default 16)")
-    ver.add_argument("--seed", type=int, default=42,
-                     help="seed for the randomized suites (default 42)")
     ver.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench",
@@ -235,11 +218,8 @@ def build_parser():
     bench.add_argument("--u", type=_nonneg_int, default=8, help="max u (default 8)")
     bench.add_argument("--v", type=_nonneg_int, default=8, help="max v (default 8)")
     bench.add_argument("--input", default=None,
-                       help="take L0, L1 from this problem file")
-    bench.add_argument("--n", type=_positive_int, default=2,
-                       help="dimension of the default random matrices (default 2)")
-    bench.add_argument("--seed", type=int, default=42,
-                       help="seed for the default random matrices (default 42)")
+                       help="take L0, L1 from this problem file (default: two "
+                            "random 2x2 rational matrices, seed 42)")
     bench.set_defaults(func=cmd_bench)
     return parser
 

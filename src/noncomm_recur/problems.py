@@ -135,10 +135,6 @@ def dumps_problem(doc):
     return json.dumps(data, indent=2) + "\n"
 
 
-def dump_problem(doc, path):
-    Path(path).write_text(dumps_problem(doc), encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # Field parsers
 # ---------------------------------------------------------------------------

@@ -297,13 +297,13 @@ def estimate(method, problem, p):
     ``p = (u, v)``, "bench" fills the dp tables up to (u, v),
     (u+1)(u+2)/2·(v+1)(v+2)/2 cells of 2n³, and "naive" multiplies out the
     C(u+v, u) words of the cell (u, v), max(u+v-1, 0) ring products of n³
-    each; ``problem`` may be the n of matrices not built yet.  Each product
-    counts the width of its entries, at least ENTRY_FLOOR_BITS, or on the
-    free backend 64 bits a letter and one for the coefficient of each term
-    it makes.  "enumerate" lists C(u+v, u) words at ENTRY_FLOOR_BITS and 64
-    bits a letter each, and its longest word ENTRY_FLOOR_BITS a letter once
-    more; it needs no problem.  Past WORK_CAP, the part that grows with p
-    and n alone is returned before any size is read.
+    each.  Each product counts the width of its entries, at least
+    ENTRY_FLOOR_BITS, or on the free backend 64 bits a letter and one for
+    the coefficient of each term it makes.  "enumerate" lists C(u+v, u)
+    words at ENTRY_FLOOR_BITS and 64 bits a letter each, and its longest
+    word ENTRY_FLOOR_BITS a letter once more; it needs no problem.  Past
+    WORK_CAP, the part that grows with p and n alone is returned before
+    any size is read.
     """
     if method == "enumerate":  # C(u+v, k) >= 2^k, past the cap from k = 64 on
         k, letters = min(p), sum(p)
@@ -311,8 +311,7 @@ def estimate(method, problem, p):
         # A word is built and printed whole, about 70 bytes a letter at once
         # (10^7 letters held 713 MB), so one word stays near 10^6 letters.
         return words * (ENTRY_FLOOR_BITS + 64 * letters) + ENTRY_FLOOR_BITS * letters
-    unbuilt = isinstance(problem, int)
-    n = problem if unbuilt else getattr(problem.L0, "n", 1)
+    n = getattr(problem.L0, "n", 1)
     cells = method in ("bench", "naive")
     if method == "bench":
         u, v = p
@@ -324,7 +323,7 @@ def estimate(method, problem, p):
         count, products = {"closed": ((p + 1) ** 2 // 4, 2 * n * n),
                            "scalar-roots": (p.bit_length(), 2)}.get(method, (p, n * n))
     work = count * products * ENTRY_FLOOR_BITS
-    if work > WORK_CAP or unbuilt or not getattr(problem.L0, "exact", True):
+    if work > WORK_CAP or not getattr(problem.L0, "exact", True):
         return work
     if _kind(problem.L0) is FreeElement:
         c0, c1 = (len(x.terms) for x in (problem.L0, problem.L1))

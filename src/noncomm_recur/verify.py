@@ -53,13 +53,12 @@ def random_fraction(rng, max_abs=4, denominators=(1, 1, 1, 2)):
     return Fraction(rng.randint(-max_abs, max_abs), rng.choice(denominators))
 
 
-def random_matrix(rng, n, max_abs=4, denominators=(1, 1, 1, 2)):
-    return Matrix([[random_fraction(rng, max_abs, denominators) for _ in range(n)]
-                   for _ in range(n)])
+def random_matrix(rng, n):
+    return Matrix([[random_fraction(rng) for _ in range(n)] for _ in range(n)])
 
 
-def random_vector(rng, n, max_abs=4, denominators=(1, 1, 1, 2)):
-    return ColumnVector([random_fraction(rng, max_abs, denominators) for _ in range(n)])
+def random_vector(rng, n):
+    return ColumnVector([random_fraction(rng) for _ in range(n)])
 
 
 def random_matrix_problem(rng, n=3):
@@ -284,12 +283,12 @@ def check_mult_counts(u=8, v=8):
         f"dp = {dp_counter.count} mults <= {bound} at ({u},{v})")
 
 
-def run_all(max_p=16, seed=42):
-    """Every suite at CLI-default sizes, in a stable order."""
+def run_all():
+    """Every suite at its default sizes, in a stable order."""
     return [
-        check_free_theorem1(max_p=max_p),
-        check_matrix_oracle(seed=seed, max_p=max_p),
-        check_scalar_coherence(seed=seed),
+        check_free_theorem1(),
+        check_matrix_oracle(),
+        check_scalar_coherence(),
         check_degenerate_roots(),
         check_identities(),
         check_permsum_structure(),

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -465,29 +466,19 @@ def test_enumerate_into_a_closed_pipe_exits_141():
 # verify
 # ---------------------------------------------------------------------------
 
+VERIFY_OUTPUT = """\
+free-theorem1        pass  closed = iterative on the free backend for p <= 16
+matrix-oracle        pass  20 random 3x3 rational problems, p <= 16, seed 42
+scalar-coherence     pass  100 square-discriminant pairs and 20 negative-discriminant pairs, p <= 30, seed 42
+degenerate-delta0    pass  c1 in {+-1, +-2, +-3, 4/3}, p <= 30
+identities           pass  Pascal n <= 40; symmetry p <= 40; sqrt identity z in {0,2,6,12,20}, n <= 20; alternating identity n <= 30
+permsum-structure    pass  all (u,v) with u+v <= 12 on the free backend
+mult-counts          pass  naive = 12870 words (193050 mults), dp = 142 mults <= 162 at (8,8)
+"""
+
+
 def test_verify_small_run_passes(capsys):
-    code, out, _ = run(capsys, "verify", "--max-p", "6", "--seed", "42")
-    assert code == 0
-    lines = [l for l in out.splitlines() if l]
-    assert all(" pass" in l for l in lines)
-    assert any(l.startswith("free-theorem1") for l in lines)
-    assert any(l.startswith("matrix-oracle") for l in lines)
-
-
-def test_verify_max_p_above_the_work_cap_exits_3(capsys, monkeypatch):
-    import noncomm_recur.verify as verify_module
-    # the free suite solves Y_0 .. Y_max-p by both routes; summed, their
-    # estimates are 4175944064 up to 24, where p = 24 alone costs
-    # 1300070400 + 444235776, and 7235099712 up to 25, where p = 25 adds
-    # 2310478848 + 748676800
-    monkeypatch.setattr(verify_module, "run_all", lambda max_p, seed: [])
-    code, out, _ = run(capsys, "verify", "--max-p", "24")
-    assert (code, out) == (0, "")
-    monkeypatch.setattr(verify_module, "run_all", None)  # refused before any suite runs
-    for top in ("25", "1000000000"):
-        code, out, err = run(capsys, "verify", "--max-p", top)
-        assert (code, out) == (3, "")
-        assert f"up to Y_{top}" in err and len(err.splitlines()) == 1
+    assert run(capsys, "verify") == (0, VERIFY_OUTPUT, "")
 
 
 def test_verify_detects_corrupted_solver(capsys, monkeypatch):
@@ -496,7 +487,7 @@ def test_verify_detects_corrupted_solver(capsys, monkeypatch):
     good = verify_module.solve_closed
     monkeypatch.setattr(verify_module, "solve_closed",
                         lambda problem, p: good(problem, p + 1))
-    code, out, _ = run(capsys, "verify", "--max-p", "6", "--seed", "42")
+    code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "FAIL" in out
     assert "counterexample" in out
@@ -533,7 +524,19 @@ def test_bench_counts(capsys):
 
 def test_bench_budget_skips_naive(capsys, monkeypatch):
     import noncomm_recur.cli as cli_module
-    monkeypatch.setattr(cli_module, "perm_sum_naive", lambda *args, **kwargs: None)
+    from noncomm_recur.verify import random_matrix_problem
+    calls = []
+    for name in ("perm_sum_naive", "perm_sum_dp"):
+        monkeypatch.setattr(cli_module, name,
+                            lambda L0, L1, u, v, counter: calls.append((L0, L1, u, v)))
+    # without --input, L0 and L1 are the fixed seed-42 2x2 pair, and the
+    # default 8x8 grid skips the six costliest naive cells
+    code, out, err = run(capsys, "bench")
+    default = random_matrix_problem(Random(42), 2)
+    assert code == 0 and len(calls) == 2 * 81 - 6
+    assert all((L0, L1) == (default.L0, default.L1) for L0, L1, _, _ in calls)
+    assert [line.split(" skipped")[0] for line in err.splitlines()] == [
+        f"naive {cell}" for cell in ("(6,8)", "(7,7)", "(7,8)", "(8,6)", "(8,7)", "(8,8)")]
     fibonacci = str(PROBLEMS_DIR / "fibonacci.json")
     # a naive cell is C(u+v, u)·(u+v-1) products at the 4096-bit floor.  Up
     # to (8, 8) the dp tables take 45·45·8192 = 16588800 and the naive cells
@@ -590,8 +593,8 @@ def test_bench_grid_too_large_exits_3(capsys, monkeypatch):
     # the grid up to (u, v) fills (u+1)(u+2)/2 · (v+1)(v+2)/2 table cells of
     # two products at the 4096-bit floor, 2n^3 of them for n×n matrices:
     # 780·780·8192 = 4984012800 at (38, 38) and 820·780·8192 = 5239603200 at
-    # (39, 38); 276·276·65536 = 4992270336 at (22, 22) with the default n = 2
-    # and 276·300·65536 = 5426380800 at (22, 23)
+    # (39, 38); 276·276·65536 = 4992270336 at (22, 22) with the default 2x2
+    # matrices and 276·300·65536 = 5426380800 at (22, 23)
     for grid in (("--u", "39", "--v", "38", "--input", fibonacci),
                  ("--u", "100000", "--v", "100000", "--input", fibonacci),
                  ("--u", "22", "--v", "23")):
@@ -607,32 +610,6 @@ def test_bench_grid_too_large_exits_3(capsys, monkeypatch):
         rows = parse_rows(out)
         assert code == 0 and ("dp", u, v) in rows and rows[("naive", u, v)] == ("-", "-")
         assert f"naive ({u},{v}) skipped: " in err
-
-
-def test_bench_large_n_is_refused_before_building_matrices(capsys, monkeypatch):
-    import noncomm_recur.cli as cli_module
-    import noncomm_recur.verify as verify_module
-    monkeypatch.setattr(verify_module, "random_matrix", None)  # refused before any matrix is built
-    # an n×n cell costs 2n^3 products at the floor: 3·2·1000^3·4096 at (1, 0),
-    # and 2·85^3·4096 = 5030912000 at (0, 0)
-    for grid in (("--n", "1000", "--u", "1", "--v", "0"), ("--n", "85", "--u", "0", "--v", "0")):
-        code, out, err = run(capsys, "bench", *grid)
-        assert (code, out) == (3, "")
-        assert "above the cap of 5.000e+09" in err and len(err.splitlines()) == 1
-    # 2·84^3·4096 = 4855431168 at (0, 0) stays under the cap
-    monkeypatch.setattr(verify_module, "random_matrix", lambda rng, n: None)
-    for name in ("perm_sum_naive", "perm_sum_dp"):
-        monkeypatch.setattr(cli_module, name, lambda *args, **kwargs: None)
-    code, out, _ = run(capsys, "bench", "--n", "84", "--u", "0", "--v", "0")
-    assert code == 0 and ("dp", 0, 0) in parse_rows(out)
-
-
-@pytest.mark.parametrize("n", ["0", "-1"])
-def test_bench_nonpositive_n_is_a_usage_error(capsys, n):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--n", n, "--u", "1", "--v", "1"])
-    assert excinfo.value.code == 2
-    assert "--n" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +650,7 @@ def problem_texts(draw):
 def cli_runs(draw):
     """(argv, problem file text or None)."""
     text, free = draw(problem_texts())
-    command = draw(st.sampled_from(["solve", "bench", "enumerate", "verify"]))
-    ints = lambda low, high: str(draw(st.integers(low, high)))
+    command = draw(st.sampled_from(["solve", "bench", "enumerate"]))
     if command == "solve":
         method = draw(st.sampled_from(["closed", "iterative", "scalar-roots", "scalar-sum"]))
         # Keep p small, or so large that the part of the estimate that grows
@@ -689,16 +665,10 @@ def cli_runs(draw):
         # from 1104 on one side the grid has 611065 cells or more, past
         # 5·10^9/8192 at any n, so it is refused at once
         side = lambda: str(draw(st.integers(0, 4) | st.integers(1104, 10 ** 30)))
-        argv = ["bench", "--u", side(), "--v", side()]
-        if draw(st.booleans()):
-            return argv, text
-        n = draw(st.integers(-1, 2) | st.integers(85, 10 ** 6))  # from 85 up, refused at once
-        return argv + ["--n", str(n)], None
-    if command == "enumerate":
-        # from 1201923 letters one word alone is past the cap, 4096 + 4160·n
-        side = lambda: str(draw(st.integers(-1, 5) | st.integers(1201923, 10 ** 30)))
-        return ["enumerate", "--u", side(), "--v", side()], None
-    return ["verify", "--max-p", ints(25, 10 ** 30), "--seed", ints(0, 9)], None
+        return ["bench", "--u", side(), "--v", side()], draw(st.sampled_from([text, None]))
+    # from 1201923 letters one word alone is past the cap, 4096 + 4160·n
+    side = lambda: str(draw(st.integers(-1, 5) | st.integers(1201923, 10 ** 30)))
+    return ["enumerate", "--u", side(), "--v", side()], None
 
 
 @settings(max_examples=500, deadline=None)
