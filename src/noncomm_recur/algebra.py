@@ -524,6 +524,43 @@ def table_arithmetic(L0, L1, origin, product):
             lambda a, b: tuple(map(operator.add, a, b)), value)
 
 
+def _numerators(value):
+    """(numerators, denominator) of a dense value or an exact scalar."""
+    if isinstance(value, _Dense):
+        return value._nums, value._den
+    value = Fraction(value)
+    return (value.numerator,), value.denominator
+
+
+def recurrence_arithmetic(L0, L1, y1):
+    """The step arithmetic of Y_{k+2} = L0·Y_k + L1·Y_{k+1} from Y_0 = 0 and
+    Y_1 = ``y1``: ``step(N_k, N_(k+1))`` is N_(k+2), N_0 and N_1 start it,
+    and ``value(k, N_k)`` is the Y_k that N_k stands for, k >= 1.
+
+    The free backend keeps its values, ``apply`` and ``+``.  A dense or
+    scalar N_k is a numerator tuple: with D = lcm(m0, m1) of the
+    denominators of L0 and L1, A_i = D·L_i and y1 = N_1/d, the step
+    N_(k+2) = D·A0·N_k + A1·N_(k+1) takes no lcm or gcd, and ``value``
+    reduces Y_k = N_k/(d·D^(k-1)) once.  Floats have scale 1, so they run
+    the same operations as ``apply`` and ``+``.
+    """
+    if _kind(L0) is FreeElement:
+        return (lambda a, b: apply(L0, a) + apply(L1, b)), vector_zero(y1), y1, lambda k, v: v
+    (nums0, m0), (nums1, m1), (nums, d) = map(_numerators, (L0, L1, y1))
+    D, mul = math.lcm(m0, m1), functools.partial(_mul_nums, len(nums))
+    a0 = tuple(x * (D * D // m0) for x in nums0)
+    a1 = tuple(x * (D // m1) for x in nums1)
+
+    def value(k, cell):
+        den = d * D ** (k - 1)
+        if isinstance(y1, _Dense):
+            return type(y1)._new(cell, den, y1.n, y1.exact)
+        return Fraction(cell[0], den)
+
+    return (lambda a, b: tuple(map(operator.add, mul(a0, a), mul(a1, b))),
+            _numerators(vector_zero(y1))[0], nums, value)
+
+
 def _require_kind(value, kinds, what):
     kind = _kind(value)
     if kind not in kinds:

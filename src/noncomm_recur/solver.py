@@ -3,7 +3,8 @@
 Three routes to the same answer:
 
 * :func:`solve_iterative` -- direct iteration of the recurrence, the
-  ground-truth oracle for everything else;
+  ground-truth oracle for everything else; exact dense and scalar
+  problems step on integer numerators and reduce once;
 * :func:`solve_closed` -- the closed form
 
       Y_p = sum_{t=0}^{tbar(p)} {L0^(t) L1^(p-1-2t)} Y_1,
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, isfinite, isqrt, lcm, log2
 
-from .algebra import (FreeElement, Matrix, _kind, apply, check_apply_compat, check_same_backend,
-                      vector_zero)
+from .algebra import (FreeElement, _kind, _numerators, check_apply_compat, check_same_backend,
+                      recurrence_arithmetic, vector_zero)
 from .permsum import binom, perm_sum_batch
 
 # A complex-double evaluation must come out real to this relative slack
@@ -90,17 +91,17 @@ class CauchyProblem:
 
 
 def solve_iterative(problem, p):
-    """Y_p by direct iteration from Y_0 = 0, Y_1 = y1bar (the oracle)."""
+    """Y_p by direct iteration from Y_0 = 0, Y_1 = y1bar (the oracle), on
+    integer numerators reduced once when the problem is exact dense or
+    scalar (``algebra.recurrence_arithmetic``)."""
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
-    previous = problem.zero_vector()
-    if p == 0:
-        return previous
-    current = problem.y1bar
+    if p < 2:
+        return problem.y1bar if p else problem.zero_vector()
+    step, previous, current, value = recurrence_arithmetic(problem.L0, problem.L1, problem.y1bar)
     for _ in range(p - 1):
-        previous, current = current, (
-            apply(problem.L0, previous) + apply(problem.L1, current))
-    return current
+        previous, current = current, step(previous, current)
+    return value(p, current)
 
 
 def solve_closed(problem, p):
@@ -366,11 +367,7 @@ def entry_width(problem, steps):
     2n·|A1|, 1) with |x| the largest entry, so g = max(bits(D), ⌈log2 c⌉).
     A ring cell P(u, v) is at most (2n·|A0|)^u·(2n·|A1|)^v over D^(u+v),
     and 2n·|A0| <= c², so it is within the bound at steps = 2(u + v)."""
-    dense = _kind(problem.L0) is Matrix
-
-    def parts(value):
-        return (value._nums, value._den) if dense else ((value.numerator,), value.denominator)
-    (nums0, den0), (nums1, den1), (nums, den) = map(parts, (
+    (nums0, den0), (nums1, den1), (nums, den) = map(_numerators, (
         problem.L0, problem.L1, problem.y1bar))
     D, n = lcm(den0, den1), getattr(problem.L0, "n", 1)
     a0, a1 = max(map(abs, nums0)) * (D // den0), max(map(abs, nums1)) * (D // den1)

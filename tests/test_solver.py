@@ -1,6 +1,7 @@
 """Closed form vs iteration oracle, scalar reduction, identity checks."""
 import math
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -33,6 +34,7 @@ from noncomm_recur.solver import (
     verify_identity_23,
 )
 from noncomm_recur.permsum import perm_sum_batch
+from noncomm_recur.problems import load_problem
 from noncomm_recur.verify import (
     free_problem,
     random_matrix_problem,
@@ -41,6 +43,7 @@ from noncomm_recur.verify import (
 )
 
 A, B = FreeElement.generators()
+PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 
 
 def iterate_scalar(c0, c1, y1, p):
@@ -266,6 +269,70 @@ def test_problem_construction_checks_backends():
         CauchyProblem(A, Matrix.identity(2), FreeVector.generator())
     with pytest.raises(BackendMismatchError):
         CauchyProblem(Matrix.identity(2), Matrix.identity(2), ColumnVector([1, 2, 3]))
+
+
+# ---------------------------------------------------------------------------
+# Iteration on integer numerators
+# ---------------------------------------------------------------------------
+
+def iterate_values(problem, p):
+    """The recurrence stepped on values, apply(L0, Y_k) + apply(L1, Y_(k+1))."""
+    previous, current = problem.zero_vector(), problem.y1bar
+    if p == 0:
+        return previous
+    for _ in range(p - 1):
+        previous, current = current, apply(problem.L0, previous) + apply(problem.L1, current)
+    return current
+
+
+@st.composite
+def iteration_problems(draw):
+    kind = draw(st.sampled_from(["exact", "float", "scalar"]))
+    if kind == "scalar":  # int and Fraction scalars, mixed
+        return CauchyProblem(*(draw(st.integers(-8, 8) | sized_fractions) for _ in range(3)))
+    n = draw(st.integers(1, 4))
+    entries = sized_fractions if kind == "exact" else st.floats(-4, 4)
+    square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    square |= st.just([[0.0 if kind == "float" else 0] * n] * n)
+    return CauchyProblem(Matrix(draw(square)), Matrix(draw(square)),
+                         ColumnVector(draw(st.lists(entries, min_size=n, max_size=n))))
+
+
+DIAGONAL_HALF = Matrix([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+DIAGONAL_SEVEN_SIXTHS = Matrix([[Fraction(7, 6), 0], [0, Fraction(7, 6)]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(iteration_problems(), st.integers(0, 30))
+@example(CauchyProblem(Matrix.zeros(2), DIAGONAL_SEVEN_SIXTHS, ColumnVector([1, 1])), 9)
+@example(CauchyProblem(DIAGONAL_HALF, Matrix.zeros(2), ColumnVector([1, 1])), 9)
+@example(CauchyProblem(0, Fraction(7, 6), 1), 9)
+@example(CauchyProblem(Fraction(1, 2), 0, 1), 9)
+@example(CauchyProblem(DIAGONAL_HALF, DIAGONAL_SEVEN_SIXTHS, ColumnVector([1, 3])), 0)
+@example(CauchyProblem(DIAGONAL_HALF, DIAGONAL_SEVEN_SIXTHS, ColumnVector([1, 3])), 1)
+@example(CauchyProblem(DIAGONAL_HALF, DIAGONAL_SEVEN_SIXTHS, ColumnVector([1, 3])), 2)
+@example(CauchyProblem(Fraction(1, 31), Fraction(1, 17), 1), 2)
+@example(CauchyProblem(Fraction(1, 31), Fraction(1, 17), 1), 7)
+@example(CauchyProblem(Matrix([[0.1, 0.7], [-1.3, 0.2]]), Matrix([[0.3, -0.9], [1.1, 0.6]]),
+                       ColumnVector([0.5, -2.5])), 12)
+def test_iteration_matches_a_value_reference(problem, p):
+    got, want = solve_iterative(problem, p), iterate_values(problem, p)
+    assert type(got) is type(want)
+    if isinstance(got, ColumnVector) and not got.exact:  # the same float operations
+        assert [x.hex() for x in got.entries] == [x.hex() for x in want.entries]
+        return
+    assert got == want
+    if isinstance(got, ColumnVector):  # one reduction leaves the stored pair canonical
+        assert math.gcd(got._den, *got._nums) == 1
+
+
+def test_iteration_agrees_with_the_scalar_sum_at_large_p():
+    y_p = solve_scalar_sum(Fraction(1, 2), Fraction(7, 6), 1, 3000)
+    problem = CauchyProblem(DIAGONAL_HALF, DIAGONAL_SEVEN_SIXTHS, ColumnVector([1, 1]))
+    assert solve_iterative(problem, 3000).entries == (y_p, y_p)
+    fibonacci = load_problem(PROBLEMS_DIR / "fibonacci.json").problem
+    assert solve_iterative(fibonacci, 20000) == solve_scalar_sum(
+        fibonacci.L0, fibonacci.L1, fibonacci.y1bar, 20000)
 
 
 # ---------------------------------------------------------------------------
