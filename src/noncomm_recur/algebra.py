@@ -502,34 +502,37 @@ def apply(ring_element, vector):
     return ring_element * vector
 
 
+def _integer_form(L0, L1, start):
+    """The integer form of a dense or scalar problem: the (numerators,
+    denominator) pairs of L0, L1 and ``start`` (floats over 1), the product
+    ``mul(a, b)`` of numerator tuples, and ``value(cell, den)``, cell/den
+    reduced once, of ``start``'s kind: ``Matrix``, ``ColumnVector`` or ``Fraction``."""
+    if isinstance(start, _Dense):
+        def value(cell, den):
+            return type(start)._new(cell, den, start.n, start.exact)
+
+        return (*((x._nums, x._den) for x in (L0, L1, start)),
+                functools.partial(_mul_nums, L0.n), value)
+    return (*(((x.numerator,), x.denominator) for x in map(Fraction, (L0, L1, start))),
+            functools.partial(_mul_nums, 1), lambda cell, den: Fraction(cell[0], den))
+
+
 def table_arithmetic(L0, L1, origin, product):
     """The cell arithmetic of a permutation-sum table grown from ``origin``
     by ``product``: the factors for L0 and L1, the origin cell, the product
     and sum of cells, and ``value(u, v, cell)``, the value cell (u, v) is.
 
-    Backends other than ``Matrix`` keep their values, ``product`` and
-    ``+``.  A ``Matrix`` cell, exact or float, is a numerator tuple: with
-    L0 = M0/m0, L1 = M1/m1 and the origin w/d, W(u, v) = M0·W(u-1, v) +
-    M1·W(u, v-1) takes no lcm or gcd and stands for W(u, v)/(m0^u·m1^v·d).
-    Floats have scale 1, so they run the same operations as ``product``.
+    The free backend keeps its values, ``product`` and ``+``.  A dense or
+    scalar cell is a numerator tuple: with L0 = M0/m0, L1 = M1/m1 and the
+    origin w/d, W(u, v) = M0·W(u-1, v) + M1·W(u, v-1) takes no lcm or gcd
+    and stands for W(u, v)/(m0^u·m1^v·d), reduced once.  Floats have
+    scale 1, so they run the same operations as ``product``.
     """
-    if _kind(L0) is not Matrix:
+    if _kind(L0) is FreeElement:
         return L0, L1, origin, product, operator.add, lambda u, v, cell: cell
-    n, m0, m1, d = L0.n, L0._den, L1._den, origin._den
-
-    def value(u, v, cell):
-        return type(origin)._new(cell, m0 ** u * m1 ** v * d, n, L0.exact)
-
-    return (L0._nums, L1._nums, origin._nums, functools.partial(_mul_nums, n),
-            lambda a, b: tuple(map(operator.add, a, b)), value)
-
-
-def _numerators(value):
-    """(numerators, denominator) of a dense value or an exact scalar."""
-    if isinstance(value, _Dense):
-        return value._nums, value._den
-    value = Fraction(value)
-    return (value.numerator,), value.denominator
+    (f0, m0), (f1, m1), (start, d), mul, value = _integer_form(L0, L1, origin)
+    return (f0, f1, start, mul, lambda a, b: tuple(map(operator.add, a, b)),
+            lambda u, v, cell: value(cell, m0 ** u * m1 ** v * d))
 
 
 def recurrence_arithmetic(L0, L1, y1):
@@ -546,19 +549,12 @@ def recurrence_arithmetic(L0, L1, y1):
     """
     if _kind(L0) is FreeElement:
         return (lambda a, b: apply(L0, a) + apply(L1, b)), vector_zero(y1), y1, lambda k, v: v
-    (nums0, m0), (nums1, m1), (nums, d) = map(_numerators, (L0, L1, y1))
-    D, mul = math.lcm(m0, m1), functools.partial(_mul_nums, len(nums))
+    (nums0, m0), (nums1, m1), (nums, d), mul, value = _integer_form(L0, L1, y1)
+    D = math.lcm(m0, m1)
     a0 = tuple(x * (D * D // m0) for x in nums0)
     a1 = tuple(x * (D // m1) for x in nums1)
-
-    def value(k, cell):
-        den = d * D ** (k - 1)
-        if isinstance(y1, _Dense):
-            return type(y1)._new(cell, den, y1.n, y1.exact)
-        return Fraction(cell[0], den)
-
     return (lambda a, b: tuple(map(operator.add, mul(a0, a), mul(a1, b))),
-            _numerators(vector_zero(y1))[0], nums, value)
+            (0,) * len(nums), nums, lambda k, cell: value(cell, d * D ** (k - 1)))
 
 
 def _require_kind(value, kinds, what):

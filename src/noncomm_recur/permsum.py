@@ -21,8 +21,8 @@ matrix-vector product instead of a matrix product on matrix backends.
 The table is built row by row, keeping one row and the requested
 cells, and lives for a single top-level call; there is no cross-call
 caching.  ``algebra.table_arithmetic`` supplies the cell arithmetic
-by backend kind: on matrix backends the cells are integer numerator
-tuples, and only the requested keys become values.
+by backend kind: on dense and scalar backends the cells are integer
+numerator tuples, and only the requested keys become values.
 
 The evaluators accept a :class:`MultCounter` that records the exact
 number of ring multiplications (or module actions) performed, for
@@ -149,12 +149,14 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
     by the same recursion from Z(0, 0) = y with one module action per
     product, and the result holds P(u, v)·y for each key.
 
-    On ``Matrix`` backends, with L0 = M0/m0 and L1 = M1/m1, a cell is the
-    numerator tuple W(u, v) = M0·W(u-1, v) + M1·W(u, v-1): two products
-    and one entrywise add, with no value object, lcm or gcd.  Each
-    requested key becomes a value once, W(u, v) over m0^u·m1^v times the
-    origin's denominator, reduced by one gcd.  The counts are unchanged,
-    and float results are bit for bit those of ``compose``/``apply``.
+    On dense and scalar backends, with L0 = M0/m0 and L1 = M1/m1, a cell
+    is the numerator tuple W(u, v) = M0·W(u-1, v) + M1·W(u, v-1): two
+    products and one entrywise add, with no value object, lcm or gcd.
+    Each requested key becomes a value once, W(u, v) over m0^u·m1^v times
+    the origin's denominator, reduced by one gcd; a scalar key is a
+    ``Fraction`` even when L0, L1 and the vector are ``int``s.  The counts
+    are unchanged, and float results are bit for bit those of
+    ``compose``/``apply``.
     """
     check_same_backend(L0, L1)
     if vector is None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, isfinite, isqrt, lcm, log2
 
-from .algebra import (FreeElement, _kind, _numerators, check_apply_compat, check_same_backend,
+from .algebra import (FreeElement, _integer_form, _kind, check_apply_compat, check_same_backend,
                       recurrence_arithmetic, vector_zero)
 from .permsum import binom, perm_sum_batch
 
@@ -221,8 +221,8 @@ def solve_scalar_sum(c0, c1, y1bar, p):
 
     With c0 = a/b, c1 = c/d, n = p-1 and T = tbar(p) the sum is
     c^(n-2T) / (b^T d^n) * sum_t C(n-t, t) (a d^2)^t (b c^2)^(T-t).  That
-    integer sum runs by Horner's rule, each binomial updated from the one
-    before, so it costs O(p) big-integer steps.
+    integer sum runs by Horner's rule, each term made from the one before
+    by narrow products and one exact division: O(p) wide-by-narrow steps.
     """
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
@@ -232,11 +232,10 @@ def solve_scalar_sum(c0, c1, y1bar, p):
         return Fraction(0)
     a, b, c, d = c0.numerator, c0.denominator, c1.numerator, c1.denominator
     x, y = a * d * d, b * c * c
-    total = coeff = x_power = 1  # the t = 0 term
-    for t in range(top):
-        coeff = coeff * (n - 2 * t) * (n - 2 * t - 1) // ((t + 1) * (n - t))
-        x_power *= x
-        total = total * y + coeff * x_power
+    total = term = 1  # the t = 0 term C(n, 0)·x^0
+    for t in range(top):  # C(n-t-1, t+1)/C(n-t, t) = (n-2t)(n-2t-1)/((t+1)(n-t)), exactly
+        term = term * (x * (n - 2 * t) * (n - 2 * t - 1)) // ((t + 1) * (n - t))
+        total = total * y + term
     return Fraction(total * c ** (n - 2 * top), b ** top * d ** n) * y1bar
 
 
@@ -302,9 +301,9 @@ def estimate(method, problem, p):
     ENTRY_FLOOR_BITS, or on the free backend 64 bits a letter and one for
     the coefficient of each term it makes.  "enumerate" lists C(u+v, u)
     words at ENTRY_FLOOR_BITS and 64 bits a letter each, and its longest
-    word ENTRY_FLOOR_BITS a letter once more; it needs no problem.  Past
-    WORK_CAP, the part that grows with p and n alone is returned before
-    any size is read.
+    word ENTRY_FLOOR_BITS a letter once more; it needs no problem.  A free
+    cell past WORK_CAP returns the part that grows with (u, v) and n alone
+    before any term is counted; every other size is cheap at any p.
     """
     if method == "enumerate":  # C(u+v, k) >= 2^k, past the cap from k = 64 on
         k, letters = min(p), sum(p)
@@ -324,11 +323,13 @@ def estimate(method, problem, p):
         count, products = {"closed": ((p + 1) ** 2 // 4, 2 * n * n),
                            "scalar-roots": (p.bit_length(), 2)}.get(method, (p, n * n))
     work = count * products * ENTRY_FLOOR_BITS
-    if work > WORK_CAP or not getattr(problem.L0, "exact", True):
+    if not getattr(problem.L0, "exact", True):
         return work
     if _kind(problem.L0) is FreeElement:
         c0, c1 = (len(x.terms) for x in (problem.L0, problem.L1))
         if cells:  # a word's product has at most c0^u·c1^v terms, each count at least 1
+            if work > WORK_CAP:  # where c0^u·c1^v may be too large to compute
+                return work
             c0, c1, words = max(c0, 1), max(c1, 1), comb(u + v, u)
             terms, copies = c0 ** u * c1 ** v, 0
             term_bits = 64 * (term_bounds(problem, u + v + 1)[2] + 1)
@@ -367,8 +368,8 @@ def entry_width(problem, steps):
     2n·|A1|, 1) with |x| the largest entry, so g = max(bits(D), ⌈log2 c⌉).
     A ring cell P(u, v) is at most (2n·|A0|)^u·(2n·|A1|)^v over D^(u+v),
     and 2n·|A0| <= c², so it is within the bound at steps = 2(u + v)."""
-    (nums0, den0), (nums1, den1), (nums, den) = map(_numerators, (
-        problem.L0, problem.L1, problem.y1bar))
+    (nums0, den0), (nums1, den1), (nums, den), *_ = _integer_form(
+        problem.L0, problem.L1, problem.y1bar)
     D, n = lcm(den0, den1), getattr(problem.L0, "n", 1)
     a0, a1 = max(map(abs, nums0)) * (D // den0), max(map(abs, nums1)) * (D // den1)
     # (x - 1).bit_length() is ⌈log2 x⌉ for x >= 1; at x = 0 it is 1 <= bits(D)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from random import Random
 
@@ -238,16 +239,33 @@ def test_solve_closed_table_too_large_exits_3(capsys, monkeypatch):
     ("scalar-split-roots.json", "100000000", "scalar-roots"),
     ("float-2x2.json", "100000000", "iterative"),
     ("rational-2x2.json", "1000000000", "iterative"),
+    # every route of the file is estimated, to name the cheapest under the cap
+    *((name, str(10 ** 30), "closed") for name in sorted(
+        path.name for path in PROBLEMS_DIR.glob("*.json"))),
 ])
 def test_solve_work_above_the_cap_exits_3(capsys, monkeypatch, name, p, method):
     import noncomm_recur.cli as cli_module
-    for solver in ("solve_iterative", "solve_scalar_sum", "solve_scalar_roots"):
+    for solver in ("solve_iterative", "solve_scalar_sum", "solve_scalar_roots", "solve_closed"):
         monkeypatch.setattr(cli_module, solver, None)  # refused before the solver runs
+    start = time.perf_counter()
     code, out, err = run(capsys, "solve", "--input", str(PROBLEMS_DIR / name), "--p", p,
                          "--method", method)
+    assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert f"Y_{p} by {method}" in err and "above the cap of 5.000e+09" in err
     assert len(err.splitlines()) == 1
+
+
+def test_solve_refusal_estimate_grows_with_p(capsys, monkeypatch):
+    import noncomm_recur.cli as cli_module
+    monkeypatch.setattr(cli_module, "solve_iterative", None)  # refused before the solver runs
+    path = str(PROBLEMS_DIR / "rational-3x3.json")
+    # p steps of nine products at the width of Y_p, which grows with p,
+    # plus printing: doubling p more than doubles the estimate
+    for p, work in (("100000", "6.329e+11"), ("200000", "2.532e+12")):
+        code, out, err = run(capsys, "solve", "--input", path, "--p", p, "--method", "iterative")
+        assert (code, out) == (3, "")
+        assert f"an estimated {work} bit operations" in err
 
 
 def test_solve_work_cap_boundaries(capsys, monkeypatch):

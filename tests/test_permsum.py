@@ -156,6 +156,9 @@ def test_dp_small_cases():
     assert perm_sum_dp(A, B, 1, 2) == FreeElement(
         {(0, 1, 1): 1, (1, 1, 0): 1, (1, 0, 1): 1})
     assert perm_sum_dp(A, B, 0, 0) == FreeElement.one()
+    # an int scalar's table gives Fractions, P(1, 0) = L0 included
+    cell = perm_sum_dp(2, 3, 1, 0)
+    assert type(cell) is Fraction and cell == 2
 
 
 def test_dp_boundary_rows_are_single_words():
@@ -270,13 +273,18 @@ def test_vector_table_counts_each_action(monkeypatch):
                 assert counter.count == 2 * u * v + u + v
 
 
+def flat_entries(value):
+    """A dense value's entries as a list, or a scalar as its one entry."""
+    return list(value.entries) if hasattr(value, "entries") else [Fraction(value)]
+
+
 def split_recursion_reference(L0, L1, keys, y=None):
     """Each key's P(u, v), or P(u, v)·y, as a flat list of entries from
     the split recursion on Fractions or floats, adding in the table's
     order: P(u, v) = L0·P(u-1, v) + L1·P(u, v-1), with L·1 = L on rings."""
-    n = L0.n
-    a, b = list(L0.entries), list(L1.entries)
-    origin = list(Matrix.identity(n, L0.exact).entries) if y is None else list(y.entries)
+    n = getattr(L0, "n", 1)
+    a, b = flat_entries(L0), flat_entries(L1)
+    origin = flat_entries(ring_one(L0) if y is None else y)
 
     def times(factor, cell):
         if cell is origin and y is None:
@@ -306,18 +314,24 @@ TABLE_ENTRIES = {
 
 @st.composite
 def numerator_tables(draw):
-    """(L0, L1, keys, vector or None) on exact or float matrices, n <= 4."""
+    """(L0, L1, keys, vector or None) on exact or float matrices, n <= 4,
+    or on scalars, each an ``int`` or a ``Fraction``."""
     n, exact = draw(st.integers(1, 4)), draw(st.booleans())
     entries = TABLE_ENTRIES[exact]
+    scalar = draw(st.booleans())
 
     def coefficient():
+        if scalar:
+            return draw(TABLE_ENTRIES[True] | st.integers(-6, 6))
         shape = draw(st.sampled_from(["dense", "dense", "dense", "zero", "identity"]))
         if shape != "dense":
             return Matrix.zeros(n, exact) if shape == "zero" else Matrix.identity(n, exact)
         return Matrix([[draw(entries) for _ in range(n)] for _ in range(n)])
 
     L0, L1 = coefficient(), coefficient()
-    y = ColumnVector([draw(entries) for _ in range(n)]) if draw(st.booleans()) else None
+    y = None
+    if draw(st.booleans()):
+        y = coefficient() if scalar else ColumnVector([draw(entries) for _ in range(n)])
     # (0, 0), a key on each edge and several keys in one row, in any order
     row, top = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     columns = draw(st.lists(st.integers(0, 4), min_size=2, max_size=3))
@@ -334,6 +348,9 @@ def test_numerator_table_matches_a_fraction_reference(table):
     expected = split_recursion_reference(L0, L1, keys, y)
     assert len(results) == len(keys)
     for result, entries in zip(results, expected):
+        if not isinstance(L0, Matrix):
+            assert type(result) is Fraction and [result] == entries
+            continue
         assert type(result) is (Matrix if y is None else ColumnVector)
         if L0.exact:
             assert list(result.entries) == entries
