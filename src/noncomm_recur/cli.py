@@ -188,9 +188,9 @@ def build_parser():
         description="Exact solver for second-order linear recurrences with "
                     "noncommutative constant coefficients.",
         epilog="exit codes: 0 ok, 1 verification failure, 2 unreadable or "
-               "malformed problem file, 3 method/backend mismatch or estimated "
-               "work above the cap (verify has none; bench skips the naive "
-               "cells past it), 4 "
+               "malformed problem file or bad argument, 3 method/backend "
+               "mismatch or estimated work above the cap (verify has none; "
+               "bench skips the naive cells past it), 4 "
                "solver error, double overflow or out of memory, 141 reader "
                "closed stdout")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -20,8 +20,6 @@ from noncomm_recur.problems import load_problem
 from noncomm_recur.solver import term_bounds
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
-EXACT_BUNDLED = [p for p in sorted(PROBLEMS_DIR.glob("*.json"))
-                 if "float" not in p.name]
 
 
 def run(capsys, *argv):
@@ -69,17 +67,6 @@ def test_solve_scalar_sum_method(capsys):
                        str(PROBLEMS_DIR / "scalar-split-roots.json"), "--p", "3",
                        "--method", "scalar-roots")
     assert (code, out) == (0, "3\n")
-
-
-@pytest.mark.parametrize("path", EXACT_BUNDLED, ids=lambda p: p.name)
-def test_closed_and_iterative_agree_on_bundled_files(capsys, path):
-    for p in range(21):
-        code_c, out_c, _ = run(capsys, "solve", "--input", str(path),
-                               "--p", str(p), "--method", "closed")
-        code_i, out_i, _ = run(capsys, "solve", "--input", str(path),
-                               "--p", str(p), "--method", "iterative")
-        assert code_c == code_i == 0
-        assert out_c == out_i
 
 
 def test_solve_method_backend_mismatch_exits_3(capsys):
@@ -212,14 +199,8 @@ def test_solve_float_overflow_exits_4(tmp_path, capsys, method):
 
 def test_solve_closed_table_too_large_exits_3(capsys, monkeypatch):
     import noncomm_recur.cli as cli_module
-    monkeypatch.setattr(cli_module, "solve_closed", lambda problem, p: 0)
-    fibonacci = str(PROBLEMS_DIR / "fibonacci.json")
-    # (p+1)^2 // 4 cells of two products at the 4096-bit floor, plus printing
-    # 2·(1 + p)^2 // 1000: p = 1561 costs 609961·8192 + 4879 = 4996805391,
-    # p = 1562 costs 610742·8192 + 4885 = 5003203349, past the 5·10^9 cap
-    code, out, _ = run(capsys, "solve", "--input", fibonacci, "--p", "1561")
-    assert (code, out) == (0, "0\n")
     monkeypatch.setattr(cli_module, "solve_closed", None)  # refused before the solver runs
+    fibonacci = str(PROBLEMS_DIR / "fibonacci.json")
     for p in ("1562", "100000000"):
         code, out, err = run(capsys, "solve", "--input", fibonacci, "--p", p)
         assert (code, out) == (3, "")
@@ -268,12 +249,9 @@ def test_solve_refusal_estimate_grows_with_p(capsys, monkeypatch):
         assert f"an estimated {work} bit operations" in err
 
 
-def test_solve_work_cap_boundaries(capsys, monkeypatch):
-    import noncomm_recur.cli as cli_module
-    fibonacci, float_2x2 = (str(PROBLEMS_DIR / name) for name in ("fibonacci.json",
-                                                                  "float-2x2.json"))
-    code, out, _ = run(capsys, "solve", "--input", fibonacci, "--p", "21000",
-                       "--method", "scalar-sum")
+def test_solve_work_cap_boundaries(capsys):
+    code, out, _ = run(capsys, "solve", "--input", str(PROBLEMS_DIR / "fibonacci.json"),
+                       "--p", "21000", "--method", "scalar-sum")
     assert code == 0 and len(out) == 4390
     # scalar-roots takes O(log p) powers of the roots 2 and -1: Y_p has
     # p + 21 bits, so printing it, 2·(p + 21)^2 // 1000, is the cost
@@ -283,88 +261,84 @@ def test_solve_work_cap_boundaries(capsys, monkeypatch):
     assert (code, err) == (0, "")
     low = (pow(2, p, 3 * 10 ** 20) - 1) // 3  # y_p = (2^p - 1)/3 mod 10^20
     assert len(out) == 301031 and out.endswith(f"{low:020d}\n")
-    monkeypatch.setattr(cli_module, "solve_iterative", lambda problem, p: problem.y1bar)
-    # fibonacci: p steps of one product on 1 + p bits (g = 1: D = 1, and
+
+
+# Free problems written for the boundary table, beside the bundled files
+FREE_FILES = {
+    "l0-zero.json": {"L0": {}, "L1": {"B": 1}},  # Y_p is the single word B^(p-1)
+    "long-word.json": {"L0": {}, "L1": {"B" * 1000: 1}},  # Y_p is B^(1000(p-1))
+}
+
+
+@pytest.mark.parametrize("name, method, last", [
+    # (p+1)^2 // 4 cells of two products at the 4096-bit floor, plus printing
+    # 2·(1 + p)^2 // 1000: p = 1561 costs 609961·8192 + 4879 = 4996805391,
+    # p = 1562 costs 610742·8192 + 4885 = 5003203349, past the 5·10^9 cap
+    ("fibonacci.json", "closed", 1561),
+    # p steps of one product on 1 + p bits (g = 1: D = 1, and
     # c = max(√2, 2, 1) = 2), plus printing 2·(1 + p)^2 // 1000:
-    # 70639·70640 + 9980019 = 4999918979 and 70640·70641 + 9980301 =
-    # 5000060541.  float 2x2: p steps of four products at the 4096-bit
-    # floor, 305175·16384 = 4999987200
-    for path, last in ((fibonacci, 70639), (float_2x2, 305175)):
-        code, out, _ = run(capsys, "solve", "--input", path, "--p", str(last),
-                           "--method", "iterative")
-        assert code == 0 and out == f"{load_problem(path).problem.y1bar}\n"
-        code, out, err = run(capsys, "solve", "--input", path, "--p", str(last + 1),
-                             "--method", "iterative")
-        assert (code, out) == (3, "") and "bit operations" in err
-
-
-def test_solve_closed_table_cap_covers_the_free_backend(tmp_path, capsys, monkeypatch):
-    import noncomm_recur.cli as cli_module
-    # with L0 = 0, Y_p is the single word B^(p-1), so a_p stays at 1
-    path = tmp_path / "l0-zero.json"
-    path.write_text(json.dumps({"backend": "free", "L0": {}, "L1": {"B": 1}}))
-    assert term_bounds(load_problem(path).problem, 1999)[0] == 1
+    # 70639·70640 + 9980019 = 4999918979 and 70640·70641 + 9980301 = 5000060541
+    ("fibonacci.json", "iterative", 70639),
+    # p steps of four products at the 4096-bit floor, 305175·16384 = 4999987200
+    ("float-2x2.json", "iterative", 305175),
     # (p+1)^2 // 4 cells at two floors, and p products plus (p+1)//2 + 1
     # copies of one term of p - 1 letters, 64·p bits a term:
     # p = 1526: 582932·8192 + (1526 + 764)·64·1526 = 4999029504
     # p = 1527: 583696·8192 + (1527 + 765)·64·1527 = 5005630208
-    monkeypatch.setattr(cli_module, "solve_closed", lambda problem, p: problem.y1bar)
-    code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "1526")
-    assert (code, out) == (0, "y1\n")
-    monkeypatch.setattr(cli_module, "solve_closed", None)  # refused before the solver runs
-    for p in ("1527", "100000000"):
-        code, out, err = run(capsys, "solve", "--input", str(path), "--p", p)
-        assert (code, out) == (3, "")
-        assert f"Y_{p} by closed" in err and len(err.splitlines()) == 1
-
-
-def test_solve_free_iteration_is_bounded_by_the_table_size(tmp_path, capsys, monkeypatch):
-    import noncomm_recur.cli as cli_module
-    # Y_p is the single word B^(p-1), but iterating copies words of up to
-    # p-1 letters at each of p steps
-    path = tmp_path / "l0-zero.json"
-    path.write_text(json.dumps({"backend": "free", "L0": {}, "L1": {"B": 1}}))
-    code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "1999",
-                       "--method", "iterative")
-    assert (code, out) == (0, f"{'B' * 1998}·y1\n")
+    ("l0-zero.json", "closed", 1526),
     # p steps at the floor, and p products plus one copy of a term of 64·p bits:
     # p = 8806: 8806·4096 + 8807·64·8806 = 4999553664
     # p = 8807: 8807·4096 + 8808·64·8807 = 5000685056
-    monkeypatch.setattr(cli_module, "solve_iterative", lambda problem, p: problem.y1bar)
-    code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "8806",
-                       "--method", "iterative")
-    assert (code, out) == (0, "y1\n")
-    monkeypatch.setattr(cli_module, "solve_iterative", None)  # refused before the solver runs
-    for p in ("8807", "1000000000"):
-        code, out, err = run(capsys, "solve", "--input", str(path), "--p", p,
-                             "--method", "iterative")
-        assert (code, out) == (3, "")
-        assert f"Y_{p} by iterative" in err and len(err.splitlines()) == 1
-
-
-def test_solve_free_table_cells_weigh_the_longest_word(tmp_path, capsys, monkeypatch):
+    ("l0-zero.json", "iterative", 8806),
+    # a term has 1000(p-1) letters and one coefficient, 64·(1000p - 999) bits:
+    # p = 225: 12769·8192 + (225 + 114)·64·224001 = 4964529344
+    # p = 226: 12882·8192 + (226 + 114)·64·225001 = 5001551104
+    ("long-word.json", "closed", 225),
+    # p = 279: 279·4096 + 280·64·278001 = 4982920704
+    # p = 280: 280·4096 + 281·64·279001 = 5018700864
+    ("long-word.json", "iterative", 279),
+    # F_p terms of p - 1 letters and a coefficient, 64·p bits each:
+    # p = 26: 182·8192 + (2·317810 + 14·121393)·64·26 = 3887133952
+    # p = 27: 196·8192 + (2·514228 + 15·196418)·64·27 = 6869932160
+    ("free-generators.json", "closed", 26),
+    # p = 28: 28·4096 + (2·832039 + 317811)·64·28 = 3551659776
+    # p = 29: 29·4096 + (2·1346268 + 514229)·64·29 = 5951874624
+    ("free-generators.json", "iterative", 28),
+])
+def test_solve_admits_the_last_p_under_the_cap(tmp_path, capsys, monkeypatch, name, method, last):
     import noncomm_recur.cli as cli_module
-    # Y_p is the single word B^(1000(p-1)): a term weighs 64 bits a letter
+    path = PROBLEMS_DIR / name
+    if name in FREE_FILES:
+        path = tmp_path / name
+        path.write_text(json.dumps({"backend": "free", **FREE_FILES[name]}))
+    monkeypatch.setattr(cli_module, f"solve_{method}", lambda problem, p: problem.y1bar)
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--p", str(last), "--method", method)
+    assert (code, out) == (0, f"{load_problem(path).problem.y1bar}\n")
+    monkeypatch.setattr(cli_module, f"solve_{method}", None)  # refused before it runs
+    for p in (last + 1, 10 ** 9):
+        code, out, err = run(capsys, "solve", "--input", str(path), "--p", str(p),
+                             "--method", method)
+        assert (code, out) == (3, "")
+        assert f"Y_{p} by {method}: an estimated" in err and len(err.splitlines()) == 1
+
+
+def test_solve_free_iteration_is_bounded_by_the_table_size(tmp_path, capsys):
+    # Y_p is the single word B^(p-1), so a_p stays at 1, but iterating
+    # copies words of up to p-1 letters at each of p steps
+    path = tmp_path / "l0-zero.json"
+    path.write_text(json.dumps({"backend": "free", **FREE_FILES["l0-zero.json"]}))
+    assert term_bounds(load_problem(path).problem, 1999)[0] == 1
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "1999",
+                       "--method", "iterative")
+    assert (code, out) == (0, f"{'B' * 1998}·y1\n")
+
+
+def test_solve_free_table_cells_weigh_the_longest_word(tmp_path, capsys):
     path = tmp_path / "long-word.json"
-    path.write_text(json.dumps({"backend": "free", "L0": {}, "L1": {"B" * 1000: 1}}))
+    path.write_text(json.dumps({"backend": "free", **FREE_FILES["long-word.json"]}))
     code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "20",
                        "--method", "iterative")
     assert (code, out) == (0, f"{'B' * 19000}·y1\n")
-    # a term has 1000(p-1) letters and one coefficient, 64·(1000p - 999) bits:
-    # iterative p = 279: 279·4096 + 280·64·278001 = 4982920704
-    #           p = 280: 280·4096 + 281·64·279001 = 5018700864
-    # closed    p = 225: 12769·8192 + (225 + 114)·64·224001 = 4964529344
-    #           p = 226: 12882·8192 + (226 + 114)·64·225001 = 5001551104
-    for method, last in (("closed", 225), ("iterative", 279)):
-        monkeypatch.setattr(cli_module, f"solve_{method}", lambda problem, p: problem.y1bar)
-        code, out, _ = run(capsys, "solve", "--input", str(path), "--p", str(last),
-                           "--method", method)
-        assert (code, out) == (0, "y1\n")
-        monkeypatch.setattr(cli_module, f"solve_{method}", None)  # refused before it runs
-        code, out, err = run(capsys, "solve", "--input", str(path), "--p", str(last + 1),
-                             "--method", method)
-        assert (code, out) == (3, "")
-        assert f"Y_{last + 1} by {method}" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("p", ["31", "40", "1999", "1000000000"])
@@ -377,29 +351,13 @@ def test_solve_free_too_many_monomials_exits_3(capsys, p, method):
     assert f"Y_{p} by {method}" in err and len(err.splitlines()) == 1
 
 
-def test_free_monomial_bound_is_fibonacci_for_the_generators(capsys, monkeypatch):
-    import noncomm_recur.cli as cli_module
-    generators = str(PROBLEMS_DIR / "free-generators.json")
-    problem = load_problem(generators).problem
+def test_free_monomial_bound_is_fibonacci_for_the_generators():
+    problem = load_problem(PROBLEMS_DIR / "free-generators.json").problem
     fib = [0, 1]
     while len(fib) < 33:
         fib.append(fib[-1] + fib[-2])
     assert [term_bounds(problem, p)[0] for p in range(1, 31)] == fib[1:31]
     assert [term_bounds(problem, p)[1] for p in range(1, 31)] == [f - 1 for f in fib[3:33]]
-    # F_p terms of p - 1 letters and a coefficient, 64·p bits each:
-    # iterative p = 28: 28·4096 + (2·832039 + 317811)·64·28 = 3551659776
-    #           p = 29: 29·4096 + (2·1346268 + 514229)·64·29 = 5951874624
-    # closed    p = 26: 182·8192 + (2·317810 + 14·121393)·64·26 = 3887133952
-    #           p = 27: 196·8192 + (2·514228 + 15·196418)·64·27 = 6869932160
-    for method, last in (("closed", 26), ("iterative", 28)):
-        monkeypatch.setattr(cli_module, f"solve_{method}", lambda problem, p: problem.y1bar)
-        code, out, _ = run(capsys, "solve", "--input", generators, "--p", str(last),
-                           "--method", method)
-        assert (code, out) == (0, "y1\n")
-        monkeypatch.setattr(cli_module, f"solve_{method}", None)  # refused before it runs
-        code, out, err = run(capsys, "solve", "--input", generators, "--p", str(last + 1),
-                             "--method", method)
-        assert (code, out) == (3, "") and len(err.splitlines()) == 1
 
 
 def test_free_bound_allows_a_zero_coefficient(tmp_path, capsys):
