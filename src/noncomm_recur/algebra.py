@@ -88,10 +88,15 @@ def _accumulate(out, pairs):
 
 
 def _canonical_terms(terms):
-    """The one canonical form of a word sum: letters 0/1, no zero coefficients."""
-    bad = [w for w in terms if not all(letter in (0, 1) for letter in w)]
+    """The one canonical form of a word sum: letters 0/1, ``int``
+    coefficients, no zero coefficients."""
+    bad = [(w, c) for w, c in terms.items()
+           if type(c) is not int or not all(letter in (0, 1) for letter in w)]
     if bad:
-        raise ValueError(f"invalid word {bad[0]!r}: letters must be 0 or 1")
+        word, coeff = bad[0]
+        if all(letter in (0, 1) for letter in word):
+            raise TypeError(f"coefficient of word {word!r} must be an int, got {coeff!r}")
+        raise ValueError(f"invalid word {word!r}: letters must be 0 or 1")
     return {tuple(word): coeff for word, coeff in terms.items() if coeff}
 
 
@@ -502,59 +507,37 @@ def apply(ring_element, vector):
     return ring_element * vector
 
 
-def _integer_form(L0, L1, start):
-    """The integer form of a dense or scalar problem: the (numerators,
-    denominator) pairs of L0, L1 and ``start`` (floats over 1), the product
-    ``mul(a, b)`` of numerator tuples, and ``value(cell, den)``, cell/den
-    reduced once, of ``start``'s kind: ``Matrix``, ``ColumnVector`` or ``Fraction``."""
+def _integer_form(L0, L1, start, product):
+    """The one linear step a0·x + a1·y of the closed-form table and of
+    iteration, in integer form: ``(a0, a1, D, cell, d, mul, add, value)``.
+
+    The free backend keeps its values: a0 = L0, a1 = L1, D = d = 1, the
+    start ``cell`` is ``start``, ``mul`` is ``product`` and ``add`` is ``+``.
+    A dense or scalar value is a numerator tuple: with L0 = M0/m0,
+    L1 = M1/m1, D = lcm(m0, m1) and ``start`` = cell/d, a0 = D·L0 and
+    a1 = D·L1, ``mul`` multiplies a factor into a cell and ``add`` adds two
+    cells, with no lcm or gcd.  ``value(cell, den)`` is cell/den reduced
+    once, of ``start``'s kind: ``Matrix``, ``ColumnVector`` or ``Fraction``.
+    Floats have D = d = 1, so they run the same operations as ``product``.
+    """
+    if _kind(L0) is FreeElement:
+        return L0, L1, 1, start, 1, product, operator.add, lambda cell, den: cell
     if isinstance(start, _Dense):
+        (f0, m0), (f1, m1), (cell, d) = ((x._nums, x._den) for x in (L0, L1, start))
+        mul = functools.partial(_mul_nums, L0.n)
+
         def value(cell, den):
             return type(start)._new(cell, den, start.n, start.exact)
+    else:
+        (f0, m0), (f1, m1), (cell, d) = (((x.numerator,), x.denominator)
+                                         for x in map(Fraction, (L0, L1, start)))
+        mul = functools.partial(_mul_nums, 1)
 
-        return (*((x._nums, x._den) for x in (L0, L1, start)),
-                functools.partial(_mul_nums, L0.n), value)
-    return (*(((x.numerator,), x.denominator) for x in map(Fraction, (L0, L1, start))),
-            functools.partial(_mul_nums, 1), lambda cell, den: Fraction(cell[0], den))
-
-
-def table_arithmetic(L0, L1, origin, product):
-    """The cell arithmetic of a permutation-sum table grown from ``origin``
-    by ``product``: the factors for L0 and L1, the origin cell, the product
-    and sum of cells, and ``value(u, v, cell)``, the value cell (u, v) is.
-
-    The free backend keeps its values, ``product`` and ``+``.  A dense or
-    scalar cell is a numerator tuple: with L0 = M0/m0, L1 = M1/m1 and the
-    origin w/d, W(u, v) = M0·W(u-1, v) + M1·W(u, v-1) takes no lcm or gcd
-    and stands for W(u, v)/(m0^u·m1^v·d), reduced once.  Floats have
-    scale 1, so they run the same operations as ``product``.
-    """
-    if _kind(L0) is FreeElement:
-        return L0, L1, origin, product, operator.add, lambda u, v, cell: cell
-    (f0, m0), (f1, m1), (start, d), mul, value = _integer_form(L0, L1, origin)
-    return (f0, f1, start, mul, lambda a, b: tuple(map(operator.add, a, b)),
-            lambda u, v, cell: value(cell, m0 ** u * m1 ** v * d))
-
-
-def recurrence_arithmetic(L0, L1, y1):
-    """The step arithmetic of Y_{k+2} = L0·Y_k + L1·Y_{k+1} from Y_0 = 0 and
-    Y_1 = ``y1``: ``step(N_k, N_(k+1))`` is N_(k+2), N_0 and N_1 start it,
-    and ``value(k, N_k)`` is the Y_k that N_k stands for, k >= 1.
-
-    The free backend keeps its values, ``apply`` and ``+``.  A dense or
-    scalar N_k is a numerator tuple: with D = lcm(m0, m1) of the
-    denominators of L0 and L1, A_i = D·L_i and y1 = N_1/d, the step
-    N_(k+2) = D·A0·N_k + A1·N_(k+1) takes no lcm or gcd, and ``value``
-    reduces Y_k = N_k/(d·D^(k-1)) once.  Floats have scale 1, so they run
-    the same operations as ``apply`` and ``+``.
-    """
-    if _kind(L0) is FreeElement:
-        return (lambda a, b: apply(L0, a) + apply(L1, b)), vector_zero(y1), y1, lambda k, v: v
-    (nums0, m0), (nums1, m1), (nums, d), mul, value = _integer_form(L0, L1, y1)
+        def value(cell, den):
+            return Fraction(cell[0], den)
     D = math.lcm(m0, m1)
-    a0 = tuple(x * (D * D // m0) for x in nums0)
-    a1 = tuple(x * (D // m1) for x in nums1)
-    return (lambda a, b: tuple(map(operator.add, mul(a0, a), mul(a1, b))),
-            (0,) * len(nums), nums, lambda k, cell: value(cell, d * D ** (k - 1)))
+    a0, a1 = (tuple(x * (D // m) for x in f) for f, m in ((f0, m0), (f1, m1)))
+    return a0, a1, D, cell, d, mul, lambda a, b: tuple(map(operator.add, a, b)), value
 
 
 def _require_kind(value, kinds, what):

@@ -12,13 +12,14 @@ Subcommands:
                     from a problem file or two fixed random 2x2 matrices.
 
 Exit codes: 0 success; 1 verification failure; 2 unreadable or malformed
-problem file; 3 method/backend mismatch or estimated work above the cap
-(``solver.estimate``, one estimate per route, enumeration and bench
-cell; ``verify`` runs one fixed configuration and meets no cap); 4
-solver error, double overflow or out of memory; 141 the reader closed
-stdout.  Commands raise, and ``main`` alone maps each failure to
-its code and one stderr line.  Results go to stdout.  ``bench`` skips
-the naive cells that the cap leaves no room for, costliest first.
+problem file, or a bad argument (argparse); 3 method/backend mismatch or
+estimated work above the cap (``solver.estimate``, one estimate per
+route, enumeration and bench cell; ``verify`` runs one fixed
+configuration and meets no cap); 4 solver error, double overflow or out
+of memory; 141 the reader closed stdout.  Commands raise, and ``main``
+alone maps each failure to its code and one stderr line.  Results go to
+stdout.  ``bench`` skips the naive cells that the cap leaves no room
+for, costliest first.
 """
 from __future__ import annotations
 
@@ -94,6 +95,8 @@ def cmd_solve(args):
                                 f"but {args.input} uses {doc.backend}")
     problem, p = doc.problem, args.p
     routes = ROUTES if doc.backend == "scalar" else ROUTES[:2]
+    if doc.backend == "scalar" and problem.L0 == 0:  # the characteristic roots need c0 != 0
+        routes = tuple(route for route in routes if route != "scalar-roots")
     _check_work(f"solve Y_{p} by {args.method}", estimate(args.method, problem, p),
                 [(estimate(route, problem, p), route) for route in routes if route != args.method])
     try:

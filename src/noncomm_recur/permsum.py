@@ -20,9 +20,10 @@ gives Z(u, v) = P(u, v)·y with one module action per step, a
 matrix-vector product instead of a matrix product on matrix backends.
 The table is built row by row, keeping one row and the requested
 cells, and lives for a single top-level call; there is no cross-call
-caching.  ``algebra.table_arithmetic`` supplies the cell arithmetic
-by backend kind: on dense and scalar backends the cells are integer
-numerator tuples, and only the requested keys become values.
+caching.  ``algebra._integer_form`` supplies the cell arithmetic, the
+same linear step that iteration takes: on dense and scalar backends the
+cells are integer numerator tuples over one common denominator, and only
+the requested keys become values.
 
 The evaluators accept a :class:`MultCounter` that records the exact
 number of ring multiplications (or module actions) performed, for
@@ -34,13 +35,13 @@ import math
 from itertools import combinations
 
 from .algebra import (
+    _integer_form,
     apply,
     check_apply_compat,
     check_same_backend,
     compose,
     ring_one,
     ring_zero,
-    table_arithmetic,
     word_to_element,
 )
 
@@ -149,14 +150,14 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
     by the same recursion from Z(0, 0) = y with one module action per
     product, and the result holds P(u, v)·y for each key.
 
-    On dense and scalar backends, with L0 = M0/m0 and L1 = M1/m1, a cell
-    is the numerator tuple W(u, v) = M0·W(u-1, v) + M1·W(u, v-1): two
-    products and one entrywise add, with no value object, lcm or gcd.
-    Each requested key becomes a value once, W(u, v) over m0^u·m1^v times
-    the origin's denominator, reduced by one gcd; a scalar key is a
-    ``Fraction`` even when L0, L1 and the vector are ``int``s.  The counts
-    are unchanged, and float results are bit for bit those of
-    ``compose``/``apply``.
+    On dense and scalar backends, with D the common denominator of L0
+    and L1, a0 = D·L0 and a1 = D·L1, a cell is the numerator tuple
+    W(u, v) = a0·W(u-1, v) + a1·W(u, v-1): two products and one entrywise
+    add, with no value object, lcm or gcd.  Each requested key becomes a
+    value once, W(u, v) over d·D^(u+v) with d the origin's denominator,
+    reduced by one gcd; a scalar key is a ``Fraction`` even when L0, L1
+    and the vector are ``int``s.  The counts are unchanged, and float
+    results are bit for bit those of ``compose``/``apply``.
     """
     check_same_backend(L0, L1)
     if vector is None:
@@ -169,7 +170,7 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
         _check_counts(u, v)
     if not keys:
         return []
-    f0, f1, origin, product, add, value = table_arithmetic(L0, L1, origin, product)
+    a0, a1, D, origin, d, product, add, value = _integer_form(L0, L1, origin, product)
 
     def step(factor, cell):
         # factor·1 is factor: the ring table gets P(1, 0) and P(0, 1) free.
@@ -187,11 +188,11 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
     row = []
     for i in range(max_u + 1):
         above = row
-        row = [origin if i == 0 else step(f0, above[0])]
+        row = [origin if i == 0 else step(a0, above[0])]
         for j in range(1, col_limit[i] + 1):
-            left = step(f1, row[j - 1])
-            row.append(left if i == 0 else add(step(f0, above[j]), left))
+            left = step(a1, row[j - 1])
+            row.append(left if i == 0 else add(step(a0, above[j]), left))
         for u, v in found:
             if u == i:
-                found[(u, v)] = value(u, v, row[v])
+                found[(u, v)] = value(row[v], d * D ** (u + v))
     return [found[key] for key in keys]

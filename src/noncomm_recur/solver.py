@@ -28,10 +28,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, isfinite, isqrt, lcm, log2
+from math import ceil, comb, isfinite, isqrt, log2
 
-from .algebra import (FreeElement, _integer_form, _kind, check_apply_compat, check_same_backend,
-                      recurrence_arithmetic, vector_zero)
+from .algebra import (FreeElement, _integer_form, _kind, apply, check_apply_compat,
+                      check_same_backend, vector_zero)
 from .permsum import binom, perm_sum_batch
 
 # A complex-double evaluation must come out real to this relative slack
@@ -91,17 +91,24 @@ class CauchyProblem:
 
 
 def solve_iterative(problem, p):
-    """Y_p by direct iteration from Y_0 = 0, Y_1 = y1bar (the oracle), on
-    integer numerators reduced once when the problem is exact dense or
-    scalar (``algebra.recurrence_arithmetic``)."""
+    """Y_p by direct iteration from Y_0 = 0, Y_1 = y1bar (the oracle).
+
+    It takes the closed-form table's step (``algebra._integer_form``) in
+    the other order: N_(k+2) = D·a0·N_k + a1·N_(k+1) from N_1 = Y1's cell
+    and N_2 = a1·N_1, and Y_p = N_p/(d·D^(p-1)), reduced once.  On the free
+    backend D = d = 1 and the step is Y_(k+2) = L0·Y_k + L1·Y_(k+1)."""
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
     if p < 2:
         return problem.y1bar if p else problem.zero_vector()
-    step, previous, current, value = recurrence_arithmetic(problem.L0, problem.L1, problem.y1bar)
-    for _ in range(p - 1):
-        previous, current = current, step(previous, current)
-    return value(p, current)
+    a0, a1, D, previous, d, mul, add, value = _integer_form(
+        problem.L0, problem.L1, problem.y1bar, apply)
+    if D != 1:  # D = 1 on the free backend, whose a0 is L0 itself
+        a0 = tuple(D * x for x in a0)
+    current = mul(a1, previous)
+    for _ in range(p - 2):
+        previous, current = current, add(mul(a0, previous), mul(a1, current))
+    return value(current, d * D ** (p - 1))
 
 
 def solve_closed(problem, p):
@@ -362,20 +369,18 @@ def entry_width(problem, steps):
     """bits(Y1) + steps·g on an exact dense or scalar problem: it bounds the
     stored numerators and denominators of Y_k, k <= steps.
 
-    With D = lcm of the denominators of L0 and L1, A_i = D·L_i integer, and
-    Y1 = N_1/d, Y_k = N_k/(d·D^(k-1)) where N_k = D·A0·N_(k-2) + A1·N_(k-1).
-    Its largest entry grows at most c-fold a step, c = max(√(2n·D·|A0|),
-    2n·|A1|, 1) with |x| the largest entry, so g = max(bits(D), ⌈log2 c⌉).
-    A ring cell P(u, v) is at most (2n·|A0|)^u·(2n·|A1|)^v over D^(u+v),
-    and 2n·|A0| <= c², so it is within the bound at steps = 2(u + v)."""
-    (nums0, den0), (nums1, den1), (nums, den), *_ = _integer_form(
-        problem.L0, problem.L1, problem.y1bar)
-    D, n = lcm(den0, den1), getattr(problem.L0, "n", 1)
-    a0, a1 = max(map(abs, nums0)) * (D // den0), max(map(abs, nums1)) * (D // den1)
+    In the integer form (``algebra._integer_form``), a_i = D·L_i and
+    Y1 = N_1/d, Y_k = N_k/(d·D^(k-1)) where N_k = D·a0·N_(k-2) + a1·N_(k-1).
+    Its largest entry grows at most c-fold a step, c = max(√(2n·D·|a0|),
+    2n·|a1|, 1) with |x| the largest entry, so g = max(bits(D), ⌈log2 c⌉).
+    A ring cell P(u, v) is at most (2n·|a0|)^u·(2n·|a1|)^v over D^(u+v),
+    and 2n·|a0| <= c², so it is within the bound at steps = 2(u + v)."""
+    a0, a1, D, cell, d, *_ = _integer_form(problem.L0, problem.L1, problem.y1bar, apply)
+    n, a0, a1 = getattr(problem.L0, "n", 1), max(map(abs, a0)), max(map(abs, a1))
     # (x - 1).bit_length() is ⌈log2 x⌉ for x >= 1; at x = 0 it is 1 <= bits(D)
     growth = max(D.bit_length(), ((2 * n * D * a0 - 1).bit_length() + 1) // 2,
                  (2 * n * a1 - 1).bit_length())
-    return max(x.bit_length() for x in (*nums, den)) + steps * growth
+    return max(x.bit_length() for x in (*cell, d)) + steps * growth
 
 
 def term_bounds(problem, p):

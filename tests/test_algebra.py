@@ -220,6 +220,17 @@ def test_free_zero_coefficients_dropped():
     assert (A + B - B).monomial_count() == 1
 
 
+@pytest.mark.parametrize("coeff", [0.5, "x", True])
+def test_free_coefficients_must_be_ints(coeff):
+    with pytest.raises(TypeError, match=r"^coefficient of word \(0,\) must be an int, got "):
+        FreeElement({(0,): coeff})
+    with pytest.raises(TypeError):
+        FreeVector({(): 1, (1,): coeff})
+    # a bad letter is named as before, whatever its coefficient
+    with pytest.raises(ValueError, match=r"^invalid word \(0, 2\): letters must be 0 or 1$"):
+        FreeElement({(0, 2): coeff})
+
+
 @given(free_elements)
 def test_free_coeff_map_round_trip(element):
     assert FreeElement.from_coeff_map(element.to_coeff_map()) == element

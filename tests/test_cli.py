@@ -150,6 +150,22 @@ def test_solve_solver_error_exits_4(tmp_path, capsys):
     assert "c0" in err
 
 
+def test_refusal_at_c0_zero_names_no_roots_route(tmp_path, capsys):
+    # scalar-roots is the cheapest estimate here but exits 4 at c0 = 0, so
+    # a refusal names the cheapest other route under the cap, if any
+    path = tmp_path / "c0-zero.json"
+    path.write_text(json.dumps({"backend": "scalar", "L0": "0", "L1": "2", "Y1": "1"}))
+    for p, method, advice in (("100000", "iterative", None), ("3000", "closed", "iterative")):
+        code, out, err = run(capsys, "solve", "--input", str(path), "--p", p, "--method", method)
+        assert (code, out) == (3, "")
+        assert "scalar-roots" not in err and ("--method" in err) == (advice is not None)
+        if advice is not None:
+            assert f"--method {advice} is estimated" in err
+            code, out, _ = run(capsys, "solve", "--input", str(path), "--p", p,
+                               "--method", advice)
+            assert (code, out) == (0, f"{2 ** (int(p) - 1)}\n")
+
+
 @pytest.mark.parametrize("y1, p", [(10 ** 300, 1440), (1, 2000)])
 def test_solve_scalar_roots_beyond_double_range_exits_4(tmp_path, capsys, y1, p):
     # golden-ratio roots: the first overflows to inf, the second raises in
