@@ -53,13 +53,8 @@ class BackendMismatchError(TypeError):
     """Raised when two values do not live in the same backend.
 
     Covers mixed backend kinds, mixed matrix dimensions and mixed
-    exact/float entry fields.
+    exact/float entry fields.  It carries only its message.
     """
-
-    def __init__(self, message, left=None, right=None):
-        super().__init__(message)
-        self.left = left
-        self.right = right
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +90,8 @@ def _canonical_terms(terms):
     if bad:
         word, coeff = bad[0]
         if all(letter in (0, 1) for letter in word):
-            raise TypeError(f"coefficient of word {word!r} must be an int, got {coeff!r}")
+            raise TypeError(
+                f"coefficient of word {word_to_str(word)!r} must be an int, got {coeff!r}")
         raise ValueError(f"invalid word {word!r}: letters must be 0 or 1")
     return {tuple(word): coeff for word, coeff in terms.items() if coeff}
 
@@ -248,7 +244,7 @@ def _check_space(a, b):
     """The n/field rule shared by Matrix and ColumnVector operands."""
     if a.n != b.n or a.exact != b.exact:
         raise BackendMismatchError(
-            f"dimension or field mismatch: n={a.n} vs {b.n}, exact={a.exact} vs {b.exact}", a, b)
+            f"dimension or field mismatch: n={a.n} vs {b.n}, exact={a.exact} vs {b.exact}")
 
 
 class _Dense:
@@ -344,7 +340,7 @@ class _Dense:
                    for a, b in zip(self.entries, other.entries))
 
     def __str__(self):
-        return "[" + ", ".join(format_entry(v) for v in self.entries) + "]"
+        return "[" + ", ".join(map(str, self.entries)) + "]"
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
@@ -398,7 +394,7 @@ class Matrix(_Dense):
                                 self._den * other._den, self.n, self.exact)
 
     def __str__(self):
-        return "[" + ", ".join("[" + ", ".join(format_entry(v) for v in row) + "]"
+        return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]"
                                for row in self.rows) + "]"
 
 
@@ -428,13 +424,6 @@ def _mul_nums(n, a, b):
                   for i in range(0, n * n, n) for col in cols])
 
 
-def format_entry(value):
-    """Render one matrix/vector entry ('p/q' for rationals, repr for floats)."""
-    if isinstance(value, Fraction):
-        return str(value)
-    return repr(value)
-
-
 # ---------------------------------------------------------------------------
 # Generic backend dispatch
 # ---------------------------------------------------------------------------
@@ -443,9 +432,9 @@ def word_to_element(word, L0, L1, counter=None):
     """Evaluate a word as the left-to-right product of its factors.
 
     The empty word maps to the identity; a word of length k costs
-    max(k-1, 0) ring multiplications.  ``counter`` is any object with a
-    ``tick()`` method (see ``permsum.MultCounter``) and receives one
-    tick per multiplication performed.
+    max(k-1, 0) ring multiplications.  ``counter`` is any object whose
+    ``tick()`` adds one (see ``permsum.MultCounter``); it is ticked once
+    per multiplication performed.
     """
     check_same_backend(L0, L1)
     factors = (L0, L1)
@@ -475,7 +464,7 @@ def check_same_backend(a, b):
     kind = _kind(a)
     if kind not in _MODULE_OF or _kind(b) is not kind:
         raise BackendMismatchError(
-            f"elements from different backends: {type(a).__name__} vs {type(b).__name__}", a, b)
+            f"elements from different backends: {type(a).__name__} vs {type(b).__name__}")
     if kind is Matrix:
         _check_space(a, b)
     return kind
@@ -486,8 +475,7 @@ def check_apply_compat(ring_element, vector):
     kind = _kind(ring_element)
     if _MODULE_OF.get(kind) is not _kind(vector):
         raise BackendMismatchError(
-            f"cannot apply {type(ring_element).__name__} to {type(vector).__name__}",
-            ring_element, vector)
+            f"cannot apply {type(ring_element).__name__} to {type(vector).__name__}")
     if kind is Matrix:
         _check_space(ring_element, vector)
     return kind
@@ -543,7 +531,7 @@ def _integer_form(L0, L1, start, product):
 def _require_kind(value, kinds, what):
     kind = _kind(value)
     if kind not in kinds:
-        raise BackendMismatchError(f"not a {what}: {value!r}", value)
+        raise BackendMismatchError(f"not a {what}: {value!r}")
     return kind
 
 

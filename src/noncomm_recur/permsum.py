@@ -25,9 +25,9 @@ same linear step that iteration takes: on dense and scalar backends the
 cells are integer numerator tuples over one common denominator, and only
 the requested keys become values.
 
-The evaluators accept a :class:`MultCounter` that records the exact
-number of ring multiplications (or module actions) performed, for
-benchmarking.
+The evaluators accept a counter, a :class:`MultCounter` or any object
+whose ``tick()`` adds one, that records the exact number of ring
+multiplications (or module actions) performed, for benchmarking.
 """
 from __future__ import annotations
 
@@ -46,21 +46,16 @@ from .algebra import (
 )
 
 class MultCounter:
-    """Monotone counter of ring multiplications during one evaluation."""
+    """Counter of ring multiplications (or module actions): each
+    ``tick()`` adds one to ``count``."""
 
     __slots__ = ("count",)
 
     def __init__(self):
         self.count = 0
 
-    def tick(self, n=1):
-        self.count += n
-
-    def reset(self):
-        self.count = 0
-
-    def __repr__(self):
-        return f"MultCounter(count={self.count})"
+    def tick(self):
+        self.count += 1
 
 
 def binom(n, k):

@@ -215,14 +215,9 @@ def _parse_free_map(value, field, source, factory):
     if not isinstance(value, dict):
         raise ProblemFileError("expected an object mapping words to integers",
                                source=source, field=field)
-    for text, coeff in value.items():
-        if isinstance(coeff, bool) or not isinstance(coeff, int):
-            raise ProblemFileError(
-                f"coefficient of {text!r} must be an integer, got {coeff!r}",
-                source=source, field=field)
     try:
         return factory.from_coeff_map(value)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ProblemFileError(str(exc), source=source, field=field) from None
 
 

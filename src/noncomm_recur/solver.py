@@ -48,7 +48,6 @@ class NotARationalSquareError(ValueError):
 
     def __init__(self, value):
         super().__init__(f"{value} is not the square of a rational")
-        self.value = value
 
 
 class NonRealResultError(ArithmeticError):
@@ -117,13 +116,10 @@ def solve_closed(problem, p):
     The summands {L0^(t) L1^(p-1-2t)}·Y_1 for all t come from one
     permutation-sum table run on vectors from Z(0, 0) = Y_1, so a single
     solve costs O(p^2) module actions (matrix-vector products on matrix
-    backends) and holds one rolling row of the table.  p = 0 yields the
-    empty sum, i.e. the zero vector.
+    backends) and holds one rolling row of the table.  p = 0 has no keys,
+    so the sum is empty: the zero vector.
     """
-    limit = t_bar(p)
-    if limit < 0:
-        return problem.zero_vector()
-    keys = [(t, p - 1 - 2 * t) for t in range(limit + 1)]
+    keys = [(t, p - 1 - 2 * t) for t in range(t_bar(p) + 1)]
     return sum(perm_sum_batch(problem.L0, problem.L1, keys, vector=problem.y1bar),
                problem.zero_vector())
 
@@ -150,15 +146,13 @@ def rational_sqrt(value):
 
 @dataclass(frozen=True)
 class ScalarRoots:
-    """Roots of m^2 - c1 m - c0 = 0 with discriminant delta = c1^2 + 4 c0.
+    """Roots of m^2 - c1 m - c0 = 0: the discriminant ``delta`` =
+    c1^2 + 4 c0, the roots ``m1`` (the + branch) and ``m2``, and ``exact``.
 
-    ``m1`` carries the + branch.  When delta is the square of a rational
-    both roots are exact ``Fraction``s and ``exact`` is True; otherwise
-    they are complex doubles.
+    When delta is the square of a rational both roots are exact
+    ``Fraction``s and ``exact`` is True; otherwise they are complex doubles.
     """
 
-    c0: Fraction
-    c1: Fraction
     delta: Fraction
     m1: object
     m2: object
@@ -178,10 +172,9 @@ def characteristic_roots(c0, c1):
     delta = c1 * c1 + 4 * c0
     root = rational_sqrt(delta)
     if root is not None:
-        return ScalarRoots(c0, c1, delta, (c1 + root) / 2, (c1 - root) / 2, exact=True)
+        return ScalarRoots(delta, (c1 + root) / 2, (c1 - root) / 2, exact=True)
     s = cmath.sqrt(complex(delta))
-    return ScalarRoots(c0, c1, delta,
-                       (complex(c1) + s) / 2, (complex(c1) - s) / 2, exact=False)
+    return ScalarRoots(delta, (complex(c1) + s) / 2, (complex(c1) - s) / 2, exact=False)
 
 
 def _as_real(value, p):

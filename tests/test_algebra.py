@@ -222,7 +222,7 @@ def test_free_zero_coefficients_dropped():
 
 @pytest.mark.parametrize("coeff", [0.5, "x", True])
 def test_free_coefficients_must_be_ints(coeff):
-    with pytest.raises(TypeError, match=r"^coefficient of word \(0,\) must be an int, got "):
+    with pytest.raises(TypeError, match=r"^coefficient of word 'A' must be an int, got "):
         FreeElement({(0,): coeff})
     with pytest.raises(TypeError):
         FreeVector({(): 1, (1,): coeff})
@@ -280,6 +280,14 @@ def test_free_text_forms():
     assert str(FreeVector.generator()) == "y1"
     assert str(FreeVector({(1,): 1})) == "B·y1"
     assert str(FreeVector({(0,): 1, (1, 1): 1})) == "A·y1 + BB·y1"
+
+
+def test_dense_text_forms():
+    # Rationals print as p/q and floats as their repr, special values included.
+    assert str(Matrix([[Fraction(1, 2), -3], [0, Fraction(7, 3)]])) == "[[1/2, -3], [0, 7/3]]"
+    vector = ColumnVector([0.5, -0.0, 1e200, math.inf, math.nan])
+    assert str(vector) == "[0.5, -0.0, 1e+200, inf, nan]"
+    assert repr(ColumnVector([Fraction(1, 2)])) == "ColumnVector([1/2])"
 
 
 # ---------------------------------------------------------------------------

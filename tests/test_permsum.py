@@ -350,14 +350,6 @@ def test_vector_table_rejects_a_foreign_vector():
         perm_sum_batch(A, B, [(1, 1)], vector=random_vector(rng, 3))
 
 
-def test_mult_counter_resets():
-    counter = MultCounter()
-    counter.tick(5)
-    assert counter.count == 5
-    counter.reset()
-    assert counter.count == 0
-
-
 # ---------------------------------------------------------------------------
 # Pascal step
 # ---------------------------------------------------------------------------

@@ -138,8 +138,10 @@ def test_bad_free_word_rejected():
     with pytest.raises(ProblemFileError) as excinfo:
         loads_problem('{"backend": "free", "L0": {"AXB": 1}}')
     assert excinfo.value.field == "L0"
-    with pytest.raises(ProblemFileError):
-        loads_problem('{"backend": "free", "L0": {"A": true}}')
+    for coeff in ("true", "0.5", '"1"', "null", "[]"):
+        with pytest.raises(ProblemFileError, match="'AB'") as excinfo:
+            loads_problem('{"backend": "free", "L0": {"AB": %s}}' % coeff)
+        assert excinfo.value.field == "L0"
 
 
 def test_string_entries_rejected_in_float_backend():
