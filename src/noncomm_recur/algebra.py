@@ -424,6 +424,19 @@ def _mul_nums(n, a, b):
                   for i in range(0, n * n, n) for col in cols])
 
 
+def _linear_nums(n, f0, f1):
+    """The step (x, y) -> f0·x + f1·y, summing as ``_mul_nums`` and ``+`` would."""
+    rows, mul = [(f0[i:i + n], f1[i:i + n]) for i in range(0, n * n, n)], operator.mul
+
+    def step(x, y):
+        if len(x) == n:
+            return tuple([sum(map(mul, r0, x)) + sum(map(mul, r1, y)) for r0, r1 in rows])
+        cols = [(x[j::n], y[j::n]) for j in range(n)]
+        return tuple([sum(map(mul, r0, c0)) + sum(map(mul, r1, c1))
+                      for r0, r1 in rows for c0, c1 in cols])
+    return step
+
+
 # ---------------------------------------------------------------------------
 # Generic backend dispatch
 # ---------------------------------------------------------------------------
@@ -497,35 +510,35 @@ def apply(ring_element, vector):
 
 def _integer_form(L0, L1, start, product):
     """The one linear step a0·x + a1·y of the closed-form table and of
-    iteration, in integer form: ``(a0, a1, D, cell, d, mul, add, value)``.
+    iteration, in integer form: ``(a0, a1, D, cell, d, mul, linear, value)``.
 
-    The free backend keeps its values: a0 = L0, a1 = L1, D = d = 1, the
-    start ``cell`` is ``start``, ``mul`` is ``product`` and ``add`` is ``+``.
-    A dense or scalar value is a numerator tuple: with L0 = M0/m0,
-    L1 = M1/m1, D = lcm(m0, m1) and ``start`` = cell/d, a0 = D·L0 and
-    a1 = D·L1, ``mul`` multiplies a factor into a cell and ``add`` adds two
-    cells, with no lcm or gcd.  ``value(cell, den)`` is cell/den reduced
+    ``linear(f0, f1)`` is the fused step (x, y) -> f0·x + f1·y.  The free
+    backend keeps its values: a0 = L0, a1 = L1, D = d = 1, the start
+    ``cell`` is ``start`` and ``mul`` is ``product``.  A dense or scalar
+    value is a numerator tuple: with L0 = M0/m0, L1 = M1/m1, D = lcm(m0, m1)
+    and ``start`` = cell/d, a0 = D·L0 and a1 = D·L1, and ``mul`` and
+    ``linear`` use no lcm or gcd.  ``value(cell, den)`` is cell/den reduced
     once, of ``start``'s kind: ``Matrix``, ``ColumnVector`` or ``Fraction``.
-    Floats have D = d = 1, so they run the same operations as ``product``.
-    """
+    Floats have D = d = 1 and add in the order of ``product`` and ``+``."""
     if _kind(L0) is FreeElement:
-        return L0, L1, 1, start, 1, product, operator.add, lambda cell, den: cell
+        return (L0, L1, 1, start, 1, product,
+                lambda f0, f1: lambda x, y: product(f0, x) + product(f1, y),
+                lambda cell, den: cell)
     if isinstance(start, _Dense):
-        (f0, m0), (f1, m1), (cell, d) = ((x._nums, x._den) for x in (L0, L1, start))
-        mul = functools.partial(_mul_nums, L0.n)
+        n, pairs = L0.n, ((x._nums, x._den) for x in (L0, L1, start))
 
         def value(cell, den):
             return type(start)._new(cell, den, start.n, start.exact)
     else:
-        (f0, m0), (f1, m1), (cell, d) = (((x.numerator,), x.denominator)
-                                         for x in map(Fraction, (L0, L1, start)))
-        mul = functools.partial(_mul_nums, 1)
+        n, pairs = 1, (((x.numerator,), x.denominator) for x in map(Fraction, (L0, L1, start)))
 
         def value(cell, den):
             return Fraction(cell[0], den)
+    (f0, m0), (f1, m1), (cell, d) = pairs
     D = math.lcm(m0, m1)
     a0, a1 = (tuple(x * (D // m) for x in f) for f, m in ((f0, m0), (f1, m1)))
-    return a0, a1, D, cell, d, mul, lambda a, b: tuple(map(operator.add, a, b)), value
+    mul, linear = (functools.partial(f, n) for f in (_mul_nums, _linear_nums))
+    return a0, a1, D, cell, d, mul, linear, value
 
 
 def _require_kind(value, kinds, what):

@@ -20,10 +20,10 @@ gives Z(u, v) = P(u, v)·y with one module action per step, a
 matrix-vector product instead of a matrix product on matrix backends.
 The table is built row by row, keeping one row and the requested
 cells, and lives for a single top-level call; there is no cross-call
-caching.  ``algebra._integer_form`` supplies the cell arithmetic, the
-same linear step that iteration takes: on dense and scalar backends the
-cells are integer numerator tuples over one common denominator, and only
-the requested keys become values.
+caching.  ``algebra._integer_form`` supplies the cell arithmetic: an
+interior cell is one call of the fused step a0·x + a1·y that iteration
+takes.  On dense and scalar backends the cells are integer numerator
+tuples over one common denominator; only the requested keys are values.
 
 The evaluators accept a counter, a :class:`MultCounter` or any object
 whose ``tick()`` adds one, that records the exact number of ring
@@ -147,12 +147,12 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
 
     On dense and scalar backends, with D the common denominator of L0
     and L1, a0 = D·L0 and a1 = D·L1, a cell is the numerator tuple
-    W(u, v) = a0·W(u-1, v) + a1·W(u, v-1): two products and one entrywise
-    add, with no value object, lcm or gcd.  Each requested key becomes a
-    value once, W(u, v) over d·D^(u+v) with d the origin's denominator,
-    reduced by one gcd; a scalar key is a ``Fraction`` even when L0, L1
-    and the vector are ``int``s.  The counts are unchanged, and float
-    results are bit for bit those of ``compose``/``apply``.
+    W(u, v) = a0·W(u-1, v) + a1·W(u, v-1), one call of the fused step
+    ``linear(a0, a1)`` counted as its two products, with no value object,
+    lcm or gcd.  Each requested key becomes a value once, W(u, v) over
+    d·D^(u+v) with d the origin's denominator, reduced by one gcd; a
+    scalar key is a ``Fraction`` even when L0, L1 and the vector are
+    ``int``s.  Float results are bit for bit those of ``compose``/``apply``.
     """
     check_same_backend(L0, L1)
     if vector is None:
@@ -165,7 +165,8 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
         _check_counts(u, v)
     if not keys:
         return []
-    a0, a1, D, origin, d, product, add, value = _integer_form(L0, L1, origin, product)
+    a0, a1, D, origin, d, product, linear, value = _integer_form(L0, L1, origin, product)
+    interior = linear(a0, a1)
 
     def step(factor, cell):
         # factor·1 is factor: the ring table gets P(1, 0) and P(0, 1) free.
@@ -185,8 +186,10 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
         above = row
         row = [origin if i == 0 else step(a0, above[0])]
         for j in range(1, col_limit[i] + 1):
-            left = step(a1, row[j - 1])
-            row.append(left if i == 0 else add(step(a0, above[j]), left))
+            if i and counter is not None:  # the fused step's two products
+                counter.tick()
+                counter.tick()
+            row.append(interior(above[j], row[j - 1]) if i else step(a1, row[j - 1]))
         for u, v in found:
             if u == i:
                 found[(u, v)] = value(row[v], d * D ** (u + v))

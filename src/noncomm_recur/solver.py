@@ -92,21 +92,20 @@ class CauchyProblem:
 def solve_iterative(problem, p):
     """Y_p by direct iteration from Y_0 = 0, Y_1 = y1bar (the oracle).
 
-    It takes the closed-form table's step (``algebra._integer_form``) in
-    the other order: N_(k+2) = D·a0·N_k + a1·N_(k+1) from N_1 = Y1's cell
-    and N_2 = a1·N_1, and Y_p = N_p/(d·D^(p-1)), reduced once.  On the free
-    backend D = d = 1 and the step is Y_(k+2) = L0·Y_k + L1·Y_(k+1)."""
+    It takes the closed-form table's fused step (``algebra._integer_form``)
+    in the other order, N_(k+2) = D·a0·N_k + a1·N_(k+1) in one call, from
+    N_1 = Y1's cell and N_2 = a1·N_1, and Y_p = N_p/(d·D^(p-1)), reduced
+    once.  On the free backend D = d = 1: Y_(k+2) = L0·Y_k + L1·Y_(k+1)."""
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
     if p < 2:
         return problem.y1bar if p else problem.zero_vector()
-    a0, a1, D, previous, d, mul, add, value = _integer_form(
+    a0, a1, D, previous, d, mul, linear, value = _integer_form(
         problem.L0, problem.L1, problem.y1bar, apply)
-    if D != 1:  # D = 1 on the free backend, whose a0 is L0 itself
-        a0 = tuple(D * x for x in a0)
+    step = linear(a0 if D == 1 else tuple(D * x for x in a0), a1)  # free: D = 1, a0 = L0
     current = mul(a1, previous)
     for _ in range(p - 2):
-        previous, current = current, add(mul(a0, previous), mul(a1, current))
+        previous, current = current, step(previous, current)
     return value(current, d * D ** (p - 1))
 
 
@@ -279,9 +278,9 @@ def verify_identity_23(n):
 # A command estimated above this many bit operations is refused up front;
 # the README's "Work cap" section times the largest admitted runs.
 WORK_CAP = 5 * 10 ** 9
-# An entry product counts at least this many bit operations: a
-# float-2x2.json step of four products took 15 µs, near the 19 µs of a 2x2
-# step on 4096-bit integers (Python 3.11, shared 2-vCPU machine).
+# An entry product counts at least this many bit operations: a fused
+# float-2x2.json step took 1.8-2.4 µs, a 2x2 step on 4096-bit integers
+# 3.6-3.7 µs and on 64-bit ones 1.8-2.9 µs (Python 3.11, shared 2-vCPU machine).
 ENTRY_FLOOR_BITS = 2 ** 12
 # Printing a w-bit integer counts w²/PRINT_DIVISOR: int to str took 1.6 s
 # at 10^6 bits and 6.6 s at 2·10^6, where solves near the cap run at 0.3

@@ -14,6 +14,8 @@ from noncomm_recur.algebra import (
     FreeElement,
     FreeVector,
     Matrix,
+    _linear_nums,
+    _mul_nums,
     apply,
     compose,
     ring_one,
@@ -177,6 +179,29 @@ def test_dense_storage_matches_a_fraction_list_reference(operands):
         assert (value._nums, value._den) == (rebuilt._nums, rebuilt._den)
     assert (x == z) == (a == b)
     assert (x * v == z * v) == (cases[3][1] == [dot(row, y) for row in rows(b)])
+
+
+@st.composite
+def linear_operands(draw):
+    """n, f0, f1 (n×n) and x, y (both n-vectors or both n×n), all of one
+    field: integers of any width or floats of any value but nan."""
+    n = draw(st.integers(1, 4))
+    entries = draw(st.sampled_from([st.integers(), st.floats(allow_nan=False)]))
+    cell = draw(st.sampled_from([n, n * n]))
+    return (n, *(tuple(draw(st.lists(entries, min_size=k, max_size=k)))
+                 for k in (n * n, n * n, cell, cell)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_operands())
+def test_fused_step_matches_two_products_and_a_sum(operands):
+    n, f0, f1, x, y = operands
+    fused = _linear_nums(n, f0, f1)(x, y)
+    expected = tuple(p + q for p, q in zip(_mul_nums(n, f0, x), _mul_nums(n, f1, y)))
+    assert len(fused) == len(x)
+    # bit for bit: float.hex tells -0.0 from 0.0, and an inf*0 nan only matches nan
+    assert [v.hex() if isinstance(v, float) else v for v in fused] == \
+        [v.hex() if isinstance(v, float) else v for v in expected]
 
 
 # ---------------------------------------------------------------------------

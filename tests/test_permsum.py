@@ -236,11 +236,23 @@ def test_vector_table_counts_each_action(monkeypatch):
             return product(*args)
         return wrapped
 
+    def counted_linear(linear):
+        # each call of the fused step a0·x + a1·y makes two actions
+        def wrapped(*args):
+            step = linear(*args)
+
+            def counted_step(x, y):
+                actions.extend([(x,), (y,)])
+                return step(x, y)
+            return counted_step
+        return wrapped
+
     # Matrix cells are numerator tuples, multiplied by algebra's shared
-    # numerator product; the other backends act through apply.  Both are
-    # counted, so an action made twice over would show.
+    # numerator product or its fused step; the other backends act through
+    # apply.  All are counted, so an action made twice over would show.
     monkeypatch.setattr(permsum, "apply", counted(apply))
     monkeypatch.setattr(algebra, "_mul_nums", counted(algebra._mul_nums))
+    monkeypatch.setattr(algebra, "_linear_nums", counted_linear(algebra._linear_nums))
     for L0, L1, y in vector_backends():
         for keys in ([(0, 0)], [(0, 5)], [(4, 0)], [(3, 2)], VECTOR_KEYS):
             actions.clear()
