@@ -142,9 +142,6 @@ class _WordSum:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def is_zero(self):
-        return not self.terms
-
     def to_coeff_map(self):
         """JSON-friendly form: {'A'/'B' word text: integer coefficient}."""
         return {word_to_str(w): c for w, c in sorted(self.terms.items())}

@@ -18,16 +18,17 @@ The table (:func:`perm_sum_batch`) also runs on module vectors: from
 Z(0, 0) = y the same recursion Z(u, v) = L0·Z(u-1, v) + L1·Z(u, v-1)
 gives Z(u, v) = P(u, v)·y with one module action per step, a
 matrix-vector product instead of a matrix product on matrix backends.
-The table is built row by row, keeping one row and the requested
-cells, and lives for a single top-level call; there is no cross-call
-caching.  ``algebra._integer_form`` supplies the cell arithmetic: an
-interior cell is one call of the fused step a0·x + a1·y that iteration
-takes.  On dense and scalar backends the cells are integer numerator
-tuples over one common denominator; only the requested keys are values.
+The table is built one anti-diagonal u + v at a time, keeping one
+diagonal and the requested cells, and lives for a single top-level
+call; there is no cross-call caching.  ``algebra._integer_form``
+supplies the cell arithmetic, the fused step a0·x + a1·y that iteration
+takes.  On dense and scalar backends a diagonal is one packed integer
+per entry, every cell in its own slot (Kronecker substitution), and one
+step advances the whole diagonal; only the requested keys are values.
 
 The evaluators accept a counter, a :class:`MultCounter` or any object
 whose ``tick()`` adds one, that records the exact number of ring
-multiplications (or module actions) performed, for benchmarking.
+multiplications (or module actions) of the recursion, for benchmarking.
 """
 from __future__ import annotations
 
@@ -35,7 +36,9 @@ import math
 from itertools import combinations
 
 from .algebra import (
+    FreeElement,
     _integer_form,
+    _kind,
     apply,
     check_apply_compat,
     check_same_backend,
@@ -47,7 +50,12 @@ from .algebra import (
 
 class MultCounter:
     """Counter of ring multiplications (or module actions): each
-    ``tick()`` adds one to ``count``."""
+    ``tick()`` adds one to ``count``.
+
+    A count is of logical actions, the products that the recursion or
+    the word expansion defines; a packed table makes one call for a
+    whole diagonal and still counts each of its cells.
+    """
 
     __slots__ = ("count",)
 
@@ -134,25 +142,36 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
     """Evaluate several permutation sums against one shared table.
 
     ``keys`` is a sequence of (u, v) pairs; the result list is aligned
-    with it.  Cells are computed row by row over the union of the
-    requested rectangles, so each distinct cell costs its two products
-    once per call.  Only the current row and the requested cells are
-    kept, so memory grows with the table's width, not its area.
+    with it.  The table runs over anti-diagonals k = u + v, up to the
+    largest key's k, and holds one diagonal at a time: memory grows with
+    the table's width, not its area.
 
-    Without ``vector`` the cells are ring elements P(u, v), at
-    2uv + max(u-1, 0) + max(v-1, 0) ring multiplications for one key.
-    With a module ``vector`` y the cells are Z(u, v) = P(u, v)·y, built
-    by the same recursion from Z(0, 0) = y with one module action per
-    product, and the result holds P(u, v)·y for each key.
+    Without ``vector`` the cells are ring elements P(u, v).  With a
+    module ``vector`` y the cells are Z(u, v) = P(u, v)·y, built by the
+    same recursion from Z(0, 0) = y with module actions in place of ring
+    products, and the result holds P(u, v)·y for each key.
 
     On dense and scalar backends, with D the common denominator of L0
     and L1, a0 = D·L0 and a1 = D·L1, a cell is the numerator tuple
-    W(u, v) = a0·W(u-1, v) + a1·W(u, v-1), one call of the fused step
-    ``linear(a0, a1)`` counted as its two products, with no value object,
-    lcm or gcd.  Each requested key becomes a value once, W(u, v) over
-    d·D^(u+v) with d the origin's denominator, reduced by one gcd; a
-    scalar key is a ``Fraction`` even when L0, L1 and the vector are
-    ``int``s.  Float results are bit for bit those of ``compose``/``apply``.
+    W(u, v) = a0·W(u-1, v) + a1·W(u, v-1), and the diagonal k is the
+    polynomial Q_k(z) = sum_u W(u, k-u)·z^u with Q_k = (z·a0 + a1)·Q_(k-1).
+    At z = 2^B it is one packed integer per entry (see
+    :func:`_packed_diagonals`), so one call of the fused step
+    ``linear(a0, a1)`` advances every cell of a diagonal.  Each key is
+    read from its slot once and becomes a value W(u, v) over
+    d·D^(u+v), d the origin's denominator, reduced by one gcd; a scalar
+    key is a ``Fraction`` even when L0, L1 and the vector are ``int``s.
+
+    Float and free cells cannot be packed: there a diagonal holds the
+    cells of the union of the keys' rectangles, each made by the same
+    ``linear`` or ``product`` call as in the recursion above, so float
+    results are bit for bit those of ``compose``/``apply`` and ``+``.
+
+    ``counter`` counts the logical actions of the union of the keys'
+    rectangles, whatever the representation: one per edge cell and two
+    per interior cell, where the ring table gets P(1, 0) = L0 and
+    P(0, 1) = L1 free.  One key costs 2uv + max(u-1, 0) + max(v-1, 0)
+    ring multiplications, or 2uv + u + v module actions.
     """
     check_same_backend(L0, L1)
     if vector is None:
@@ -165,32 +184,114 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
         _check_counts(u, v)
     if not keys:
         return []
+    packed = _kind(L0) is not FreeElement and getattr(L0, "exact", True)
     a0, a1, D, origin, d, product, linear, value = _integer_form(L0, L1, origin, product)
-    interior = linear(a0, a1)
-
-    def step(factor, cell):
-        # factor·1 is factor: the ring table gets P(1, 0) and P(0, 1) free.
-        if vector is None and cell is origin:
-            return factor
-        if counter is not None:
+    if counter is not None:  # row 0 and column 0 are edges, the rest interior
+        col = _row_ends(keys)
+        ticks = col[0] + len(col) - 1 + 2 * sum(col[1:])
+        if vector is None:
+            ticks -= (len(col) > 1) + (col[0] > 0)
+        for _ in range(ticks):
             counter.tick()
-        return product(factor, cell)
-
-    # Row i of the table needs columns 0..col_limit[i]; the limit is the
-    # largest v requested by any key at row >= i, nonincreasing in i.
-    max_u = max(u for u, _ in keys)
-    col_limit = [max(v for u, v in keys if u >= i) for i in range(max_u + 1)]
-    found = dict.fromkeys(keys)
-    row = []
-    for i in range(max_u + 1):
-        above = row
-        row = [origin if i == 0 else step(a0, above[0])]
-        for j in range(1, col_limit[i] + 1):
-            if i and counter is not None:  # the fused step's two products
-                counter.tick()
-                counter.tick()
-            row.append(interior(above[j], row[j - 1]) if i else step(a1, row[j - 1]))
-        for u, v in found:
-            if u == i:
-                found[(u, v)] = value(row[v], d * D ** (u + v))
+    on_diagonal = {}
+    for u, v in keys:
+        on_diagonal.setdefault(u + v, {})[u, v] = None
+    if packed:
+        diagonal, advance, read = _packed_diagonals(
+            getattr(L0, "n", 1), a0, a1, origin, linear, on_diagonal)
+    else:
+        diagonal, advance, read = _cell_diagonals(
+            a0, a1, origin, product, linear, _row_ends(keys), vector is None)
+    found = {}
+    for k in range(max(on_diagonal) + 1):
+        if k:
+            diagonal = advance(diagonal, k)
+        for u, v in on_diagonal.get(k, ()):
+            found[u, v] = value(read(diagonal, u), d * D ** k)
     return [found[key] for key in keys]
+
+
+def _row_ends(keys):
+    """The union of the keys' rectangles by rows: entry u is the last
+    column of row u, the largest v of any key at a row >= u."""
+    col = [-1] * (max(u for u, _ in keys) + 1)
+    for u, v in keys:
+        col[u] = max(col[u], v)
+    for u in range(len(col) - 2, -1, -1):
+        col[u] = max(col[u], col[u + 1])
+    return col
+
+
+def _packed_diagonals(n, a0, a1, cell, linear, on_diagonal):
+    """``(start, advance, read)`` for diagonals of packed integers.
+
+    Entry i of the diagonal k is sum_u W(u, k-u)_i·2^(u·B): slot u holds
+    the cell (u, k-u) at bit offset u·B.  ``advance`` takes Q_(k-1) to
+    Q_k by one step ``linear(a0, a1)(Q << B, Q)`` and drops the slots
+    above the largest u that a key on a diagonal >= k reads.
+
+    Width: with |x| the largest absolute entry of a cell and ||a|| the
+    largest absolute row sum of a, |a·x| <= ||a||·|x|.  W(u, v) is the
+    sum over the C(u+v, u) words of the products, so
+    |W(u, v)| <= C(u+v, u)·||a0||^u·||a1||^v·|cell| <= s^k·|cell|,
+    s = ||a0|| + ||a1||, k = u + v.  Up to the last diagonal K every
+    slot is then at most M = max(s, 1)^K·|cell|, and B = bits(M) + 1
+    gives |W| < 2^(B-1).  The slots below u then sum to less than
+    2^(u·B)/2 in absolute value, so rounding Q/2^(u·B) to the nearest
+    integer leaves W(u, k-u) in its low B bits, read as a signed
+    B-bit number.  A vector table whose one coefficient is zero, and whose
+    other coefficient and vector have equal nonnegative entries, attains
+    M, so B has no spare bit.
+    """
+    K = max(on_diagonal)
+    s = sum(max(sum(map(abs, a[i:i + n])) for i in range(0, len(a), n)) for a in (a0, a1))
+    B = (max(s, 1) ** K * max(map(abs, cell))).bit_length() + 1
+    # top[k]: the largest slot that a key on diagonal k or after it reads.
+    top = [-1] * (K + 1)
+    for k, read_here in on_diagonal.items():
+        top[k] = max(u for u, _ in read_here)
+    for k in range(K - 1, -1, -1):
+        top[k] = max(top[k], top[k + 1])
+    step = linear(a0, a1)
+
+    def advance(Q, k):
+        Q = step(tuple(x << B for x in Q), Q)
+        return _signed(Q, (top[k] + 1) * B) if top[k] < k else Q
+
+    def read(Q, u):
+        if u:  # round to the nearest integer: the slots below vanish
+            Q = (((x >> (u * B - 1)) + 1) >> 1 for x in Q)
+        return _signed(Q, B)
+
+    return cell, advance, read
+
+
+def _signed(values, bits):
+    """Each value's residue mod 2^bits in [-2^(bits-1), 2^(bits-1)): the
+    slots below offset ``bits`` of a packed integer, or one slot."""
+    span = 1 << bits
+    half, mask = span >> 1, span - 1
+    return tuple(r - span if r >= half else r for r in (x & mask for x in values))
+
+
+def _cell_diagonals(a0, a1, origin, product, linear, col, ring):
+    """``(start, advance, read)`` for diagonals that map u to the cell
+    (u, k-u), over the cells of the union of the keys' rectangles."""
+    interior = linear(a0, a1)
+    # Row u's cells in the union lie on diagonals u..reach[u].
+    reach = [u + last for u, last in enumerate(col)]
+
+    def edge(factor, cell):
+        # factor·1 is factor: the ring table gets P(1, 0) and P(0, 1) free.
+        return factor if ring and cell is origin else product(factor, cell)
+
+    def advance(previous, k):
+        cells = {}
+        for u in range(min(k, len(col) - 1) + 1):
+            if reach[u] >= k:
+                cells[u] = (edge(a1, previous[0]) if u == 0 else
+                            edge(a0, previous[u - 1]) if u == k else
+                            interior(previous[u - 1], previous[u]))
+        return cells
+
+    return {0: origin}, advance, dict.__getitem__

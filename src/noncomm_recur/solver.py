@@ -115,8 +115,8 @@ def solve_closed(problem, p):
     The summands {L0^(t) L1^(p-1-2t)}·Y_1 for all t come from one
     permutation-sum table run on vectors from Z(0, 0) = Y_1, so a single
     solve costs O(p^2) module actions (matrix-vector products on matrix
-    backends) and holds one rolling row of the table.  p = 0 has no keys,
-    so the sum is empty: the zero vector.
+    backends) and holds one anti-diagonal of the table at a time.  p = 0
+    has no keys, so the sum is empty: the zero vector.
     """
     keys = [(t, p - 1 - 2 * t) for t in range(t_bar(p) + 1)]
     return sum(perm_sum_batch(problem.L0, problem.L1, keys, vector=problem.y1bar),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noncomm_recur import algebra, permsum
+from noncomm_recur import permsum
 from noncomm_recur.algebra import (
     BackendMismatchError,
     ColumnVector,
@@ -31,6 +31,7 @@ from noncomm_recur.permsum import (
     perm_sum_naive,
     stifel_check,
 )
+from noncomm_recur.solver import CauchyProblem, solve_closed, solve_iterative
 from noncomm_recur.verify import random_matrix, random_vector
 
 A, B = FreeElement.generators()
@@ -227,38 +228,35 @@ def test_vector_table_of_no_keys_is_empty():
         assert perm_sum_batch(L0, L1, [], vector=y) == []
 
 
+def union_actions(keys):
+    """The actions of the table for ``keys``, counted cell by cell over
+    the union of the keys' rectangles: none at the origin, one at each
+    edge cell and two at each interior cell."""
+    cells = {(i, j) for u, v in keys for i in range(u + 1) for j in range(v + 1)}
+    return sum((i > 0) + (j > 0) for i, j in cells)
+
+
 def test_vector_table_counts_each_action(monkeypatch):
     actions = []
 
-    def counted(product):
-        def wrapped(*args):
-            actions.append(args)
-            return product(*args)
-        return wrapped
+    def counted(*args):
+        actions.append(args)
+        return apply(*args)
 
-    def counted_linear(linear):
-        # each call of the fused step a0·x + a1·y makes two actions
-        def wrapped(*args):
-            step = linear(*args)
-
-            def counted_step(x, y):
-                actions.extend([(x,), (y,)])
-                return step(x, y)
-            return counted_step
-        return wrapped
-
-    # Matrix cells are numerator tuples, multiplied by algebra's shared
-    # numerator product or its fused step; the other backends act through
-    # apply.  All are counted, so an action made twice over would show.
-    monkeypatch.setattr(permsum, "apply", counted(apply))
-    monkeypatch.setattr(algebra, "_mul_nums", counted(algebra._mul_nums))
-    monkeypatch.setattr(algebra, "_linear_nums", counted_linear(algebra._linear_nums))
+    # The free table acts through apply, one call an action; the packed
+    # dense and scalar tables make one call a diagonal, so there the count
+    # is compared with the union of the keys' rectangles alone.
+    monkeypatch.setattr(permsum, "apply", counted)
+    key_sets = ([(0, 0)], [(0, 5)], [(4, 0)], [(3, 2)], VECTOR_KEYS,
+                [(0, 10), (10, 0), (3, 3)], [(2, 0), (0, 2), (2, 0)])
     for L0, L1, y in vector_backends():
-        for keys in ([(0, 0)], [(0, 5)], [(4, 0)], [(3, 2)], VECTOR_KEYS):
+        for keys in key_sets:
             actions.clear()
             counter = MultCounter()
             perm_sum_batch(L0, L1, keys, counter=counter, vector=y)
-            assert counter.count == len(actions)
+            assert counter.count == union_actions(keys)
+            if isinstance(y, FreeVector):
+                assert counter.count == len(actions)
             if len(keys) == 1:
                 (u, v), = keys
                 # every cell but Z(0, 0) is one action, interior cells two
@@ -349,6 +347,30 @@ def test_numerator_table_matches_a_fraction_reference(table):
             assert result._den > 0 and math.gcd(result._den, *result._nums) == 1
         else:  # the same float operations in the same order, bit for bit
             assert [x.hex() for x in result.entries] == [x.hex() for x in entries]
+
+
+def equal_entries(shape, value):
+    """A scalar, or an n×n matrix (``shape`` = n) with every entry ``value``."""
+    return value if shape == "scalar" else Matrix([[value] * shape for _ in range(shape)])
+
+
+@pytest.mark.parametrize("shape", ["scalar", 1, 3])
+def test_packed_slots_at_the_width_bound(shape):
+    # With one coefficient zero and equal nonnegative entries elsewhere,
+    # P(0, 40)·y or P(40, 0)·y has the largest entry that the slot width
+    # admits; (0, 10), (10, 0) and (3, 3) leave gaps on diagonals 5 to 10.
+    c, e = Fraction(3, 2), Fraction(5)
+    y = e if shape == "scalar" else ColumnVector([e] * shape)
+    for c0, c1 in ((0, c), (c, 0), (c, 2 * c)):
+        L0, L1 = equal_entries(shape, c0), equal_entries(shape, c1)
+        for keys in ([(0, 40), (40, 0), (20, 20), (7, 33), (0, 0)], [(0, 10), (10, 0), (3, 3)]):
+            for vector in (y, None):
+                results = perm_sum_batch(L0, L1, keys, vector=vector)
+                assert list(map(flat_entries, results)) == split_recursion_reference(
+                    L0, L1, keys, vector)
+        problem = CauchyProblem(L0, L1, y)
+        for p in (11, 41):
+            assert solve_closed(problem, p) == solve_iterative(problem, p)
 
 
 def test_vector_table_rejects_a_foreign_vector():
