@@ -34,7 +34,6 @@ from .permsum import (
 from .problems import (
     ProblemFileError,
     ProblemFile,
-    dumps_problem,
     load_problem,
     loads_problem,
 )
@@ -54,48 +53,3 @@ from .solver import (
     verify_identity_21,
     verify_identity_23,
 )
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BackendMismatchError",
-    "CauchyProblem",
-    "ColumnVector",
-    "FreeElement",
-    "FreeVector",
-    "InvalidCoefficientError",
-    "Matrix",
-    "MultCounter",
-    "NonRealResultError",
-    "NotARationalSquareError",
-    "ProblemFileError",
-    "ProblemFile",
-    "ScalarRoots",
-    "apply",
-    "binom",
-    "characteristic_roots",
-    "compose",
-    "count_terms",
-    "dumps_problem",
-    "enumerate_words",
-    "load_problem",
-    "loads_problem",
-    "perm_sum_batch",
-    "perm_sum_dp",
-    "perm_sum_naive",
-    "rational_sqrt",
-    "ring_one",
-    "ring_zero",
-    "solve_closed",
-    "solve_iterative",
-    "solve_scalar_roots",
-    "solve_scalar_sum",
-    "stifel_check",
-    "t_bar",
-    "vector_zero",
-    "verify_identity_21",
-    "verify_identity_23",
-    "word_from_str",
-    "word_to_element",
-    "word_to_str",
-]

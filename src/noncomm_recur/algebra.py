@@ -6,14 +6,14 @@ Three backends, each a ring kind paired with the module kind it acts on:
   rationals (integer numerators over one common denominator; the
   entries read as ``fractions.Fraction``) or 64-bit floats.  Both share
   one dense base, ``_Dense``, for flat storage, entry coercion, ``+``,
-  ``-``, ``==``, ``isclose`` and ``repr``; only ``Matrix`` multiplies;
+  ``==``, ``isclose`` and ``repr``; only ``Matrix`` multiplies;
 * ``Fraction`` -> ``Fraction`` -- exact rational scalars (``Fraction``
   or ``int``) serve as both ring element and vector;
 * ``FreeElement`` -> ``FreeVector`` -- integer-coefficient formal sums
   of words over the two-letter alphabet, the symbolic backend on which
   closed-form identities can be checked monomial by monomial.  Both
-  share one word-sum base, ``_WordSum``, for storage, ``+``, binary and
-  unary ``-``, ``==`` and text; only ``FreeElement`` multiplies.
+  share one word-sum base, ``_WordSum``, for storage, ``+``, ``==`` and
+  text; only ``FreeElement`` multiplies.
 
 The contract they share: one lookup maps exact scalars to the kind
 ``Fraction`` and every other value to its class; ``*`` is the (generally
@@ -101,7 +101,7 @@ class _WordSum:
     integer coefficients; the empty map is zero.
 
     The storage shared by :class:`FreeElement` and :class:`FreeVector`.
-    ``+``, ``-`` and ``==`` take only a value of the same class, so ring
+    ``+`` and ``==`` take only a value of the same class, so ring
     elements and vectors never mix.  In the text form ``_VECTOR``
     follows every word, and ``_UNIT`` stands in when a term would
     otherwise print no letters.
@@ -125,14 +125,6 @@ class _WordSum:
         if type(other) is not type(self):
             return NotImplemented
         return type(self)(_accumulate(dict(self.terms), other.terms.items()))
-
-    def __neg__(self):
-        return type(self)({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + -other
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -172,9 +164,9 @@ class _WordSum:
 class FreeElement(_WordSum):
     """Element of the free word algebra on two generators.
 
-    ``{(): 1}`` is the identity.  Multiplication concatenates words
-    bilinearly, so two elements are equal exactly when their term maps
-    coincide.
+    ``{(): 1}`` is the identity.  ``*`` takes another ``FreeElement`` or
+    a :class:`FreeVector` and concatenates words bilinearly, so two
+    elements are equal exactly when their term maps coincide.
     """
 
     __slots__ = ()
@@ -187,30 +179,17 @@ class FreeElement(_WordSum):
         return cls({(): 1})
 
     @classmethod
-    def letter(cls, letter):
-        if letter not in (0, 1):
-            raise ValueError(f"letter must be 0 or 1, got {letter!r}")
-        return cls({(letter,): 1})
-
-    @classmethod
     def generators(cls):
         """The pair (A, B) of one-letter generators."""
-        return cls.letter(L0_LETTER), cls.letter(L1_LETTER)
+        return cls({(L0_LETTER,): 1}), cls({(L1_LETTER,): 1})
 
     def __mul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return FreeElement({w: c * other for w, c in self.terms.items()})
         if not isinstance(other, (FreeElement, FreeVector)):
             return NotImplemented
         # Concatenation is both the ring product and the action on vectors.
         return type(other)(_accumulate({}, ((w1 + w2, c1 * c2)
                                             for w1, c1 in self.terms.items()
                                             for w2, c2 in other.terms.items())))
-
-    def __rmul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.__mul__(other)
-        return NotImplemented
 
     def monomial_count(self):
         return len(self.terms)
@@ -255,7 +234,7 @@ class _Dense:
     one gcd per result; floats are kept in ``_nums`` with ``_den == 1``.
     ``entries`` builds the ``Fraction``s on demand.  Integers are exact
     and join either field; mixing Fraction and float entries is rejected
-    rather than silently losing exactness.  ``+``, ``-``, ``==`` and
+    rather than silently losing exactness.  ``+``, ``==`` and
     :meth:`isclose` take only a value of the same class, so matrices and
     vectors never mix.  ``_WHAT`` names the value in entry errors.
     """
@@ -305,21 +284,15 @@ class _Dense:
     def zero(self):
         return type(self).zeros(self.n, self.exact)
 
-    def _combine(self, other, op):
-        """``op`` entrywise over the common denominator of two values."""
+    def __add__(self, other):
+        """The entrywise sum over the common denominator of two values."""
         if type(other) is not type(self):
             return NotImplemented
         _check_space(self, other)
         den = math.lcm(self._den, other._den)
         a, b = ([x * (den // v._den) for x in v._nums] if v._den != den else v._nums
                 for v in (self, other))
-        return self._new(tuple(map(op, a, b)), den, self.n, self.exact)
-
-    def __add__(self, other):
-        return self._combine(other, operator.add)
-
-    def __sub__(self, other):
-        return self._combine(other, operator.sub)
+        return self._new(tuple(map(operator.add, a, b)), den, self.n, self.exact)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -1,4 +1,4 @@
-"""Reading and writing problem files.
+"""Reading problem files.
 
 A problem file is a JSON object describing one Cauchy problem:
 
@@ -113,28 +113,6 @@ def loads_problem(text, source="<string>"):
     return ProblemFile(backend=backend, problem=problem, label=label)
 
 
-def dumps_problem(doc):
-    """Serialize a :class:`ProblemFile` back to its JSON text form."""
-    data = {"backend": doc.backend}
-    if doc.label is not None:
-        data["label"] = doc.label
-    problem = doc.problem
-    if doc.backend in ("rational-matrix", "float-matrix"):
-        data["n"] = problem.L0.n
-        data["L0"] = _matrix_data(problem.L0)
-        data["L1"] = _matrix_data(problem.L1)
-        data["Y1"] = [_entry_data(v) for v in problem.y1bar.entries]
-    elif doc.backend == "scalar":
-        data["L0"] = _entry_data(problem.L0)
-        data["L1"] = _entry_data(problem.L1)
-        data["Y1"] = _entry_data(problem.y1bar)
-    else:
-        data["L0"] = problem.L0.to_coeff_map()
-        data["L1"] = problem.L1.to_coeff_map()
-        data["Y1"] = problem.y1bar.to_coeff_map()
-    return json.dumps(data, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Field parsers
 # ---------------------------------------------------------------------------
@@ -227,12 +205,3 @@ def _parse_free_problem(data, source):
         _parse_free_map(data.get("L1", {"B": 1}), "L1", source, FreeElement),
         _parse_free_map(data.get("Y1", {"": 1}), "Y1", source, FreeVector))
 
-
-def _entry_data(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
-
-
-def _matrix_data(matrix):
-    return [[_entry_data(v) for v in row] for row in matrix.rows]

@@ -255,8 +255,10 @@ def verify_identity_21(z, n):
     z = Fraction(z)
     square = 1 + 4 * z
     root = rational_sqrt(square)
-    if root is None or root == 0:
+    if root is None:
         raise NotARationalSquareError(square)
+    if root == 0:
+        raise ValueError("1 + 4z = 0, and the closed form divides by sqrt(1 + 4z)")
     lhs = sum(binom(n - k, k) * z ** k for k in range(n // 2 + 1))
     rhs = (Fraction(1, 2 ** (n + 1)) / root
            * ((1 + root) ** (n + 1) - (1 - root) ** (n + 1)))

@@ -143,7 +143,8 @@ VECTOR_KEYS = [(0, 0), (0, 4), (3, 0), (2, 3), (1, 1), (2, 3)]
     (free_problem(), [(u, total - u) for total in range(11) for u in range(total + 1)]),
     (seeded_problems(12, [3])[0], [(4, 5)]),
     (CauchyProblem(A, B, FreeVector({(): 1, (1,): -2})), VECTOR_KEYS),
-    (CauchyProblem(A + B, A - 2 * B, FreeVector({(0, 1): 3})), VECTOR_KEYS),
+    (CauchyProblem(A + B, FreeElement({(0,): 1, (1,): -2}), FreeVector({(0, 1): 3})),
+     VECTOR_KEYS),
     *((problem, VECTOR_KEYS) for problem in seeded_problems(31, [3, 1])),
 )
 def test_every_table_equals_the_naive_sum(case):

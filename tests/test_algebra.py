@@ -133,9 +133,9 @@ def test_ring_axioms_scalar(a, b, c):
 
 
 def test_equality_is_transitive_on_canonical_forms():
-    x = A * B - A * B + B  # cancels to B
+    x = A * B + FreeElement({(0, 1): -1}) + B  # cancels to B
     y = FreeElement({(1,): 1})
-    z = FreeElement.letter(1)
+    z = FreeElement.generators()[1]
     assert x == y and y == z and x == z
 
 
@@ -164,10 +164,8 @@ def test_dense_storage_matches_a_fraction_list_reference(operands):
         (x * z, [dot(row, b[j::n]) for row in rows(a) for j in range(n)]),
         (x * v, [dot(row, y) for row in rows(a)]),
         (x + z, [p + q for p, q in zip(a, b)]),
-        (x - z, [p - q for p, q in zip(a, b)]),
-        (x - x, [Fraction(0)] * (n * n)),
+        (x + Matrix(rows([-p for p in a])), [Fraction(0)] * (n * n)),
         (v + v, [2 * p for p in y]),
-        (v - v, [Fraction(0)] * n),
     ]
     for value, expected in cases:
         assert value.entries == tuple(expected)
@@ -241,8 +239,8 @@ def test_action_associativity_float_backend():
 
 def test_free_zero_coefficients_dropped():
     assert FreeElement({(0,): 0}) == FreeElement.zero()
-    assert A - A == FreeElement.zero()
-    assert (A + B - B).monomial_count() == 1
+    assert A + FreeElement({(0,): -1}) == FreeElement.zero()
+    assert (A + B + FreeElement({(1,): -1})).monomial_count() == 1
 
 
 @pytest.mark.parametrize("coeff", [0.5, "x", True])
@@ -266,26 +264,23 @@ def test_free_vector_coeff_map_round_trip(vector):
     assert FreeVector.from_coeff_map(vector.to_coeff_map()) == vector
 
 
-@given(term_maps, term_maps, st.integers(-3, 3))
-def test_word_sum_arithmetic_matches_a_dict_reference(x, y, k):
+@given(term_maps, term_maps)
+def test_word_sum_arithmetic_matches_a_dict_reference(x, y):
     def reference(pairs):
         out = defaultdict(int)
         for word, coeff in pairs:
             out[word] += coeff
         return {word: coeff for word, coeff in out.items() if coeff != 0}
 
-    def scaled(terms, factor):
-        return [(word, factor * coeff) for word, coeff in terms.items()]
+    def negated(terms):
+        return {word: -coeff for word, coeff in terms.items()}
 
-    left = FreeElement(x)
-    cases = [(k * left, FreeElement, reference(scaled(x, k))),
-             (left * k, FreeElement, reference(scaled(x, k)))]
+    left, cases = FreeElement(x), []
     for cls in (FreeElement, FreeVector):
         a, b = cls(x), cls(y)
         cases += [
             (a + b, cls, reference([*x.items(), *y.items()])),
-            (a - b, cls, reference([*x.items(), *scaled(y, -1)])),
-            (-a, cls, reference(scaled(x, -1))),
+            (a + cls(negated(x)), cls, reference([*x.items(), *negated(x).items()])),
             (left * b, cls, reference([(w1 + w2, c1 * c2) for w1, c1 in x.items()
                                        for w2, c2 in y.items()])),
         ]
@@ -298,9 +293,9 @@ def test_word_sum_arithmetic_matches_a_dict_reference(x, y, k):
 def test_free_text_forms():
     assert str(FreeElement.zero()) == "0"
     assert str(FreeElement.one()) == "I"
-    assert str(2 * FreeElement.one()) == "2·I"
+    assert str(FreeElement({(): 2})) == "2·I"
     assert str(A * B + B * A) == "AB + BA"
-    assert str(A * B - 2 * (B * A)) == "AB - 2·BA"
+    assert str(FreeElement({(0, 1): 1, (1, 0): -2})) == "AB - 2·BA"
     assert str(FreeVector.zero()) == "0"
     assert str(FreeVector.generator()) == "y1"
     assert str(FreeVector({(1,): 1})) == "B·y1"
@@ -396,7 +391,7 @@ def test_free_elements_and_vectors_never_mix():
     one, y = FreeElement.one(), FreeVector.generator()
     assert one.terms == y.terms
     assert one != y and y != one
-    for mixed in (lambda: one + y, lambda: y - one, lambda: y * one, lambda: y * 2):
+    for mixed in (lambda: one + y, lambda: y * one, lambda: y * 2):
         with pytest.raises(TypeError):
             mixed()
 
@@ -406,7 +401,7 @@ def test_matrices_and_column_vectors_never_mix():
     assert m.entries == y.entries
     assert m != y and y != m
     assert not m.isclose(y) and not y.isclose(m)
-    for mixed in (lambda: m + y, lambda: y - m, lambda: y * m):
+    for mixed in (lambda: m + y, lambda: y * m):
         with pytest.raises(TypeError):
             mixed()
     equal_pairs = [

@@ -218,7 +218,7 @@ VECTOR_KEYS = [(0, 0), (0, 4), (3, 0), (2, 3), (1, 1), (2, 3)]
 def vector_backends():
     rng = Random(31)
     yield A, B, FreeVector({(): 1, (1,): -2})
-    yield A + B, A - 2 * B, FreeVector({(0, 1): 3})
+    yield A + B, FreeElement({(0,): 1, (1,): -2}), FreeVector({(0, 1): 3})
     yield random_matrix(rng, 3), random_matrix(rng, 3), random_vector(rng, 3)
     yield random_matrix(rng, 1), random_matrix(rng, 1), random_vector(rng, 1)
 

@@ -428,8 +428,10 @@ def test_identity_21_examples():
 def test_identity_21_requires_square():
     with pytest.raises(NotARationalSquareError):
         verify_identity_21(1, 4)  # 1+4z = 5
-    with pytest.raises(NotARationalSquareError):
-        verify_identity_21(Fraction(-1, 4), 4)  # 1+4z = 0, closed form singular
+    singular = r"1 \+ 4z = 0, and the closed form divides by sqrt\(1 \+ 4z\)"
+    with pytest.raises(ValueError, match=singular) as info:
+        verify_identity_21(Fraction(-1, 4), 4)  # 0 = 0² is a square, but singular
+    assert not isinstance(info.value, NotARationalSquareError)
 
 
 def test_identity_23_examples():
