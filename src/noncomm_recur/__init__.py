@@ -15,6 +15,7 @@ from .algebra import (
     apply,
     compose,
     ring_one,
+    ring_sum,
     ring_zero,
     vector_zero,
     word_from_str,
@@ -47,6 +48,7 @@ from .solver import (
     rational_sqrt,
     solve_closed,
     solve_iterative,
+    solve_iterative_upto,
     solve_scalar_roots,
     solve_scalar_sum,
     t_bar,

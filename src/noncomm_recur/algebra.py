@@ -26,10 +26,10 @@ All values are immutable after construction and all operations are
 pure functions, so elements may be shared freely between threads.
 
 The generic entry points :func:`compose`, :func:`apply`,
-:func:`ring_one`, :func:`ring_zero` and :func:`vector_zero` look up the
-kind, check it and delegate to the contract; mixing backends (or matrix
-dimensions, or exact and float entries) raises
-:class:`BackendMismatchError`.
+:func:`ring_sum`, :func:`ring_one`, :func:`ring_zero` and
+:func:`vector_zero` look up the kind, check it and delegate to the
+contract; mixing backends (or matrix dimensions, or exact and float
+entries) raises :class:`BackendMismatchError`.
 """
 from __future__ import annotations
 
@@ -282,7 +282,9 @@ class _Dense:
         return tuple(Fraction(x, self._den) for x in self._nums)
 
     def zero(self):
-        return type(self).zeros(self.n, self.exact)
+        """The canonical zero of this class, n and field, stored directly."""
+        return object.__new__(type(self))._store(
+            (0 if self.exact else 0.0,) * len(self._nums), 1, self.n, self.exact)
 
     def __add__(self, other):
         """The entrywise sum over the common denominator of two values."""
@@ -509,6 +511,35 @@ def _integer_form(L0, L1, start, product):
     a0, a1 = (tuple(x * (D // m) for x in f) for f, m in ((f0, m0), (f1, m1)))
     mul, linear = (functools.partial(f, n) for f in (_mul_nums, _linear_nums))
     return a0, a1, D, cell, d, mul, linear, value
+
+
+def ring_sum(values, zero):
+    """``sum(values, zero)`` in one pass, for values of ``zero``'s kind.
+
+    Dense values are added on integers over one lcm of the denominators
+    and reduced once; float entries add in the fold's order, from
+    ``zero``'s entries, so the result is the fold's bit for bit.  Word
+    sums accumulate into one map for one constructor call."""
+    kind = _require_kind(zero, (*_MODULE_OF, *_MODULE_OF.values()), "ring or module value")
+    values = list(values)
+    for value in values:
+        if _kind(value) is not kind:
+            raise BackendMismatchError(
+                f"cannot add {type(value).__name__} to {type(zero).__name__}")
+        if isinstance(zero, _Dense):
+            _check_space(zero, value)
+    if isinstance(zero, _WordSum):
+        return kind(_accumulate(dict(zero.terms),
+                                (pair for value in values for pair in value.terms.items())))
+    if kind is Fraction:
+        return sum(values, zero)
+    den = functools.reduce(math.lcm, (value._den for value in values), zero._den)
+    nums = zero._nums if zero._den == den else [x * (den // zero._den) for x in zero._nums]
+    for value in values:
+        scale = den // value._den
+        nums = tuple(map(operator.add, nums, value._nums if scale == 1
+                         else [x * scale for x in value._nums]))
+    return kind._new(nums, den, zero.n, zero.exact)
 
 
 def _require_kind(value, kinds, what):

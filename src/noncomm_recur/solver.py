@@ -5,13 +5,15 @@ Three routes to the same answer:
 * :func:`solve_iterative` -- direct iteration of the recurrence, the
   ground-truth oracle for everything else; exact dense and scalar
   problems step on integer numerators and reduce once;
+  :func:`solve_iterative_upto` returns every Y_k up to p from the same
+  pass, each reduced once;
 * :func:`solve_closed` -- the closed form
 
       Y_p = sum_{t=0}^{tbar(p)} {L0^(t) L1^(p-1-2t)} Y_1,
 
   where ``{...}`` is the permutation sum of ``permsum`` and
   ``tbar(p) = floor((p-1)/2)``; valid for any noncommutative pair of
-  coefficients;
+  coefficients; the summands are added by one ``algebra.ring_sum``;
 * the scalar reduction for commuting rational coefficients:
   :func:`solve_scalar_roots` (characteristic roots m^2 - c1 m - c0 = 0)
   and :func:`solve_scalar_sum` (exact binomial sum), plus the two
@@ -28,10 +30,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import ceil, comb, isfinite, isqrt, log2
 
 from .algebra import (FreeElement, _integer_form, _kind, apply, check_apply_compat,
-                      check_same_backend, vector_zero)
+                      check_same_backend, ring_sum, vector_zero)
 from .permsum import binom, perm_sum_batch
 
 # A complex-double evaluation must come out real to this relative slack
@@ -89,24 +92,50 @@ class CauchyProblem:
         return vector_zero(self.y1bar)
 
 
-def solve_iterative(problem, p):
-    """Y_p by direct iteration from Y_0 = 0, Y_1 = y1bar (the oracle).
+def _iteration(problem):
+    """``(D, d, value, numerators)``: Y_k = value(N_k, d·D^(k-1)), where
+    ``numerators`` yields N_1, N_2, ... one step each, on demand.
 
     It takes the closed-form table's fused step (``algebra._integer_form``)
     in the other order, N_(k+2) = D·a0·N_k + a1·N_(k+1) in one call, from
-    N_1 = Y1's cell and N_2 = a1·N_1, and Y_p = N_p/(d·D^(p-1)), reduced
-    once.  On the free backend D = d = 1: Y_(k+2) = L0·Y_k + L1·Y_(k+1)."""
+    N_1 = Y1's cell and N_2 = a1·N_1.  On the free backend D = d = 1:
+    Y_(k+2) = L0·Y_k + L1·Y_(k+1)."""
+    a0, a1, D, cell, d, mul, linear, value = _integer_form(
+        problem.L0, problem.L1, problem.y1bar, apply)
+    step = linear(a0 if D == 1 else tuple(D * x for x in a0), a1)  # free: D = 1, a0 = L0
+
+    def numerators():
+        previous = cell
+        yield previous
+        current = mul(a1, previous)
+        while True:
+            yield current
+            previous, current = current, step(previous, current)
+    return D, d, value, numerators()
+
+
+def solve_iterative(problem, p):
+    """Y_p by direct iteration from Y_0 = 0, Y_1 = y1bar (the oracle):
+    p - 1 steps of :func:`_iteration`, and Y_p reduced once."""
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
     if p < 2:
         return problem.y1bar if p else problem.zero_vector()
-    a0, a1, D, previous, d, mul, linear, value = _integer_form(
-        problem.L0, problem.L1, problem.y1bar, apply)
-    step = linear(a0 if D == 1 else tuple(D * x for x in a0), a1)  # free: D = 1, a0 = L0
-    current = mul(a1, previous)
-    for _ in range(p - 2):
-        previous, current = current, step(previous, current)
-    return value(current, d * D ** (p - 1))
+    D, d, value, numerators = _iteration(problem)
+    return value(next(islice(numerators, p - 1, None)), d * D ** (p - 1))
+
+
+def solve_iterative_upto(problem, max_p):
+    """[Y_0, ..., Y_max_p] from one pass of the iteration, each Y_k equal
+    to ``solve_iterative(problem, k)`` and reduced once."""
+    if max_p < 0:
+        raise ValueError(f"max_p must be nonnegative, got {max_p}")
+    values = [problem.zero_vector(), problem.y1bar][:max_p + 1]
+    D, d, value, numerators = _iteration(problem)
+    for cell in islice(numerators, 1, max_p):
+        d *= D
+        values.append(value(cell, d))
+    return values
 
 
 def solve_closed(problem, p):
@@ -115,12 +144,13 @@ def solve_closed(problem, p):
     The summands {L0^(t) L1^(p-1-2t)}·Y_1 for all t come from one
     permutation-sum table run on vectors from Z(0, 0) = Y_1, so a single
     solve costs O(p^2) module actions (matrix-vector products on matrix
-    backends) and holds one anti-diagonal of the table at a time.  p = 0
-    has no keys, so the sum is empty: the zero vector.
+    backends) and holds one anti-diagonal of the table at a time; one
+    ``ring_sum`` adds them.  p = 0 has no keys, so the sum is empty: the
+    zero vector.
     """
     keys = [(t, p - 1 - 2 * t) for t in range(t_bar(p) + 1)]
-    return sum(perm_sum_batch(problem.L0, problem.L1, keys, vector=problem.y1bar),
-               problem.zero_vector())
+    return ring_sum(perm_sum_batch(problem.L0, problem.L1, keys, vector=problem.y1bar),
+                    problem.zero_vector())
 
 
 # ---------------------------------------------------------------------------

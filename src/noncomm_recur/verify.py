@@ -28,7 +28,7 @@ from .permsum import (
 from .solver import (
     CauchyProblem,
     solve_closed,
-    solve_iterative,
+    solve_iterative_upto,
     solve_scalar_roots,
     solve_scalar_sum,
     t_bar,
@@ -107,9 +107,8 @@ def random_negative_delta_pair(rng):
 def check_free_theorem1(max_p=16):
     """Closed form equals the iteration oracle, monomial for monomial."""
     problem = free_problem()
-    for p in range(max_p + 1):
+    for p, iterative in enumerate(solve_iterative_upto(problem, max_p)):
         closed = solve_closed(problem, p)
-        iterative = solve_iterative(problem, p)
         if closed != iterative:
             return SuiteResult(
                 "free-theorem1", False,
@@ -123,9 +122,8 @@ def check_matrix_oracle(seed=42, problems=20, max_p=16, n=3):
     rng = Random(seed)
     for index in range(problems):
         problem = random_matrix_problem(rng, n)
-        for p in range(max_p + 1):
+        for p, iterative in enumerate(solve_iterative_upto(problem, max_p)):
             closed = solve_closed(problem, p)
-            iterative = solve_iterative(problem, p)
             if closed != iterative:
                 return SuiteResult(
                     "matrix-oracle", False,
@@ -147,10 +145,10 @@ def check_scalar_coherence(seed=42, pairs=100, max_p=30, complex_pairs=20,
         y1 = Fraction(rng.randint(1, 5), rng.choice((1, 2)))
         # iterate on the 1x1 matrix backend, the smallest genuine module
         problem = CauchyProblem(Matrix([[c0]]), Matrix([[c1]]), ColumnVector([y1]))
-        for p in range(max_p + 1):
+        for p, iterative in enumerate(solve_iterative_upto(problem, max_p)):
             by_roots = solve_scalar_roots(c0, c1, y1, p)
             by_sum = solve_scalar_sum(c0, c1, y1, p)
-            by_iteration = solve_iterative(problem, p).entries[0]
+            by_iteration = iterative.entries[0]
             if not (by_roots == by_sum == by_iteration):
                 return SuiteResult(
                     "scalar-coherence", False,
@@ -185,10 +183,9 @@ def check_degenerate_roots(max_p=30):
         m1 = c1 / 2
         for y1 in (Fraction(1), Fraction(3, 2)):
             problem = CauchyProblem(c0, c1, y1)
-            for p in range(max_p + 1):
+            for p, by_iteration in enumerate(solve_iterative_upto(problem, max_p)):
                 by_roots = solve_scalar_roots(c0, c1, y1, p)
                 expected = p * m1 ** (p - 1) * y1
-                by_iteration = solve_iterative(problem, p)
                 if not (by_roots == expected == by_iteration):
                     return SuiteResult(
                         "degenerate-delta0", False,

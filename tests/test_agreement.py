@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from noncomm_recur.solver import (
     rational_sqrt,
     solve_closed,
     solve_iterative,
+    solve_iterative_upto,
     solve_scalar_roots,
     solve_scalar_sum,
 )
@@ -85,9 +87,12 @@ def on_scalars(solve):
 
 # One entry a route: its name, whether it applies to (problem, p), and its
 # Y_p.  The closed form's table has O(p^2) cells, so it sits out the
-# large-p pins of the linear routes.
+# large-p pins of the linear routes, and so does the one-pass iteration,
+# which reduces every Y_k on the way.
 ROUTES = [
     ("closed", lambda problem, p: p <= 40, solve_closed),
+    ("iterative-upto", lambda problem, p: p <= 40,
+     lambda problem, p: solve_iterative_upto(problem, p)[p]),
     ("scalar-sum", lambda problem, p: is_scalar(problem), on_scalars(solve_scalar_sum)),
     ("scalar-roots", lambda problem, p: has_rational_roots(problem),
      on_scalars(solve_scalar_roots)),
@@ -121,6 +126,24 @@ def test_every_route_agrees_with_iteration(case):
         for name, applies, solve in ROUTES:
             if applies(problem, p):
                 assert agree(solve(problem, p), want), f"{name} at p = {p}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BACKENDS).flatmap(lambda backend: backend[0]))
+@pinned(free_problem(), *seeded_problems(5, [1, 3]),
+        load_problem(PROBLEMS_DIR / "float-2x2.json").problem)
+def test_one_pass_is_iteration_at_every_p(problem):
+    values = solve_iterative_upto(problem, 12)
+    assert len(values) == 13
+    for p, value in enumerate(values):  # exact ==: floats bit for bit
+        want = solve_iterative(problem, p)
+        assert type(value) is type(want) and value == want, p
+        if isinstance(want, (Matrix, ColumnVector)):
+            assert (value._nums, value._den) == (want._nums, want._den), p
+    assert solve_iterative_upto(problem, 0) == [problem.zero_vector()]
+    assert solve_iterative_upto(problem, 1) == [problem.zero_vector(), problem.y1bar]
+    with pytest.raises(ValueError):
+        solve_iterative_upto(problem, -1)
 
 
 # One entry a check: the table's results for (problem, keys), and what one

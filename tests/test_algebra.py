@@ -19,6 +19,7 @@ from noncomm_recur.algebra import (
     apply,
     compose,
     ring_one,
+    ring_sum,
     ring_zero,
     vector_zero,
     word_from_str,
@@ -421,3 +422,91 @@ def test_vector_zero_and_ring_constants():
     assert vector_zero(FreeVector.generator()) == FreeVector.zero()
     assert ring_one(A) == FreeElement.one()
     assert ring_zero(Matrix.identity(2)) == Matrix.zeros(2)
+    for exact in (True, False):
+        for value, zeros in ((Matrix.identity(3, exact), Matrix.zeros(3, exact)),
+                             (ColumnVector([Fraction(1, 3) if exact else 0.5] * 2),
+                              ColumnVector.zeros(2, exact))):
+            zero = value.zero()
+            assert type(zero) is type(value) and zero == zeros and hash(zero) == hash(zeros)
+            assert (zero._nums, zero._den, zero.exact) == (zeros._nums, 1, exact)
+            assert all(type(x) is (int if exact else float) for x in zero._nums)
+
+
+@st.composite
+def summands(draw):
+    """(values, zero) of one kind: exact or float dense values, scalars or
+    free vectors, with zeros and cancelling pairs among the values."""
+    kind = draw(st.sampled_from(["exact", "float", "scalar", "free"]))
+    if kind == "scalar":
+        value = st.integers(-9, 9) | st.fractions(min_value=-9, max_value=9, max_denominator=12)
+        zero = Fraction(0)
+    elif kind == "free":
+        value = term_maps.map(FreeVector)
+        zero = FreeVector.zero()
+    else:
+        n, shape = draw(st.integers(1, 3)), draw(st.sampled_from([Matrix, ColumnVector]))
+        entry = (dense_entries if kind == "exact" else
+                 st.sampled_from([0.0, -0.0, 0.1, -2.5, 1e16, 3.0]))
+        size = n * n if shape is Matrix else n
+        flat = st.lists(entry, min_size=size, max_size=size)
+        if shape is Matrix:
+            value = flat.map(lambda e: Matrix([e[i:i + n] for i in range(0, n * n, n)]))
+        else:
+            value = flat.map(ColumnVector)
+        zero = (Matrix.zeros(n, kind == "exact") if shape is Matrix
+                else ColumnVector.zeros(n, kind == "exact"))
+    values = draw(st.lists(value, max_size=6))
+    if values and draw(st.booleans()):  # a value and its negation cancel
+        values.append(negated(values[0]))
+    return values, zero
+
+
+def negated(value):
+    if isinstance(value, FreeVector):
+        return FreeVector({word: -coeff for word, coeff in value.terms.items()})
+    if isinstance(value, Matrix):
+        return Matrix([[-x for x in row] for row in value.rows])
+    if isinstance(value, ColumnVector):
+        return ColumnVector([-x for x in value.entries])
+    return -value
+
+
+@settings(max_examples=300, deadline=None)
+@given(summands())
+def test_ring_sum_equals_the_fold(case):
+    values, zero = case
+    got, want = ring_sum(values, zero), sum(values, zero)  # the fold: one + a value
+    assert type(got) is type(want) and got == want and hash(got) == hash(want)
+    if isinstance(want, (Matrix, ColumnVector)):
+        # canonical pair, and floats bit for bit (signed zeros included)
+        assert (got._den, got.exact) == (want._den, want.exact)
+        if got.exact:
+            assert math.gcd(got._den, *got._nums) == 1
+        else:
+            assert [math.copysign(1, x) for x in got._nums] == \
+                   [math.copysign(1, x) for x in want._nums]
+
+
+def test_ring_sum_edges():
+    for zero in (Fraction(0), FreeVector.zero(), Matrix.zeros(2), ColumnVector.zeros(3, False)):
+        assert ring_sum([], zero) == zero and type(ring_sum([], zero)) is type(zero)
+    assert ring_sum(iter([1, Fraction(1, 2)]), 0) == Fraction(3, 2)
+    y = FreeVector({(0,): 2, (): -1})
+    assert ring_sum([y, FreeVector({(0,): -2, (): 1})], FreeVector.zero()).terms == {}
+    half = ColumnVector([Fraction(1, 2), Fraction(1, 6)])
+    total = ring_sum([half, half, ColumnVector([0, Fraction(2, 3)])], half.zero())
+    assert (total._nums, total._den) == ((1, 1), 1)
+    floats = ring_sum([ColumnVector([-0.0, 0.1]), ColumnVector([-0.0, 0.2])],
+                      ColumnVector([-0.0, 0.0]))
+    assert math.copysign(1, floats._nums[0]) == -1 and floats._nums[1] == 0.1 + 0.2
+    mismatched = [
+        ([ColumnVector([1, 2])], ColumnVector.zeros(3)),
+        ([ColumnVector([1.0, 2.0])], ColumnVector.zeros(2)),
+        ([Matrix.identity(2)], ColumnVector.zeros(2)),
+        ([A], FreeVector.zero()),
+        ([Fraction(1)], ColumnVector.zeros(1)),
+        ([ColumnVector([1])], Fraction(0)),
+    ]
+    for values, zero in mismatched:
+        with pytest.raises(BackendMismatchError):
+            ring_sum(values, zero)

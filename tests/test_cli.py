@@ -486,6 +486,18 @@ def test_verify_detects_corrupted_solver(capsys, monkeypatch):
     assert "free-theorem1" in out.splitlines()[0]
 
 
+def test_verify_detects_a_shifted_oracle(capsys, monkeypatch):
+    # simulate a broken one-pass oracle: Y_1..Y_{max_p+1} instead of Y_0..Y_max_p
+    import noncomm_recur.verify as verify_module
+    good = verify_module.solve_iterative_upto
+    monkeypatch.setattr(verify_module, "solve_iterative_upto",
+                        lambda problem, max_p: good(problem, max_p + 1)[1:])
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    assert "FAIL" in out
+    assert "free-theorem1" in out.splitlines()[0]
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
