@@ -29,7 +29,8 @@ The generic entry points :func:`compose`, :func:`apply`,
 :func:`ring_sum`, :func:`ring_one`, :func:`ring_zero` and
 :func:`vector_zero` look up the kind, check it and delegate to the
 contract; mixing backends (or matrix dimensions, or exact and float
-entries) raises :class:`BackendMismatchError`.
+entries) raises :class:`BackendMismatchError`.  The permutation-sum table
+and iteration meet the backends only in :func:`_integer_form`.
 """
 from __future__ import annotations
 
@@ -191,9 +192,6 @@ class FreeElement(_WordSum):
                                             for w1, c1 in self.terms.items()
                                             for w2, c2 in other.terms.items())))
 
-    def monomial_count(self):
-        return len(self.terms)
-
 
 class FreeVector(_WordSum):
     """Formal sum of words applied to the abstract initial vector.
@@ -350,11 +348,6 @@ class Matrix(_Dense):
         zero = Fraction(0) if exact else 0.0
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, n, exact=True):
-        zero = Fraction(0) if exact else 0.0
-        return cls([[zero] * n for _ in range(n)])
-
     def one(self):
         return Matrix.identity(self.n, self.exact)
 
@@ -382,10 +375,6 @@ class ColumnVector(_Dense):
         if not entries:
             raise ValueError("vector must have at least one entry")
         super().__init__(entries, len(entries))
-
-    @classmethod
-    def zeros(cls, n, exact=True):
-        return cls([Fraction(0) if exact else 0.0] * n)
 
 
 def _mul_nums(n, a, b):
@@ -417,19 +406,20 @@ def word_to_element(word, L0, L1, counter=None):
     """Evaluate a word as the left-to-right product of its factors.
 
     The empty word maps to the identity; a word of length k costs
-    max(k-1, 0) ring multiplications.  ``counter`` is any object whose
-    ``tick()`` adds one (see ``permsum.MultCounter``); it is ticked once
-    per multiplication performed.
+    max(k-1, 0) ring multiplications, added to ``counter.count`` (a
+    ``permsum.MultCounter``) in one step.  The backend is checked once,
+    and the factors multiply with ``*``; scalars become ``Fraction``s.
     """
-    check_same_backend(L0, L1)
-    factors = (L0, L1)
+    if check_same_backend(L0, L1) is Fraction:
+        L0, L1 = Fraction(L0), Fraction(L1)
     if not word:
         return ring_one(L0)
+    factors = (L0, L1)
     product = factors[word[0]]
     for letter in word[1:]:
-        product = compose(product, factors[letter])
-        if counter is not None:
-            counter.tick()
+        product = product * factors[letter]
+    if counter is not None:
+        counter.count += len(word) - 1
     return product
 
 
@@ -482,35 +472,38 @@ def apply(ring_element, vector):
 
 def _integer_form(L0, L1, start, product):
     """The one linear step a0·x + a1·y of the closed-form table and of
-    iteration, in integer form: ``(a0, a1, D, cell, d, mul, linear, value)``.
+    iteration, in integer form: ``(n, a0, a1, D, cell, d, mul, linear, value)``.
 
     ``linear(f0, f1)`` is the fused step (x, y) -> f0·x + f1·y.  The free
     backend keeps its values: a0 = L0, a1 = L1, D = d = 1, the start
-    ``cell`` is ``start`` and ``mul`` is ``product``.  A dense or scalar
-    value is a numerator tuple: with L0 = M0/m0, L1 = M1/m1, D = lcm(m0, m1)
-    and ``start`` = cell/d, a0 = D·L0 and a1 = D·L1, and ``mul`` and
-    ``linear`` use no lcm or gcd.  ``value(cell, den)`` is cell/den reduced
-    once, of ``start``'s kind: ``Matrix``, ``ColumnVector`` or ``Fraction``.
-    Floats have D = d = 1 and add in the order of ``product`` and ``+``."""
+    ``cell`` is ``start``, ``mul`` is ``product`` and ``value`` the cell.
+    A dense or scalar value is a numerator tuple: with L0 = M0/m0, L1 =
+    M1/m1, D = lcm(m0, m1) and ``start`` = cell/d, a0 = D·L0 and a1 = D·L1,
+    and ``mul`` and ``linear`` use no lcm or gcd.  ``value(cell, k)`` is
+    cell/(d·D^k) reduced once, of ``start``'s kind: ``Matrix``,
+    ``ColumnVector`` or ``Fraction``.  Floats have D = d = 1 and add in
+    the order of ``product`` and ``+``.  ``n`` is the dimension of cells
+    that pack into integers, exact dense and scalar ones, else 0."""
     if _kind(L0) is FreeElement:
-        return (L0, L1, 1, start, 1, product,
+        return (0, L0, L1, 1, start, 1, product,
                 lambda f0, f1: lambda x, y: product(f0, x) + product(f1, y),
-                lambda cell, den: cell)
+                lambda cell, k: cell)
     if isinstance(start, _Dense):
-        n, pairs = L0.n, ((x._nums, x._den) for x in (L0, L1, start))
+        n, packs, pairs = L0.n, start.exact, ((x._nums, x._den) for x in (L0, L1, start))
 
-        def value(cell, den):
-            return type(start)._new(cell, den, start.n, start.exact)
+        def value(cell, k):
+            return type(start)._new(cell, d * D ** k, start.n, start.exact)
     else:
-        n, pairs = 1, (((x.numerator,), x.denominator) for x in map(Fraction, (L0, L1, start)))
+        n = packs = 1
+        pairs = (((x.numerator,), x.denominator) for x in map(Fraction, (L0, L1, start)))
 
-        def value(cell, den):
-            return Fraction(cell[0], den)
+        def value(cell, k):
+            return Fraction(cell[0], d * D ** k)
     (f0, m0), (f1, m1), (cell, d) = pairs
     D = math.lcm(m0, m1)
     a0, a1 = (tuple(x * (D // m) for x in f) for f, m in ((f0, m0), (f1, m1)))
     mul, linear = (functools.partial(f, n) for f in (_mul_nums, _linear_nums))
-    return a0, a1, D, cell, d, mul, linear, value
+    return n if packs else 0, a0, a1, D, cell, d, mul, linear, value
 
 
 def ring_sum(values, zero):

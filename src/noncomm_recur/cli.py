@@ -229,6 +229,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if hasattr(sys.stdout, "reconfigure"):  # escape '·' where stdout cannot encode it
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at shutdown

@@ -22,13 +22,13 @@ The table is built one anti-diagonal u + v at a time, keeping one
 diagonal and the requested cells, and lives for a single top-level
 call; there is no cross-call caching.  ``algebra._integer_form``
 supplies the cell arithmetic, the fused step a0·x + a1·y that iteration
-takes.  On dense and scalar backends a diagonal is one packed integer
-per entry, every cell in its own slot (Kronecker substitution), and one
-step advances the whole diagonal; only the requested keys are values.
+takes, whether cells pack, and each key's value.  Where cells pack, a
+diagonal is one packed integer per entry, every cell in its own slot
+(Kronecker substitution), and one step advances the whole diagonal.
 
-The evaluators accept a counter, a :class:`MultCounter` or any object
-whose ``tick()`` adds one, that records the exact number of ring
-multiplications (or module actions) of the recursion, for benchmarking.
+The evaluators accept a :class:`MultCounter` that records the exact
+number of ring multiplications (or module actions) of the recursion,
+for benchmarking.
 """
 from __future__ import annotations
 
@@ -36,9 +36,7 @@ import math
 from itertools import combinations
 
 from .algebra import (
-    FreeElement,
     _integer_form,
-    _kind,
     apply,
     check_apply_compat,
     check_same_backend,
@@ -49,8 +47,8 @@ from .algebra import (
 )
 
 class MultCounter:
-    """Counter of ring multiplications (or module actions): each
-    ``tick()`` adds one to ``count``.
+    """Counter of ring multiplications (or module actions): an evaluator
+    adds what it did to ``count``.
 
     A count is of logical actions, the products that the recursion or
     the word expansion defines; a packed table makes one call for a
@@ -61,9 +59,6 @@ class MultCounter:
 
     def __init__(self):
         self.count = 0
-
-    def tick(self):
-        self.count += 1
 
 
 def binom(n, k):
@@ -151,27 +146,29 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
     same recursion from Z(0, 0) = y with module actions in place of ring
     products, and the result holds P(u, v)·y for each key.
 
-    On dense and scalar backends, with D the common denominator of L0
-    and L1, a0 = D·L0 and a1 = D·L1, a cell is the numerator tuple
+    Where ``_integer_form`` gives n > 0 (exact dense and scalar backends),
+    with D the common denominator of L0 and L1, a0 = D·L0 and a1 = D·L1,
+    a cell is the numerator tuple
     W(u, v) = a0·W(u-1, v) + a1·W(u, v-1), and the diagonal k is the
     polynomial Q_k(z) = sum_u W(u, k-u)·z^u with Q_k = (z·a0 + a1)·Q_(k-1).
     At z = 2^B it is one packed integer per entry (see
     :func:`_packed_diagonals`), so one call of the fused step
     ``linear(a0, a1)`` advances every cell of a diagonal.  Each key is
-    read from its slot once and becomes a value W(u, v) over
-    d·D^(u+v), d the origin's denominator, reduced by one gcd; a scalar
-    key is a ``Fraction`` even when L0, L1 and the vector are ``int``s.
+    read from its slot once and becomes ``value(W(u, v), u + v)``:
+    W(u, v) over d·D^(u+v), d the origin's denominator, reduced by one
+    gcd; a scalar key is a ``Fraction`` even from ``int`` inputs.
 
     Float and free cells cannot be packed: there a diagonal holds the
     cells of the union of the keys' rectangles, each made by the same
     ``linear`` or ``product`` call as in the recursion above, so float
     results are bit for bit those of ``compose``/``apply`` and ``+``.
 
-    ``counter`` counts the logical actions of the union of the keys'
-    rectangles, whatever the representation: one per edge cell and two
-    per interior cell, where the ring table gets P(1, 0) = L0 and
-    P(0, 1) = L1 free.  One key costs 2uv + max(u-1, 0) + max(v-1, 0)
-    ring multiplications, or 2uv + u + v module actions.
+    ``counter``, a :class:`MultCounter`, gains in one addition the
+    logical actions of the union of the keys' rectangles, whatever the
+    representation: one per edge cell and two per interior cell, where
+    the ring table gets P(1, 0) = L0 and P(0, 1) = L1 free.  One key
+    costs 2uv + max(u-1, 0) + max(v-1, 0) ring multiplications, or
+    2uv + u + v module actions.
     """
     check_same_backend(L0, L1)
     if vector is None:
@@ -184,21 +181,18 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
         _check_counts(u, v)
     if not keys:
         return []
-    packed = _kind(L0) is not FreeElement and getattr(L0, "exact", True)
-    a0, a1, D, origin, d, product, linear, value = _integer_form(L0, L1, origin, product)
+    n, a0, a1, _, origin, _, product, linear, value = _integer_form(L0, L1, origin, product)
     if counter is not None:  # row 0 and column 0 are edges, the rest interior
         col = _row_ends(keys)
-        ticks = col[0] + len(col) - 1 + 2 * sum(col[1:])
+        actions = col[0] + len(col) - 1 + 2 * sum(col[1:])
         if vector is None:
-            ticks -= (len(col) > 1) + (col[0] > 0)
-        for _ in range(ticks):
-            counter.tick()
+            actions -= (len(col) > 1) + (col[0] > 0)
+        counter.count += actions
     on_diagonal = {}
     for u, v in keys:
         on_diagonal.setdefault(u + v, {})[u, v] = None
-    if packed:
-        diagonal, advance, read = _packed_diagonals(
-            getattr(L0, "n", 1), a0, a1, origin, linear, on_diagonal)
+    if n:
+        diagonal, advance, read = _packed_diagonals(n, a0, a1, origin, linear, on_diagonal)
     else:
         diagonal, advance, read = _cell_diagonals(
             a0, a1, origin, product, linear, _row_ends(keys), vector is None)
@@ -207,7 +201,7 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
         if k:
             diagonal = advance(diagonal, k)
         for u, v in on_diagonal.get(k, ()):
-            found[u, v] = value(read(diagonal, u), d * D ** k)
+            found[u, v] = value(read(diagonal, u), k)
     return [found[key] for key in keys]
 
 

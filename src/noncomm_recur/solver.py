@@ -93,14 +93,14 @@ class CauchyProblem:
 
 
 def _iteration(problem):
-    """``(D, d, value, numerators)``: Y_k = value(N_k, d·D^(k-1)), where
-    ``numerators`` yields N_1, N_2, ... one step each, on demand.
+    """``(value, numerators)``: Y_k = value(N_k, k - 1), N_k over d·D^(k-1)
+    reduced once, where ``numerators`` yields N_1, N_2, ... on demand.
 
     It takes the closed-form table's fused step (``algebra._integer_form``)
     in the other order, N_(k+2) = D·a0·N_k + a1·N_(k+1) in one call, from
     N_1 = Y1's cell and N_2 = a1·N_1.  On the free backend D = d = 1:
     Y_(k+2) = L0·Y_k + L1·Y_(k+1)."""
-    a0, a1, D, cell, d, mul, linear, value = _integer_form(
+    _, a0, a1, D, cell, _, mul, linear, value = _integer_form(
         problem.L0, problem.L1, problem.y1bar, apply)
     step = linear(a0 if D == 1 else tuple(D * x for x in a0), a1)  # free: D = 1, a0 = L0
 
@@ -111,7 +111,7 @@ def _iteration(problem):
         while True:
             yield current
             previous, current = current, step(previous, current)
-    return D, d, value, numerators()
+    return value, numerators()
 
 
 def solve_iterative(problem, p):
@@ -121,8 +121,8 @@ def solve_iterative(problem, p):
         raise ValueError(f"p must be nonnegative, got {p}")
     if p < 2:
         return problem.y1bar if p else problem.zero_vector()
-    D, d, value, numerators = _iteration(problem)
-    return value(next(islice(numerators, p - 1, None)), d * D ** (p - 1))
+    value, numerators = _iteration(problem)
+    return value(next(islice(numerators, p - 1, None)), p - 1)
 
 
 def solve_iterative_upto(problem, max_p):
@@ -131,10 +131,8 @@ def solve_iterative_upto(problem, max_p):
     if max_p < 0:
         raise ValueError(f"max_p must be nonnegative, got {max_p}")
     values = [problem.zero_vector(), problem.y1bar][:max_p + 1]
-    D, d, value, numerators = _iteration(problem)
-    for cell in islice(numerators, 1, max_p):
-        d *= D
-        values.append(value(cell, d))
+    value, numerators = _iteration(problem)
+    values.extend(value(cell, k) for k, cell in enumerate(islice(numerators, 1, max_p), 1))
     return values
 
 
@@ -370,9 +368,9 @@ def estimate(method, problem, p):
                 copies = words * (words + 1) // 2 * terms * term_bits
             return count * products * max(ENTRY_FLOOR_BITS, terms * term_bits) + copies
         # The products make at most (c0 + c1)·total terms; printing copies
-        # Y_p's, and the closed form's sum of (p+1)//2 keys as many per key.
+        # Y_p's a_p terms, and the closed form's one sum of its keys as many.
         last, total, letters = term_bounds(problem, p)
-        copies = (p + 1) // 2 + 1 if method == "closed" else 1
+        copies = 2 if method == "closed" else 1
         return work + ((c0 + c1) * total + copies * last) * 64 * (letters + 1)
     if method != "scalar-roots":  # a ring cell P(u, v) is no wider than Y_2(u+v)
         width = entry_width(problem, 2 * sum(p) if cells else p)
@@ -399,8 +397,8 @@ def entry_width(problem, steps):
     2n·|a1|, 1) with |x| the largest entry, so g = max(bits(D), ⌈log2 c⌉).
     A ring cell P(u, v) is at most (2n·|a0|)^u·(2n·|a1|)^v over D^(u+v),
     and 2n·|a0| <= c², so it is within the bound at steps = 2(u + v)."""
-    a0, a1, D, cell, d, *_ = _integer_form(problem.L0, problem.L1, problem.y1bar, apply)
-    n, a0, a1 = getattr(problem.L0, "n", 1), max(map(abs, a0)), max(map(abs, a1))
+    n, a0, a1, D, cell, d, *_ = _integer_form(problem.L0, problem.L1, problem.y1bar, apply)
+    a0, a1 = max(map(abs, a0)), max(map(abs, a1))
     # (x - 1).bit_length() is ⌈log2 x⌉ for x >= 1; at x = 0 it is 1 <= bits(D)
     growth = max(D.bit_length(), ((2 * n * D * a0 - 1).bit_length() + 1) // 2,
                  (2 * n * a1 - 1).bit_length())

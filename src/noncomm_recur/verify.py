@@ -236,10 +236,10 @@ def check_permsum_structure(max_total=12):
             v = total - u
             dp = perm_sum_dp(A, B, u, v)
             expected = count_terms(u, v)
-            if dp.monomial_count() != expected:
+            if len(dp.terms) != expected:
                 return SuiteResult(
                     "permsum-structure", False,
-                    f"(u,v)=({u},{v}): {dp.monomial_count()} monomials, "
+                    f"(u,v)=({u},{v}): {len(dp.terms)} monomials, "
                     f"expected C({total},{u}) = {expected}")
             if any(c != 1 for c in dp.terms.values()):
                 return SuiteResult(

@@ -241,7 +241,7 @@ def test_action_associativity_float_backend():
 def test_free_zero_coefficients_dropped():
     assert FreeElement({(0,): 0}) == FreeElement.zero()
     assert A + FreeElement({(0,): -1}) == FreeElement.zero()
-    assert (A + B + FreeElement({(1,): -1})).monomial_count() == 1
+    assert len((A + B + FreeElement({(1,): -1})).terms) == 1
 
 
 @pytest.mark.parametrize("coeff", [0.5, "x", True])
@@ -325,7 +325,7 @@ def test_1x1_matrix_scalar_isomorphism():
         assert ma + mb == Matrix([[a + b]])
         assert apply(ma, ColumnVector([y])) == ColumnVector([apply(a, y)])
     assert Matrix.identity(1) == Matrix([[ring_one(Fraction(0))]])
-    assert Matrix.zeros(1) == Matrix([[ring_zero(Fraction(0))]])
+    assert Matrix([[0]]) == Matrix([[ring_zero(Fraction(0))]])
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +418,15 @@ def test_matrices_and_column_vectors_never_mix():
 
 def test_vector_zero_and_ring_constants():
     assert vector_zero(Fraction(3)) == 0
-    assert vector_zero(ColumnVector([1, 2])) == ColumnVector.zeros(2)
+    assert vector_zero(ColumnVector([1, 2])) == ColumnVector([0, 0])
     assert vector_zero(FreeVector.generator()) == FreeVector.zero()
     assert ring_one(A) == FreeElement.one()
-    assert ring_zero(Matrix.identity(2)) == Matrix.zeros(2)
+    assert ring_zero(Matrix.identity(2)) == Matrix([[0] * 2] * 2)
     for exact in (True, False):
-        for value, zeros in ((Matrix.identity(3, exact), Matrix.zeros(3, exact)),
+        entry = Fraction(0) if exact else 0.0
+        for value, zeros in ((Matrix.identity(3, exact), Matrix([[entry] * 3] * 3)),
                              (ColumnVector([Fraction(1, 3) if exact else 0.5] * 2),
-                              ColumnVector.zeros(2, exact))):
+                              ColumnVector([entry] * 2))):
             zero = value.zero()
             assert type(zero) is type(value) and zero == zeros and hash(zero) == hash(zeros)
             assert (zero._nums, zero._den, zero.exact) == (zeros._nums, 1, exact)
@@ -453,8 +454,8 @@ def summands(draw):
             value = flat.map(lambda e: Matrix([e[i:i + n] for i in range(0, n * n, n)]))
         else:
             value = flat.map(ColumnVector)
-        zero = (Matrix.zeros(n, kind == "exact") if shape is Matrix
-                else ColumnVector.zeros(n, kind == "exact"))
+        entry = 0 if kind == "exact" else 0.0
+        zero = Matrix([[entry] * n] * n) if shape is Matrix else ColumnVector([entry] * n)
     values = draw(st.lists(value, max_size=6))
     if values and draw(st.booleans()):  # a value and its negation cancel
         values.append(negated(values[0]))
@@ -488,7 +489,7 @@ def test_ring_sum_equals_the_fold(case):
 
 
 def test_ring_sum_edges():
-    for zero in (Fraction(0), FreeVector.zero(), Matrix.zeros(2), ColumnVector.zeros(3, False)):
+    for zero in (Fraction(0), FreeVector.zero(), Matrix([[0] * 2] * 2), ColumnVector([0.0] * 3)):
         assert ring_sum([], zero) == zero and type(ring_sum([], zero)) is type(zero)
     assert ring_sum(iter([1, Fraction(1, 2)]), 0) == Fraction(3, 2)
     y = FreeVector({(0,): 2, (): -1})
@@ -500,11 +501,11 @@ def test_ring_sum_edges():
                       ColumnVector([-0.0, 0.0]))
     assert math.copysign(1, floats._nums[0]) == -1 and floats._nums[1] == 0.1 + 0.2
     mismatched = [
-        ([ColumnVector([1, 2])], ColumnVector.zeros(3)),
-        ([ColumnVector([1.0, 2.0])], ColumnVector.zeros(2)),
-        ([Matrix.identity(2)], ColumnVector.zeros(2)),
+        ([ColumnVector([1, 2])], ColumnVector([0] * 3)),
+        ([ColumnVector([1.0, 2.0])], ColumnVector([0] * 2)),
+        ([Matrix.identity(2)], ColumnVector([0] * 2)),
         ([A], FreeVector.zero()),
-        ([Fraction(1)], ColumnVector.zeros(1)),
+        ([Fraction(1)], ColumnVector([0])),
         ([ColumnVector([1])], Fraction(0)),
     ]
     for values, zero in mismatched:

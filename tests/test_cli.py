@@ -297,26 +297,27 @@ FREE_FILES = {
     ("fibonacci.json", "iterative", 70639),
     # p steps of four products at the 4096-bit floor, 305175·16384 = 4999987200
     ("float-2x2.json", "iterative", 305175),
-    # (p+1)^2 // 4 cells at two floors, and p products plus (p+1)//2 + 1
-    # copies of one term of p - 1 letters, 64·p bits a term:
-    # p = 1526: 582932·8192 + (1526 + 764)·64·1526 = 4999029504
-    # p = 1527: 583696·8192 + (1527 + 765)·64·1527 = 5005630208
-    ("l0-zero.json", "closed", 1526),
+    # (p+1)^2 // 4 cells at two floors, and p products plus 2 copies (the
+    # sum of the keys and the printing) of one term of p - 1 letters,
+    # 64·p bits a term:
+    # p = 1537: 591361·8192 + (1537 + 2)·64·1537 = 4995817664
+    # p = 1538: 592130·8192 + (1538 + 2)·64·1538 = 5002314240
+    ("l0-zero.json", "closed", 1537),
     # p steps at the floor, and p products plus one copy of a term of 64·p bits:
     # p = 8806: 8806·4096 + 8807·64·8806 = 4999553664
     # p = 8807: 8807·4096 + 8808·64·8807 = 5000685056
     ("l0-zero.json", "iterative", 8806),
     # a term has 1000(p-1) letters and one coefficient, 64·(1000p - 999) bits:
-    # p = 225: 12769·8192 + (225 + 114)·64·224001 = 4964529344
-    # p = 226: 12882·8192 + (226 + 114)·64·225001 = 5001551104
-    ("long-word.json", "closed", 225),
+    # p = 274: 18906·8192 + (274 + 2)·64·273001 = 4977167616
+    # p = 275: 19044·8192 + (275 + 2)·64·274001 = 5013498176
+    ("long-word.json", "closed", 274),
     # p = 279: 279·4096 + 280·64·278001 = 4982920704
     # p = 280: 280·4096 + 281·64·279001 = 5018700864
     ("long-word.json", "iterative", 279),
     # F_p terms of p - 1 letters and a coefficient, 64·p bits each:
-    # p = 26: 182·8192 + (2·317810 + 14·121393)·64·26 = 3887133952
-    # p = 27: 196·8192 + (2·514228 + 15·196418)·64·27 = 6869932160
-    ("free-generators.json", "closed", 26),
+    # p = 28: 210·8192 + (2·832039 + 2·317811)·64·28 = 4122782720
+    # p = 29: 225·8192 + (2·1346268 + 2·514229)·64·29 = 6908008064
+    ("free-generators.json", "closed", 28),
     # p = 28: 28·4096 + (2·832039 + 317811)·64·28 = 3551659776
     # p = 29: 29·4096 + (2·1346268 + 514229)·64·29 = 5951874624
     ("free-generators.json", "iterative", 28),
@@ -355,6 +356,17 @@ def test_solve_free_table_cells_weigh_the_longest_word(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "20",
                        "--method", "iterative")
     assert (code, out) == (0, f"{'B' * 19000}·y1\n")
+
+
+def test_solve_escapes_what_stdout_cannot_encode():
+    # exit 1 means a failed suite, so an ascii stdout must not end in a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(noncomm_recur.__file__).parent.parent),
+               PYTHONIOENCODING="ascii")
+    proc = subprocess.run(
+        [sys.executable, "-m", "noncomm_recur.cli", "solve", "--input",
+         str(PROBLEMS_DIR / "free-generators.json"), "--p", "2"],
+        capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"B\\xb7y1\n", b"")
 
 
 @pytest.mark.parametrize("p", ["31", "40", "1999", "1000000000"])

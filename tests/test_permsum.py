@@ -315,7 +315,9 @@ def numerator_tables(draw):
             return draw(TABLE_ENTRIES[True] | st.integers(-6, 6))
         shape = draw(st.sampled_from(["dense", "dense", "dense", "zero", "identity"]))
         if shape != "dense":
-            return Matrix.zeros(n, exact) if shape == "zero" else Matrix.identity(n, exact)
+            if shape == "zero":
+                return Matrix([[Fraction(0) if exact else 0.0] * n] * n)
+            return Matrix.identity(n, exact)
         return Matrix([[draw(entries) for _ in range(n)] for _ in range(n)])
 
     L0, L1 = coefficient(), coefficient()

@@ -243,8 +243,8 @@ DIAGONAL_SEVEN_SIXTHS = Matrix([[Fraction(7, 6), 0], [0, Fraction(7, 6)]])
 
 @settings(max_examples=200, deadline=None)
 @given(iteration_problems(), st.integers(0, 30))
-@example(CauchyProblem(Matrix.zeros(2), DIAGONAL_SEVEN_SIXTHS, ColumnVector([1, 1])), 9)
-@example(CauchyProblem(DIAGONAL_HALF, Matrix.zeros(2), ColumnVector([1, 1])), 9)
+@example(CauchyProblem(Matrix([[0] * 2] * 2), DIAGONAL_SEVEN_SIXTHS, ColumnVector([1, 1])), 9)
+@example(CauchyProblem(DIAGONAL_HALF, Matrix([[0] * 2] * 2), ColumnVector([1, 1])), 9)
 @example(CauchyProblem(0, Fraction(7, 6), 1), 9)
 @example(CauchyProblem(Fraction(1, 2), 0, 1), 9)
 @example(CauchyProblem(DIAGONAL_HALF, DIAGONAL_SEVEN_SIXTHS, ColumnVector([1, 3])), 0)
