@@ -409,9 +409,12 @@ def word_to_element(word, L0, L1, counter=None):
     max(k-1, 0) ring multiplications, added to ``counter.count`` (a
     ``permsum.MultCounter``) in one step.  The backend is checked once,
     and the factors multiply with ``*``; scalars become ``Fraction``s.
+    A letter outside {0, 1} raises ``ValueError``.
     """
     if check_same_backend(L0, L1) is Fraction:
         L0, L1 = Fraction(L0), Fraction(L1)
+    if not {*word} <= {0, 1}:
+        raise ValueError(f"invalid word {word!r}: letters must be 0 or 1")
     if not word:
         return ring_one(L0)
     factors = (L0, L1)

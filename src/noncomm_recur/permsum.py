@@ -116,7 +116,6 @@ def perm_sum_naive(L0, L1, u, v, counter=None):
     evaluated word by word: C(u+v, u) words at max(u+v-1, 0) ring
     multiplications each.
     """
-    check_same_backend(L0, L1)
     total = ring_zero(L0)
     for word in enumerate_words(u, v):
         total = total + word_to_element(word, L0, L1, counter)

@@ -119,8 +119,8 @@ def solve_iterative(problem, p):
     p - 1 steps of :func:`_iteration`, and Y_p reduced once."""
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
-    if p < 2:
-        return problem.y1bar if p else problem.zero_vector()
+    if not p:
+        return problem.zero_vector()
     value, numerators = _iteration(problem)
     return value(next(islice(numerators, p - 1, None)), p - 1)
 
@@ -130,10 +130,9 @@ def solve_iterative_upto(problem, max_p):
     to ``solve_iterative(problem, k)`` and reduced once."""
     if max_p < 0:
         raise ValueError(f"max_p must be nonnegative, got {max_p}")
-    values = [problem.zero_vector(), problem.y1bar][:max_p + 1]
     value, numerators = _iteration(problem)
-    values.extend(value(cell, k) for k, cell in enumerate(islice(numerators, 1, max_p), 1))
-    return values
+    return [problem.zero_vector(),
+            *(value(cell, k) for k, cell in enumerate(islice(numerators, max_p)))]
 
 
 def solve_closed(problem, p):
@@ -251,10 +250,8 @@ def solve_scalar_sum(c0, c1, y1bar, p):
     integer sum runs by Horner's rule, each term made from the one before
     by narrow products and one exact division: O(p) wide-by-narrow steps.
     """
-    if p < 0:
-        raise ValueError(f"p must be nonnegative, got {p}")
-    c0, c1, y1bar = Fraction(c0), Fraction(c1), Fraction(y1bar)
     n, top = p - 1, t_bar(p)
+    c0, c1, y1bar = Fraction(c0), Fraction(c1), Fraction(y1bar)
     if top < 0:
         return Fraction(0)
     a, b, c, d = c0.numerator, c0.denominator, c1.numerator, c1.denominator

@@ -1,5 +1,6 @@
 """CLI behavior: output formats and the documented exit-code mapping."""
 import contextlib
+import functools
 import io
 import json
 import os
@@ -15,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noncomm_recur
+from noncomm_recur import verify
+from noncomm_recur.algebra import FreeElement
 from noncomm_recur.cli import main
-from noncomm_recur.problems import load_problem
+from noncomm_recur.problems import ProblemFileError, load_problem
 from noncomm_recur.solver import term_bounds
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -78,21 +81,11 @@ def test_solve_method_backend_mismatch_exits_3(capsys):
     assert "scalar" in err
 
 
-def test_solve_parse_failure_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"backend": "scalar", "L0": 0.5, "L1": "1", "Y1": "1"}')
-    code, out, err = run(capsys, "solve", "--input", str(bad), "--p", "1")
-    assert code == 2
-    assert "L0" in err
-    missing = tmp_path / "missing.json"
-    code, _, err = run(capsys, "solve", "--input", str(missing), "--p", "1")
-    assert code == 2
-
-
 LONG_INT = "1" * 4301  # one digit past Python's default int/str limit
 
 UNREADABLE_INPUTS = {
     "directory": None,
+    "decimal": '{"backend": "scalar", "L0": 0.5, "L1": "1", "Y1": "1"}',
     "not-utf8": b'{"backend": "scalar", "L0": "\xff"}',
     "json-int-too-long": f'{{"backend": "scalar", "L0": {LONG_INT}, "L1": 1, "Y1": 1}}',
     "rational-too-long": f'{{"backend": "scalar", "L0": "1/{LONG_INT}", "L1": 1, "Y1": 1}}',
@@ -119,8 +112,9 @@ def test_unreadable_input_exits_2(tmp_path, capsys, case, command):
         path.write_text(content)
     code, out, err = run(capsys, *command, "--input", str(path))
     assert (code, out) == (2, "")
-    assert case in err and "Traceback" not in err
-    assert len(err.splitlines()) == 1
+    with pytest.raises(ProblemFileError) as excinfo:  # one line: the parser's message
+        load_problem(path)
+    assert err == f"{excinfo.value}\n"
 
 
 def test_solve_prints_results_past_the_int_str_digit_limit(capsys):
@@ -487,9 +481,8 @@ def test_verify_small_run_passes(capsys):
 
 def test_verify_detects_corrupted_solver(capsys, monkeypatch):
     # simulate a broken build: closed form returns Y_{p+1} instead of Y_p
-    import noncomm_recur.verify as verify_module
-    good = verify_module.solve_closed
-    monkeypatch.setattr(verify_module, "solve_closed",
+    good = verify.solve_closed
+    monkeypatch.setattr(verify, "solve_closed",
                         lambda problem, p: good(problem, p + 1))
     code, out, _ = run(capsys, "verify")
     assert code == 1
@@ -500,14 +493,53 @@ def test_verify_detects_corrupted_solver(capsys, monkeypatch):
 
 def test_verify_detects_a_shifted_oracle(capsys, monkeypatch):
     # simulate a broken one-pass oracle: Y_1..Y_{max_p+1} instead of Y_0..Y_max_p
-    import noncomm_recur.verify as verify_module
-    good = verify_module.solve_iterative_upto
-    monkeypatch.setattr(verify_module, "solve_iterative_upto",
+    good = verify.solve_iterative_upto
+    monkeypatch.setattr(verify, "solve_iterative_upto",
                         lambda problem, max_p: good(problem, max_p + 1)[1:])
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "FAIL" in out
     assert "free-theorem1" in out.splitlines()[0]
+
+
+IDENTITIES, PERMSUM = verify.check_identities, verify.check_permsum_structure
+COHERENCE = functools.partial(verify.check_scalar_coherence, pairs=1, max_p=2, complex_pairs=1)
+COUNTS = functools.partial(verify.check_mult_counts, 1, 1)
+
+# One row per failure return of a suite: the suite, the name in verify's
+# namespace to replace, its replacement made from the real one, and the
+# counterexample.
+SUITE_FAILURES = {
+    "complex-roots": (COHERENCE, "solve_scalar_roots", lambda real: lambda *a: (
+        y + 1.0 if isinstance(y := real(*a), float) else y),
+        "complex pair #0 (seed 42) c0=-3/4 c1=-1 y1=5/2, p=0: float=1.0 exact=0 (= 0.0)"),
+    "pascal": (IDENTITIES, "stifel_check", lambda real: lambda n, k: False,
+               "Pascal step fails at n=0, k=-1"),
+    "symmetry": (IDENTITIES, "binom", lambda real: lambda n, k: k,
+                 "index symmetry fails at p=2, t=0: C(1,0) != C(1,1)"),
+    "identity-21": (IDENTITIES, "verify_identity_21", lambda real: lambda z, n: False,
+                    "square-root identity fails at z=0, n=0"),
+    "identity-23": (IDENTITIES, "verify_identity_23", lambda real: lambda n: False,
+                    "repeated-root identity fails at n=0"),
+    "monomials": (PERMSUM, "perm_sum_dp", lambda real: lambda *a: FreeElement.zero(),
+                  "(u,v)=(0,0): 0 monomials, expected C(0,0) = 1"),
+    "coefficients": (PERMSUM, "perm_sum_dp", lambda real: lambda *a: real(*a) + real(*a),
+                     "(u,v)=(0,0): non-unit coefficient in 2·I"),
+    "naive-sum": (PERMSUM, "perm_sum_naive", lambda real: lambda *a: FreeElement.zero(),
+                  "(u,v)=(0,0): dp=I differs from naive enumeration"),
+    "naive-count": (COUNTS, "perm_sum_naive", lambda real: lambda *a, counter: None,
+                    "naive at (1,1): 0 multiplications, expected 2 words x 1 = 2"),
+    "dp": (COUNTS, "perm_sum_dp", lambda real: lambda *a, counter: setattr(counter, "count", 9),
+           "dp at (1,1): 9 multiplications exceeds the bound 8"),
+}
+
+
+@pytest.mark.parametrize("case", SUITE_FAILURES)
+def test_suite_failure_reports_its_counterexample(monkeypatch, case):
+    suite, name, replace, counterexample = SUITE_FAILURES[case]
+    monkeypatch.setattr(verify, name, replace(getattr(verify, name)))
+    result = suite()
+    assert (result.passed, result.detail) == (False, counterexample)
 
 
 # ---------------------------------------------------------------------------

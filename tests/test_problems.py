@@ -1,5 +1,6 @@
 """Problem-file schema: parsing and diagnostics."""
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,94 +72,66 @@ def test_free_explicit_elements():
     assert doc.problem.y1bar == FreeVector({(): 1, (0, 1): 3})
 
 
-def test_malformed_json_reports_line():
+LONG_INT = "1" * 4301  # one digit past Python's default int/str limit
+EYE2 = "[[1, 0], [0, 1]]"
+FINITE = "^float entry must be finite and within the range of a double$"
+
+
+def scalar(L0='"1"'):
+    return f'{{"backend": "scalar", "L0": {L0}, "L1": "1", "Y1": "1"}}'
+
+
+def matrix(L0, L1="[[1]]", Y1="[1]", n=1, backend="float-matrix"):
+    return f'{{"backend": "{backend}", "n": {n}, "L0": {L0}, "L1": {L1}, "Y1": {Y1}}}'
+
+
+# One row per rejection in the parser: the file text, the field (or for
+# malformed JSON the line) that the error names, and its message.
+REJECTED_FILES = {
+    "malformed-json": ('{\n  "backend": "scalar",\n  oops\n}', 3, "^Expecting property name"),
+    "deep-nesting": ("[" * 100000, None, "^JSON nested too deeply$"),
+    "json-int-too-long": (scalar(LONG_INT), None, "^integer has more digits"),
+    "not-an-object": ("[1]", None, "^top level must be a JSON object$"),
+    "unknown-backend": ('{"backend": "quaternion"}', "backend",
+                        "^unknown backend 'quaternion'; expected one of rational-matrix, "),
+    "label": ('{"backend": "free", "label": 3}', "label", "^label must be a string$"),
+    "missing": ('{"backend": "scalar", "L0": "1", "L1": "1"}', "Y1", "^required field is missing$"),
+    "bool-rational": (scalar("true"), "L0", "^invalid rational True$"),
+    "decimal": (scalar("0.5"), "L0", r"^decimal 0\.5 not allowed in an exact backend"),
+    "decimal-text": (matrix('[["1.5"]]', backend="rational-matrix"), "L0[0][0]",
+                     r"^invalid rational '1\.5'; expected 'p' or 'p/q'$"),
+    "zero-denominator": (scalar('"1/0"'), "L0", "^zero denominator in '1/0'$"),
+    "rational-too-long": (scalar(f'"1/{LONG_INT}"'), "L0", "^integer has more digits"),
+    "null-rational": (scalar("null"), "L0", "^invalid rational None$"),
+    "float-text": (matrix('[["1/2"]]'), "L0[0][0]", "^invalid float entry '1/2'; expected a JSON"),
+    "nan": (matrix("[[NaN]]"), "L0[0][0]", FINITE),
+    "infinity": (matrix("[[1]]", "[[-Infinity]]"), "L1[0][0]", FINITE),
+    "1e999": (matrix("[[1]]", Y1="[1e999]"), "Y1[0]", FINITE),
+    "int-past-double": (matrix("[[1]]", Y1=f'[1{"0" * 400}]'), "Y1[0]", FINITE),
+    **{f"n-{n}": (matrix("[[1]]", n=n), "n", f"^n must be a positive integer, got {n.title()}$")
+       for n in ("true", "0", "-1")},
+    "row-count": (matrix("[[1, 0]]", EYE2, "[1, 0]", 2), "L0", "^expected 2 rows$"),
+    "ragged-matrix": (matrix("[[1, 0], [1]]", EYE2, "[1, 0]", 2), "L0[1]", "^expected 2 entries$"),
+    "vector-length": (matrix(EYE2, EYE2, "[1]", 2), "Y1", "^expected 2 entries$"),
+    "free-field": ('{"backend": "free", "L1": [1]}', "L1", "^expected an object mapping words"),
+    "free-word": ('{"backend": "free", "L0": {"AXB": 1}}', "L0", "^invalid word text 'AXB': "),
+    **{f"free-coefficient-{c}": ('{"backend": "free", "L0": {"AB": %s}}' % c, "L0",
+                                 "^coefficient of word 'AB' must be an int, got ")
+       for c in ("true", "0.5", '"1"', "null", "[]")},
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_FILES)
+def test_rejected_file_names_field_or_line(case):
+    text, named, message = REJECTED_FILES[case]
+    field, line = (None, named) if isinstance(named, int) else (named, None)
+    where = "bad.json" + (f":{line}" if line else "") + (f": field {field}" if field else "")
     with pytest.raises(ProblemFileError) as excinfo:
-        loads_problem('{\n  "backend": "scalar",\n  oops\n}', source="bad.json")
-    assert excinfo.value.line == 3
-    assert "bad.json:3" in str(excinfo.value)
-
-
-def test_deeply_nested_json_rejected():
-    with pytest.raises(ProblemFileError) as excinfo:
-        loads_problem("[" * 100000, source="deep.json")
-    assert "deep.json" in str(excinfo.value)
-
-
-def test_unknown_backend():
-    with pytest.raises(ProblemFileError) as excinfo:
-        loads_problem('{"backend": "quaternion"}')
-    assert excinfo.value.field == "backend"
-
-
-def test_missing_field_named():
-    with pytest.raises(ProblemFileError) as excinfo:
-        loads_problem('{"backend": "scalar", "L0": "1", "L1": "1"}')
-    assert excinfo.value.field == "Y1"
-
-
-def test_decimal_rejected_in_rational_backend():
-    with pytest.raises(ProblemFileError) as excinfo:
-        loads_problem(json.dumps(
-            {"backend": "scalar", "L0": 0.5, "L1": "1", "Y1": "1"}))
-    assert excinfo.value.field == "L0"
-    with pytest.raises(ProblemFileError):
-        loads_problem(json.dumps({
-            "backend": "rational-matrix", "n": 1,
-            "L0": [["1.5"]], "L1": [["1"]], "Y1": ["1"]}))
-
-
-def test_zero_denominator_rejected():
-    with pytest.raises(ProblemFileError) as excinfo:
-        loads_problem(json.dumps(
-            {"backend": "scalar", "L0": "1/0", "L1": "1", "Y1": "1"}))
-    assert excinfo.value.field == "L0"
-
-
-def test_ragged_matrix_rejected():
-    with pytest.raises(ProblemFileError) as excinfo:
-        loads_problem(json.dumps({
-            "backend": "rational-matrix", "n": 2,
-            "L0": [["1", "0"], ["1"]], "L1": [["1", "0"], ["0", "1"]],
-            "Y1": ["1", "0"]}))
-    assert excinfo.value.field == "L0[1]"
-
-
-def test_wrong_vector_length_rejected():
-    with pytest.raises(ProblemFileError) as excinfo:
-        loads_problem(json.dumps({
-            "backend": "rational-matrix", "n": 2,
-            "L0": [["1", "0"], ["0", "1"]], "L1": [["1", "0"], ["0", "1"]],
-            "Y1": ["1"]}))
-    assert excinfo.value.field == "Y1"
-
-
-def test_bad_free_word_rejected():
-    with pytest.raises(ProblemFileError) as excinfo:
-        loads_problem('{"backend": "free", "L0": {"AXB": 1}}')
-    assert excinfo.value.field == "L0"
-    for coeff in ("true", "0.5", '"1"', "null", "[]"):
-        with pytest.raises(ProblemFileError, match="'AB'") as excinfo:
-            loads_problem('{"backend": "free", "L0": {"AB": %s}}' % coeff)
-        assert excinfo.value.field == "L0"
-
-
-def test_string_entries_rejected_in_float_backend():
-    with pytest.raises(ProblemFileError):
-        loads_problem(json.dumps({
-            "backend": "float-matrix", "n": 1,
-            "L0": [["1/2"]], "L1": [[1.0]], "Y1": [1.0]}))
-
-
-@pytest.mark.parametrize("field, fields", [
-    ("L0[0][0]", '"L0": [[NaN]], "L1": [[1]], "Y1": [1]'),
-    ("L1[0][0]", '"L0": [[1]], "L1": [[-Infinity]], "Y1": [1]'),
-    ("Y1[0]", '"L0": [[1]], "L1": [[1]], "Y1": [1e999]'),
-    ("Y1[0]", f'"L0": [[1]], "L1": [[1]], "Y1": [1{"0" * 400}]'),
-], ids=["nan", "infinity", "1e999", "int-past-double"])
-def test_non_finite_float_entries_rejected(field, fields):
-    with pytest.raises(ProblemFileError) as excinfo:
-        loads_problem(f'{{"backend": "float-matrix", "n": 1, {fields}}}')
-    assert excinfo.value.field == field
+        loads_problem(text, source="bad.json")
+    error = excinfo.value
+    assert (error.source, error.field, error.line) == ("bad.json", field, line)
+    assert str(error).startswith(where + ": ")
+    assert re.search(message, str(error)[len(where) + 2:]), str(error)
 
 
 def test_unreadable_file_raises_problem_file_error(tmp_path):
