@@ -241,6 +241,17 @@ def test_free_zero_coefficients_dropped():
     assert len((A + B + FreeElement({(1,): -1})).terms) == 1
 
 
+@pytest.mark.parametrize("coeff", [0.5, "x", True])
+def test_free_coefficients_must_be_ints(coeff):
+    with pytest.raises(TypeError, match=r"^coefficient of word 'A' must be an int, got "):
+        FreeElement({(0,): coeff})
+    with pytest.raises(TypeError, match=r"^coefficient of word 'B' must be an int, got "):
+        FreeVector({(): 1, (1,): coeff})
+    # a bad letter is named as before, whatever its coefficient
+    with pytest.raises(ValueError, match=r"^invalid word \(0, 2\): letters must be 0 or 1$"):
+        FreeElement({(0, 2): coeff})
+
+
 @given(free_elements)
 def test_free_coeff_map_round_trip(element):
     assert FreeElement.from_coeff_map(element.to_coeff_map()) == element
@@ -320,8 +331,19 @@ def test_1x1_matrix_scalar_isomorphism():
 
 
 # ---------------------------------------------------------------------------
-# Ring elements and vectors never mix
+# Immutability; ring elements and vectors never mix
 # ---------------------------------------------------------------------------
+
+def test_values_are_immutable():
+    with pytest.raises(AttributeError, match="^FreeElement is immutable$"):
+        A.terms = {}
+    with pytest.raises(AttributeError, match="^Matrix is immutable$"):
+        Matrix.identity(2).rows = ()
+    with pytest.raises(AttributeError, match="^ColumnVector is immutable$"):
+        ColumnVector([1]).entries = ()
+    with pytest.raises(AttributeError, match="^FreeVector is immutable$"):
+        FreeVector.generator().terms = {}
+
 
 def test_free_elements_and_vectors_never_mix():
     one, y = FreeElement.one(), FreeVector.generator()

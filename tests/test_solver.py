@@ -17,6 +17,7 @@ from noncomm_recur.algebra import (
 from noncomm_recur.solver import (
     CauchyProblem,
     DoubleRangeError,
+    InvalidCoefficientError,
     characteristic_roots,
     entry_width,
     rational_sqrt,
@@ -269,6 +270,12 @@ def test_roots_irrational_goes_float():
     assert not roots.exact
     assert roots.m1.real == pytest.approx(1.6180339887, abs=1e-9)
     assert roots.m2.real == pytest.approx(-0.6180339887, abs=1e-9)
+
+
+def test_roots_require_nonzero_c0():
+    c0_zero = "^characteristic-root solver requires c0 != 0$"
+    with pytest.raises(InvalidCoefficientError, match=c0_zero):
+        characteristic_roots(0, 3)
 
 
 def test_root_invariants():
