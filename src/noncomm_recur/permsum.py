@@ -19,12 +19,12 @@ Z(0, 0) = y the same recursion Z(u, v) = L0·Z(u-1, v) + L1·Z(u, v-1)
 gives Z(u, v) = P(u, v)·y with one module action per step, a
 matrix-vector product instead of a matrix product on matrix backends.
 The table is built one anti-diagonal u + v at a time, keeping one
-diagonal and the requested cells, and lives for a single top-level
-call; there is no cross-call caching.  ``algebra._integer_form``
-supplies the cell arithmetic, the fused step a0·x + a1·y that iteration
-takes, whether cells pack, and each key's value.  Where cells pack, a
-diagonal is one packed integer per entry, every cell in its own slot
-(Kronecker substitution), and one step advances the whole diagonal.
+diagonal and the requested cells, for one call only; nothing is cached.
+``algebra._integer_form`` supplies the cell arithmetic, the fused step
+a0·x + a1·y that iteration takes, whether cells pack, and each key's
+value.  Where cells pack, a diagonal is one packed integer per entry,
+every cell in its own slot (Kronecker substitution), one step advances
+the whole diagonal, and a sum of keys is reduced once.
 
 The evaluators accept a :class:`MultCounter` that records the exact
 number of ring multiplications (or module actions) of the recursion,
@@ -42,7 +42,9 @@ from .algebra import (
     check_same_backend,
     compose,
     ring_one,
+    ring_sum,
     ring_zero,
+    vector_zero,
     word_to_element,
 )
 
@@ -132,13 +134,14 @@ def perm_sum_dp(L0, L1, u, v, counter=None):
     return perm_sum_batch(L0, L1, [(u, v)], counter=counter)[0]
 
 
-def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
+def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
     """Evaluate several permutation sums against one shared table.
 
     ``keys`` is a sequence of (u, v) pairs; the result list is aligned
-    with it.  The table runs over anti-diagonals k = u + v, up to the
-    largest key's k, and holds one diagonal at a time: memory grows with
-    the table's width, not its area.
+    with it, or ``total=True`` returns the sum of the keys' values, each
+    repeat counted (zero if none).  The table runs over anti-diagonals
+    k = u + v, up to the largest key's k, and holds one diagonal at a
+    time: memory grows with the table's width, not its area.
 
     Without ``vector`` the cells are ring elements P(u, v).  With a
     module ``vector`` y the cells are Z(u, v) = P(u, v)·y, built by the
@@ -155,12 +158,13 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
     ``linear(a0, a1)`` advances every cell of a diagonal.  Each key is
     read from its slot once and becomes ``value(W(u, v), u + v)``:
     W(u, v) over d·D^(u+v), d the origin's denominator, reduced by one
-    gcd; a scalar key is a ``Fraction`` even from ``int`` inputs.
+    gcd; a scalar key is a ``Fraction`` even from ``int`` inputs.  A
+    total is one ``value`` of the sum of W(u, v)·D^(K-u-v), K = max(u + v).
 
-    Float and free cells cannot be packed: there a diagonal holds the
-    cells of the union of the keys' rectangles, each made by the same
-    ``linear`` or ``product`` call as in the recursion above, so float
-    results are bit for bit those of ``compose``/``apply`` and ``+``.
+    Float and free cells cannot be packed: a diagonal holds the cells of
+    the union of the keys' rectangles, each made by the recursion's
+    ``linear`` or ``product`` call, and a total is one ``ring_sum``, so
+    float results are bit for bit those of ``compose``/``apply`` and ``+``.
 
     ``counter``, a :class:`MultCounter`, gains in one addition the
     logical actions of the union of the keys' rectangles, whatever the
@@ -171,16 +175,16 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
     """
     check_same_backend(L0, L1)
     if vector is None:
-        origin, product = ring_one(L0), compose
+        origin, product, zero = ring_one(L0), compose, ring_zero(L0)
     else:
         check_apply_compat(L0, vector)
-        origin, product = vector, apply
+        origin, product, zero = vector, apply, vector_zero(vector)
     keys = list(keys)
     for u, v in keys:
         _check_counts(u, v)
     if not keys:
-        return []
-    n, a0, a1, _, origin, _, product, linear, value = _integer_form(L0, L1, origin, product)
+        return zero if total else []
+    n, a0, a1, D, origin, _, product, linear, value = _integer_form(L0, L1, origin, product)
     if counter is not None:  # row 0 and column 0 are edges, the rest interior
         col = _row_ends(keys)
         actions = col[0] + len(col) - 1 + 2 * sum(col[1:])
@@ -195,13 +199,18 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None):
     else:
         diagonal, advance, read = _cell_diagonals(
             a0, a1, origin, product, linear, _row_ends(keys), vector is None)
+    K = max(on_diagonal)
+    keep = (lambda cell, k: list(map((D ** (K - k)).__mul__, cell))) if total and n else value
     found = {}
-    for k in range(max(on_diagonal) + 1):
+    for k in range(K + 1):
         if k:
             diagonal = advance(diagonal, k)
         for u, v in on_diagonal.get(k, ()):
-            found[u, v] = value(read(diagonal, u), k)
-    return [found[key] for key in keys]
+            found[u, v] = keep(read(diagonal, u), k)
+    found = [found[key] for key in keys]
+    if total and n:  # entry by entry: transposing with zip(*found) raised peak RSS
+        return value(tuple(sum(cell[i] for cell in found) for i in range(len(found[0]))), K)
+    return ring_sum(found, zero) if total else found
 
 
 def _row_ends(keys):

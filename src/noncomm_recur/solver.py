@@ -13,7 +13,7 @@ Three routes to the same answer:
 
   where ``{...}`` is the permutation sum of ``permsum`` and
   ``tbar(p) = floor((p-1)/2)``; valid for any noncommutative pair of
-  coefficients; the summands are added by one ``algebra.ring_sum``;
+  coefficients; the summands are added by the table, reduced once;
 * the scalar reduction for commuting rational coefficients:
   :func:`solve_scalar_roots` (characteristic roots m^2 - c1 m - c0 = 0)
   and :func:`solve_scalar_sum` (exact binomial sum), plus the two
@@ -34,7 +34,7 @@ from itertools import islice
 from math import ceil, comb, isfinite, isqrt, log2
 
 from .algebra import (FreeElement, _integer_form, _kind, apply, check_apply_compat,
-                      check_same_backend, ring_sum, vector_zero)
+                      check_same_backend, vector_zero)
 from .permsum import binom, perm_sum_batch
 
 # A complex-double evaluation must come out real to this relative slack
@@ -141,13 +141,12 @@ def solve_closed(problem, p):
     The summands {L0^(t) L1^(p-1-2t)}·Y_1 for all t come from one
     permutation-sum table run on vectors from Z(0, 0) = Y_1, so a single
     solve costs O(p^2) module actions (matrix-vector products on matrix
-    backends) and holds one anti-diagonal of the table at a time; one
-    ``ring_sum`` adds them.  p = 0 has no keys, so the sum is empty: the
-    zero vector.
+    backends) and holds one anti-diagonal of the table at a time; the
+    table also adds them, reduced once on exact backends.  p = 0 has no
+    keys, so the sum is empty: the zero vector.
     """
     keys = [(t, p - 1 - 2 * t) for t in range(t_bar(p) + 1)]
-    return ring_sum(perm_sum_batch(problem.L0, problem.L1, keys, vector=problem.y1bar),
-                    problem.zero_vector())
+    return perm_sum_batch(problem.L0, problem.L1, keys, vector=problem.y1bar, total=True)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,9 @@ from noncomm_recur.algebra import (
     apply,
     compose,
     ring_one,
+    ring_sum,
+    ring_zero,
+    vector_zero,
     word_to_element,
     word_to_str,
 )
@@ -343,6 +346,51 @@ def test_numerator_table_matches_a_fraction_reference(table):
             assert result._den > 0 and math.gcd(result._den, *result._nums) == 1
         else:  # the same float operations in the same order, bit for bit
             assert [x.hex() for x in result.entries] == [x.hex() for x in entries]
+
+
+@st.composite
+def summed_tables(draw):
+    """(L0, L1, keys, vector or None) for the one-sum path: exact and float
+    matrices, scalars (``int`` or ``Fraction``) and free elements, with
+    keys in any order, repeated or none."""
+    backend = draw(st.sampled_from(["exact", "float", "scalar", "free"]))
+    n = draw(st.integers(1, 3))
+    if backend == "free":
+        terms = st.dictionaries(st.lists(st.integers(0, 1), max_size=2).map(tuple),
+                                st.integers(-3, 3).filter(bool), max_size=2)
+        L0, L1 = draw(terms.map(FreeElement)), draw(terms.map(FreeElement))
+        y = draw(terms.map(FreeVector))
+    elif backend == "scalar":
+        L0, L1, y = (draw(TABLE_ENTRIES[True] | st.integers(-6, 6)) for _ in range(3))
+    else:
+        entries = TABLE_ENTRIES[backend == "exact"]
+        L0, L1 = (Matrix([[draw(entries) for _ in range(n)] for _ in range(n)])
+                  for _ in range(2))
+        y = ColumnVector([draw(entries) for _ in range(n)])
+    top = 3 if backend == "free" else 5
+    keys = draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, top)), max_size=5))
+    if keys:
+        keys += draw(st.lists(st.sampled_from(keys), max_size=3))
+    return L0, L1, draw(st.permutations(keys)), draw(st.sampled_from([y, None]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(summed_tables())
+def test_total_is_the_sum_of_the_keys(table):
+    L0, L1, keys, y = table
+    total = perm_sum_batch(L0, L1, keys, vector=y, total=True)
+    expected = ring_sum(perm_sum_batch(L0, L1, keys, vector=y),
+                        ring_zero(L0) if y is None else vector_zero(y))
+    assert type(total) is type(expected)
+    if isinstance(expected, Fraction):
+        assert (total.numerator, total.denominator) == (
+            expected.numerator, expected.denominator)
+    elif not isinstance(expected, (Matrix, ColumnVector)):
+        assert total == expected
+    elif expected.exact:
+        assert (total._nums, total._den) == (expected._nums, expected._den)
+    else:  # the float keys add in the same order, bit for bit
+        assert [x.hex() for x in total._nums] == [x.hex() for x in expected._nums]
 
 
 def equal_entries(shape, value):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from noncomm_recur import algebra
 from noncomm_recur.algebra import (
     ColumnVector,
     FreeElement,
@@ -33,6 +34,7 @@ from noncomm_recur.solver import (
 from noncomm_recur.permsum import perm_sum_batch
 from noncomm_recur.verify import (
     free_problem,
+    random_matrix_problem,
     random_negative_delta_pair,
     random_square_delta_pair,
 )
@@ -65,7 +67,7 @@ def test_t_bar_values():
 def test_t_bar_branches_and_recursions():
     for p in range(200):
         if p % 2 == 0:
-            assert t_bar(p) == (p - 2) // 2 if p else -1
+            assert t_bar(p) == ((p - 2) // 2 if p else -1)
             assert t_bar(p + 1) == t_bar(p) + 1
         else:
             assert t_bar(p) == (p - 1) // 2
@@ -117,6 +119,22 @@ def test_closed_induction_step_free():
         lhs = (apply(problem.L0, solve_closed(problem, p))
                + apply(problem.L1, solve_closed(problem, p + 1)))
         assert lhs == solve_closed(problem, p + 2)
+
+
+def test_closed_reduces_once(monkeypatch):
+    # The ten keys at p = 20 add on integers; only the sum is reduced.
+    problem = random_matrix_problem(Random(5))
+    expected = solve_iterative(problem, 20)
+    made = []
+    new = algebra._Dense._new.__func__
+
+    def counted(cls, *args):
+        made.append(cls)
+        return new(cls, *args)
+
+    monkeypatch.setattr(algebra._Dense, "_new", classmethod(counted))
+    assert solve_closed(problem, 20) == expected
+    assert made == [ColumnVector]
 
 
 short_words = st.lists(st.integers(0, 1), max_size=2).map(tuple)
