@@ -385,8 +385,18 @@ def _mul_nums(n, a, b):
                   for i in range(0, n * n, n) for col in cols])
 
 
+def _dot_nums(n, f0, f1):
+    """The integer step (x, y) -> f0·x + f1·y: row (f0_i | f1_i) dot each column of x + y."""
+    rows, mul = [f0[i:i + n] + f1[i:i + n] for i in range(0, n * n, n)], operator.mul
+
+    def step(x, y):
+        cols = [x + y] if len(x) == n else [x[j::n] + y[j::n] for j in range(n)]
+        return tuple([sum(map(mul, row, col)) for row in rows for col in cols])
+    return step
+
+
 def _linear_nums(n, f0, f1):
-    """The step (x, y) -> f0·x + f1·y, summing as ``_mul_nums`` and ``+`` would."""
+    """The float step (x, y) -> f0·x + f1·y, summing as ``_mul_nums`` and ``+`` would."""
     rows, mul = [(f0[i:i + n], f1[i:i + n]) for i in range(0, n * n, n)], operator.mul
 
     def step(x, y):
@@ -484,9 +494,9 @@ def _integer_form(L0, L1, start, product):
     M1/m1, D = lcm(m0, m1) and ``start`` = cell/d, a0 = D·L0 and a1 = D·L1,
     and ``mul`` and ``linear`` use no lcm or gcd.  ``value(cell, k)`` is
     cell/(d·D^k) reduced once, of ``start``'s kind: ``Matrix``,
-    ``ColumnVector`` or ``Fraction``.  Floats have D = d = 1 and add in
-    the order of ``product`` and ``+``.  ``n`` is the dimension of cells
-    that pack into integers, exact dense and scalar ones, else 0."""
+    ``ColumnVector`` or ``Fraction``.  ``n`` is the dimension of cells
+    that pack into integers, exact dense and scalar ones, else 0; they step
+    by ``_dot_nums``, and floats, with D = d = 1, by ``_linear_nums``."""
     if _kind(L0) is FreeElement:
         return (0, L0, L1, 1, start, 1, product,
                 lambda f0, f1: lambda x, y: product(f0, x) + product(f1, y),
@@ -505,7 +515,8 @@ def _integer_form(L0, L1, start, product):
     (f0, m0), (f1, m1), (cell, d) = pairs
     D = math.lcm(m0, m1)
     a0, a1 = (tuple(x * (D // m) for x in f) for f, m in ((f0, m0), (f1, m1)))
-    mul, linear = (functools.partial(f, n) for f in (_mul_nums, _linear_nums))
+    steps = _mul_nums, _dot_nums if packs else _linear_nums
+    mul, linear = (functools.partial(f, n) for f in steps)
     return n if packs else 0, a0, a1, D, cell, d, mul, linear, value
 
 

@@ -24,7 +24,7 @@ diagonal and the requested cells, for one call only; nothing is cached.
 a0·x + a1·y that iteration takes, whether cells pack, and each key's
 value.  Where cells pack, a diagonal is one packed integer per entry,
 every cell in its own slot (Kronecker substitution), one step advances
-the whole diagonal, and a sum of keys is reduced once.
+the whole diagonal, and a sum of keys adds by Horner's rule, reduced once.
 
 The evaluators accept a :class:`MultCounter` that records the exact
 number of ring multiplications (or module actions) of the recursion,
@@ -159,7 +159,8 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
     read from its slot once and becomes ``value(W(u, v), u + v)``:
     W(u, v) over d·D^(u+v), d the origin's denominator, reduced by one
     gcd; a scalar key is a ``Fraction`` even from ``int`` inputs.  A
-    total is one ``value`` of the sum of W(u, v)·D^(K-u-v), K = max(u + v).
+    total is one ``value`` of the sum of W(u, v)·D^(K-u-v), K = max(u + v),
+    gathered in increasing u + v by Horner's rule in D, each repeat counted.
 
     Float and free cells cannot be packed: a diagonal holds the cells of
     the union of the keys' rectangles, each made by the recursion's
@@ -191,25 +192,29 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
         if vector is None:
             actions -= (len(col) > 1) + (col[0] > 0)
         counter.count += actions
-    on_diagonal = {}
+    on_diagonal = {}  # k -> {(u, v): repeats}
     for u, v in keys:
-        on_diagonal.setdefault(u + v, {})[u, v] = None
+        here = on_diagonal.setdefault(u + v, {})
+        here[u, v] = here.get((u, v), 0) + 1
     if n:
         diagonal, advance, read = _packed_diagonals(n, a0, a1, origin, linear, on_diagonal)
     else:
         diagonal, advance, read = _cell_diagonals(
             a0, a1, origin, product, linear, _row_ends(keys), vector is None)
-    K = max(on_diagonal)
-    keep = (lambda cell, k: list(map((D ** (K - k)).__mul__, cell))) if total and n else value
-    found = {}
+    K, found, last, acc = max(on_diagonal), {}, 0, [0] * len(origin) if total and n else None
     for k in range(K + 1):
         if k:
             diagonal = advance(diagonal, k)
-        for u, v in on_diagonal.get(k, ()):
-            found[u, v] = keep(read(diagonal, u), k)
+        for (u, v), repeats in on_diagonal.get(k, {}).items():
+            cell = read(diagonal, u, k)
+            if total and n:  # Horner in D: acc is the sum of W(u, v)·D^(k-u-v)
+                scale, last = D ** (k - last), k
+                acc = [a * scale + repeats * w for a, w in zip(acc, cell)]
+            else:
+                found[u, v] = value(cell, k)
+    if total and n:
+        return value(tuple(acc), K)
     found = [found[key] for key in keys]
-    if total and n:  # entry by entry: transposing with zip(*found) raised peak RSS
-        return value(tuple(sum(cell[i] for cell in found) for i in range(len(found[0]))), K)
     return ring_sum(found, zero) if total else found
 
 
@@ -230,7 +235,7 @@ def _packed_diagonals(n, a0, a1, cell, linear, on_diagonal):
     Entry i of the diagonal k is sum_u W(u, k-u)_i·2^(u·B): slot u holds
     the cell (u, k-u) at bit offset u·B.  ``advance`` takes Q_(k-1) to
     Q_k by one step ``linear(a0, a1)(Q << B, Q)`` and drops the slots
-    above the largest u that a key on a diagonal >= k reads.
+    above top[k], the largest u that a key on a diagonal >= k reads.
 
     Width: with |x| the largest absolute entry of a cell and ||a|| the
     largest absolute row sum of a, |a·x| <= ||a||·|x|.  W(u, v) is the
@@ -241,9 +246,12 @@ def _packed_diagonals(n, a0, a1, cell, linear, on_diagonal):
     gives |W| < 2^(B-1).  The slots below u then sum to less than
     2^(u·B)/2 in absolute value, so rounding Q/2^(u·B) to the nearest
     integer leaves W(u, k-u) in its low B bits, read as a signed
-    B-bit number.  A vector table whose one coefficient is zero, and whose
-    other coefficient and vector have equal nonnegative entries, attains
-    M, so B has no spare bit.
+    B-bit number.  The diagonal k keeps slots 0..min(top[k], k), and a key
+    in the highest of them, as every key of ``solver.solve_closed`` is,
+    has no slot above it to mask: the rounded shift alone reads it, and
+    at u = 0 the entry itself.  A vector table whose one coefficient is
+    zero, and whose other coefficient and vector have equal nonnegative
+    entries, attains M, so B has no spare bit.
     """
     K = max(on_diagonal)
     s = sum(max(sum(map(abs, a[i:i + n])) for i in range(0, len(a), n)) for a in (a0, a1))
@@ -257,13 +265,13 @@ def _packed_diagonals(n, a0, a1, cell, linear, on_diagonal):
     step = linear(a0, a1)
 
     def advance(Q, k):
-        Q = step(tuple(x << B for x in Q), Q)
+        Q = step(tuple([x << B for x in Q]), Q)
         return _signed(Q, (top[k] + 1) * B) if top[k] < k else Q
 
-    def read(Q, u):
+    def read(Q, u, k):
         if u:  # round to the nearest integer: the slots below vanish
-            Q = (((x >> (u * B - 1)) + 1) >> 1 for x in Q)
-        return _signed(Q, B)
+            Q = [((x >> (u * B - 1)) + 1) >> 1 for x in Q]
+        return tuple(Q) if u == min(top[k], k) else _signed(Q, B)
 
     return cell, advance, read
 
@@ -273,7 +281,7 @@ def _signed(values, bits):
     slots below offset ``bits`` of a packed integer, or one slot."""
     span = 1 << bits
     half, mask = span >> 1, span - 1
-    return tuple(r - span if r >= half else r for r in (x & mask for x in values))
+    return tuple([r - span if r >= half else r for r in [x & mask for x in values]])
 
 
 def _cell_diagonals(a0, a1, origin, product, linear, col, ring):
@@ -296,4 +304,4 @@ def _cell_diagonals(a0, a1, origin, product, linear, col, ring):
                             interior(previous[u - 1], previous[u]))
         return cells
 
-    return {0: origin}, advance, dict.__getitem__
+    return {0: origin}, advance, lambda cells, u, k: cells[u]

@@ -305,8 +305,8 @@ def verify_identity_23(n):
 # the README's "Work cap" section times the largest admitted runs.
 WORK_CAP = 5 * 10 ** 9
 # An entry product counts at least this many bit operations: a fused
-# float-2x2.json step took 1.8-2.4 µs, a 2x2 step on 4096-bit integers
-# 3.6-3.7 µs and on 64-bit ones 1.8-2.9 µs (Python 3.11, shared 2-vCPU machine).
+# float-2x2.json step took 1.1 µs, a 2x2 step on 4096-bit integers 2.1 µs
+# and on 64-bit ones 1.0 µs (Python 3.11, shared 2-vCPU machine).
 ENTRY_FLOOR_BITS = 2 ** 12
 # Printing a w-bit integer counts w²/PRINT_DIVISOR: int to str took 1.6 s
 # at 10^6 bits and 6.6 s at 2·10^6, where solves near the cap run at 0.3

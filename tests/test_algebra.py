@@ -1,5 +1,6 @@
 """Backend contracts: ring axioms, module action, canonical forms."""
 import math
+import operator
 from collections import defaultdict
 from fractions import Fraction
 from random import Random
@@ -13,7 +14,7 @@ from noncomm_recur.algebra import (
     FreeElement,
     FreeVector,
     Matrix,
-    _linear_nums,
+    _integer_form,
     _mul_nums,
     apply,
     compose,
@@ -177,27 +178,48 @@ def test_dense_storage_matches_a_fraction_list_reference(operands):
     assert (x * v == z * v) == (cases[3][1] == [dot(row, y) for row in rows(b)])
 
 
+def field_step(n, exact):
+    """``linear`` as ``_integer_form`` hands it to an n×n problem of one field."""
+    one = Matrix.identity(n, exact)
+    return _integer_form(one, one, ColumnVector(one.rows[0]), apply)[7]
+
+
 @st.composite
-def linear_operands(draw):
-    """n, f0, f1 (n×n) and x, y (both n-vectors or both n×n), all of one
-    field: integers of any width or floats of any value but nan."""
+def linear_operands(draw, entries):
+    """n, f0, f1 (n×n) and x, y (both n-vectors or both n×n) of ``entries``."""
     n = draw(st.integers(1, 4))
-    entries = draw(st.sampled_from([st.integers(), st.floats(allow_nan=False)]))
     cell = draw(st.sampled_from([n, n * n]))
     return (n, *(tuple(draw(st.lists(entries, min_size=k, max_size=k)))
                  for k in (n * n, n * n, cell, cell)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(linear_operands())
+@given(linear_operands(st.floats(allow_nan=False)))
 def test_fused_step_matches_two_products_and_a_sum(operands):
     n, f0, f1, x, y = operands
-    fused = _linear_nums(n, f0, f1)(x, y)
+    fused = field_step(n, exact=False)(f0, f1)(x, y)
     expected = tuple(p + q for p, q in zip(_mul_nums(n, f0, x), _mul_nums(n, f1, y)))
     assert len(fused) == len(x)
     # bit for bit: float.hex tells -0.0 from 0.0, and an inf*0 nan only matches nan
-    assert [v.hex() if isinstance(v, float) else v for v in fused] == \
-        [v.hex() if isinstance(v, float) else v for v in expected]
+    assert [v.hex() for v in fused] == [v.hex() for v in expected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_operands(st.integers() | st.integers(-2 ** 300, 2 ** 300) | st.just(0)))
+def test_integer_step_matches_two_products_and_a_sum(operands):
+    n, f0, f1, x, y = operands
+    expected = tuple(map(operator.add, _mul_nums(n, f0, x), _mul_nums(n, f1, y)))
+    assert field_step(n, exact=True)(f0, f1)(x, y) == expected
+
+
+def test_float_step_keeps_the_order_of_two_sums():
+    # Products 1e16, 1 and -1e16, 1: each sum rounds to ±1e16 (a tie, to
+    # even), so the two sums add to 0.0.  One sum of all four gives 1.0, or
+    # 2.0 where sum() compensates (Python 3.12 on).
+    products = [1e16, 1.0, -1e16, 1.0]
+    assert sum(products) != 0.0
+    step = field_step(2, exact=False)((1e16, 1.0, 0.0, 0.0), (-1e16, 1.0, 0.0, 0.0))
+    assert step((1.0, 1.0), (1.0, 1.0)) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,21 @@ def test_packed_slots_at_the_width_bound(shape):
             assert solve_closed(problem, p) == solve_iterative(problem, p)
 
 
+def test_packed_read_takes_the_top_slot_and_rounds_below_it():
+    # Diagonal 3 keeps slots 0..2: (2, 1) is its top slot, (1, 2) and
+    # (0, 3) lie below it.  (0, 5) is the top slot, at u = 0, of diagonal 5.
+    # Odd diagonals of L0 = L1 = -1 hold only negative cells, and the matrix
+    # cells take both signs, so a floored slot or an unmasked one reads wrong.
+    keys = [(2, 1), (1, 2), (0, 3), (0, 5)]
+    matrix = Matrix([[Fraction(-3, 2), 2], [1, Fraction(-1, 2)]])
+    for L0, L1, y in ((-1, -1, 1), (matrix, matrix * matrix, ColumnVector([1, -2]))):
+        for vector in (y, None):
+            expected = split_recursion_reference(L0, L1, keys, vector)
+            assert min(expected[1]) < 0 and min(expected[2]) < 0
+            results = perm_sum_batch(L0, L1, keys, vector=vector)
+            assert list(map(flat_entries, results)) == expected
+
+
 # ---------------------------------------------------------------------------
 # Pascal step
 # ---------------------------------------------------------------------------
