@@ -41,7 +41,6 @@ from .problems import (
 from .solver import (
     CauchyProblem,
     InvalidCoefficientError,
-    NonRealResultError,
     NotARationalSquareError,
     ScalarRoots,
     characteristic_roots,

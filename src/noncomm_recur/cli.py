@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``solve``      -- load a problem file, compute Y_p by the chosen method;
+* ``solve``      -- load a problem file, compute Y_p by the chosen method,
+                    a route of the one table ``solver.ROUTES``;
 * ``enumerate``  -- list the words of a permutation sum in lexicographic
                     order;
 * ``verify``     -- run the seven fixed verification suites and report
@@ -33,14 +34,7 @@ from random import Random
 from .algebra import BackendMismatchError, word_to_str
 from .permsum import MultCounter, enumerate_words, perm_sum_dp, perm_sum_naive
 from .problems import ProblemFileError, load_problem
-from .solver import (
-    WORK_CAP,
-    estimate,
-    solve_closed,
-    solve_iterative,
-    solve_scalar_roots,
-    solve_scalar_sum,
-)
+from .solver import ROUTES, WORK_CAP, estimate
 from . import verify
 
 EXIT_OK = 0
@@ -51,8 +45,6 @@ EXIT_SOLVER = 4
 EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for death by SIGPIPE
 
 EMPTY_WORD_TOKEN = "<empty>"
-
-ROUTES = ("closed", "iterative", "scalar-roots", "scalar-sum")
 
 
 class _Exit(Exception):
@@ -90,24 +82,18 @@ def _check_work(what, work, alternatives=()):
 
 def cmd_solve(args):
     doc = load_problem(args.input)
-    if args.method.startswith("scalar") and doc.backend != "scalar":
+    solve, scalar_only, _ = ROUTES[args.method]
+    if scalar_only and doc.backend != "scalar":
         raise _Exit(EXIT_USAGE, f"method {args.method} requires the scalar backend, "
                                 f"but {args.input} uses {doc.backend}")
     problem, p = doc.problem, args.p
-    routes = ROUTES if doc.backend == "scalar" else ROUTES[:2]
-    if doc.backend == "scalar" and problem.L0 == 0:  # the characteristic roots need c0 != 0
-        routes = tuple(route for route in routes if route != "scalar-roots")
+    # The advice names only routes that run here; the characteristic roots need c0 != 0.
     _check_work(f"solve Y_{p} by {args.method}", estimate(args.method, problem, p),
-                [(estimate(route, problem, p), route) for route in routes if route != args.method])
+                [(estimate(name, problem, p), name) for name, (_, scalar, _) in ROUTES.items()
+                 if name != args.method and (doc.backend == "scalar" or not scalar)
+                 and not (name == "scalar-roots" and problem.L0 == 0)])
     try:
-        if args.method == "closed":
-            result = solve_closed(problem, p)
-        elif args.method == "iterative":
-            result = solve_iterative(problem, p)
-        elif args.method == "scalar-roots":
-            result = solve_scalar_roots(problem.L0, problem.L1, problem.y1bar, p)
-        else:
-            result = solve_scalar_sum(problem.L0, problem.L1, problem.y1bar, p)
+        result = solve(problem, p)
     except (BackendMismatchError, ValueError, ArithmeticError) as exc:
         raise _Exit(EXIT_SOLVER, f"solver error: {exc}") from exc
     if doc.backend == "float-matrix" and not all(map(math.isfinite, result.entries)):

@@ -21,25 +21,21 @@ Three routes to the same answer:
   :func:`verify_identity_21` and :func:`verify_identity_23`.
 
 Exact backends give exact equality between all routes; the
-characteristic-root route falls back to complex doubles when the
-discriminant has no rational square root.  :func:`estimate` puts each
+characteristic-root route falls back to real doubles when the
+discriminant has no rational square root.  :data:`ROUTES` is the one
+table of the routes the CLI serves, and :func:`estimate` puts each
 route's cost in one unit, bit operations, for the CLI's one cap.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import ceil, comb, isfinite, isqrt, log2
+from math import atan2, ceil, comb, cos, isfinite, isqrt, log2, sin, sqrt
 
 from .algebra import (FreeElement, _integer_form, _kind, apply, check_apply_compat,
                       check_same_backend, vector_zero)
 from .permsum import binom, perm_sum_batch
-
-# A complex-double evaluation must come out real to this relative slack
-# before the imaginary part is discarded.
-IMAG_REL_TOL = 1e-9
 
 
 class InvalidCoefficientError(ValueError):
@@ -53,12 +49,8 @@ class NotARationalSquareError(ValueError):
         super().__init__(f"{value} is not the square of a rational")
 
 
-class NonRealResultError(ArithmeticError):
-    """Complex-double evaluation failed to produce a real value."""
-
-
 class DoubleRangeError(ArithmeticError):
-    """y_p lies beyond the range of the complex-double evaluation."""
+    """y_p lies beyond the range of the double evaluation."""
 
     def __init__(self, p):
         super().__init__(
@@ -175,7 +167,8 @@ class ScalarRoots:
     c1^2 + 4 c0, the roots ``m1`` (the + branch) and ``m2``, and ``exact``.
 
     When delta is the square of a rational both roots are exact
-    ``Fraction``s and ``exact`` is True; otherwise they are complex doubles.
+    ``Fraction``s and ``exact`` is True; otherwise they are doubles, real
+    when delta > 0 and complex conjugates when delta < 0.
     """
 
     delta: Fraction
@@ -188,7 +181,7 @@ def characteristic_roots(c0, c1):
     """Solve the characteristic equation for the scalar recurrence.
 
     Requires c0 != 0; roots are exact when the discriminant is a
-    rational square, complex doubles otherwise.
+    rational square, doubles otherwise.
     """
     c0 = Fraction(c0)
     c1 = Fraction(c1)
@@ -198,29 +191,22 @@ def characteristic_roots(c0, c1):
     root = rational_sqrt(delta)
     if root is not None:
         return ScalarRoots(delta, (c1 + root) / 2, (c1 - root) / 2, exact=True)
-    s = cmath.sqrt(complex(delta))
-    return ScalarRoots(delta, (complex(c1) + s) / 2, (complex(c1) - s) / 2, exact=False)
-
-
-def _as_real(value, p):
-    if not isfinite(value.real):
-        raise DoubleRangeError(p)
-    magnitude = abs(value)
-    if abs(value.imag) > IMAG_REL_TOL * max(1.0, magnitude):
-        raise NonRealResultError(
-            f"expected a real result, got {value!r}")
-    return value.real
+    s = sqrt(abs(delta))
+    if delta > 0:
+        return ScalarRoots(delta, (float(c1) + s) / 2, (float(c1) - s) / 2, exact=False)
+    return ScalarRoots(delta, complex(c1 / 2, s / 2), complex(c1 / 2, -s / 2), exact=False)
 
 
 def solve_scalar_roots(c0, c1, y1bar, p):
     """y_p via the characteristic roots.
 
-    delta != 0: (m1^p - m2^p) / (m1 - m2) * y1bar;
-    delta == 0: p * m1^(p-1) * y1bar.
+    delta > 0: (m1^p - m2^p) / (m1 - m2) * y1bar;
+    delta == 0: p * m1^(p-1) * y1bar;
+    delta < 0, roots r·e^(±iθ) with r = √(-c0): r^(p-1) * sin(pθ) / sin θ * y1bar.
 
     Exact ``Fraction`` when the roots are rational, otherwise a float
-    whose complex residue must vanish within 1e-9 relative; a value
-    beyond the range of a double raises :class:`DoubleRangeError`.
+    computed in real doubles; a value beyond the range of a double raises
+    :class:`DoubleRangeError`.
     """
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
@@ -229,13 +215,22 @@ def solve_scalar_roots(c0, c1, y1bar, p):
     if roots.delta == 0:
         # c0 != 0 forces c1 != 0 here, so m1 = c1/2 is invertible.
         return p * roots.m1 ** (p - 1) * y1bar
-    if roots.exact:
-        return (roots.m1 ** p - roots.m2 ** p) / (roots.m1 - roots.m2) * y1bar
     try:
-        value = (roots.m1 ** p - roots.m2 ** p) / (roots.m1 - roots.m2) * complex(y1bar)
+        if roots.delta > 0:
+            value = (roots.m1 ** p - roots.m2 ** p) / (roots.m1 - roots.m2) * y1bar
+        else:
+            # θ = π/2 - φ, so sin(pθ) = sin(p·π/2 - pφ) takes p·π/2 exactly
+            # by p mod 4, and y_p = 0 comes out exact at c1 = 0 (φ = 0);
+            # 0.0 - sin(x) is +0.0 there, where -sin(x) would be -0.0.
+            phi = atan2(roots.m1.real, roots.m1.imag)
+            x = p * phi
+            sin_p_theta = (0.0 - sin(x), cos(x), sin(x), -cos(x))[p % 4]
+            value = sqrt(-Fraction(c0)) ** (p - 1) * sin_p_theta / cos(phi) * y1bar
     except OverflowError:
         raise DoubleRangeError(p) from None
-    return _as_real(value, p)
+    if not (roots.exact or isfinite(value)):
+        raise DoubleRangeError(p)
+    return value
 
 
 def solve_scalar_sum(c0, c1, y1bar, p):
@@ -298,8 +293,23 @@ def verify_identity_23(n):
 
 
 # ---------------------------------------------------------------------------
-# Cost estimates
+# Routes and cost estimates
 # ---------------------------------------------------------------------------
+
+def _on_scalars(solve):
+    return lambda problem, p: solve(problem.L0, problem.L1, problem.y1bar, p)
+
+
+# Every route by its ``solve --method`` name, for the CLI, ``estimate`` and
+# the tests: (solve(problem, p), whether it needs the scalar backend,
+# price(p, n)), the (steps, entry products a step) that ``estimate`` counts
+# for Y_p on n×n coefficients.
+ROUTES = {
+    "closed": (solve_closed, False, lambda p, n: ((p + 1) ** 2 // 4, 2 * n * n)),
+    "iterative": (solve_iterative, False, lambda p, n: (p, n * n)),
+    "scalar-roots": (_on_scalars(solve_scalar_roots), True, lambda p, n: (p.bit_length(), 2)),
+    "scalar-sum": (_on_scalars(solve_scalar_sum), True, lambda p, n: (p, n * n)),
+}
 
 # A command estimated above this many bit operations is refused up front;
 # the README's "Work cap" section times the largest admitted runs.
@@ -317,8 +327,8 @@ PRINT_DIVISOR = 1000
 def estimate(method, problem, p):
     """Estimated bit operations to compute Y_p by ``method`` and print it.
 
-    Iterative and scalar-sum take p steps of n² entry products, closed
-    ⌊(p+1)²/4⌋ cells of 2n², scalar-roots 2·bits(p) powers.  With
+    A route of :data:`ROUTES` takes the steps of entry products that its
+    price gives, scalar-roots 2·bits(p) powers of a root.  With
     ``p = (u, v)``, "bench" fills the dp tables up to (u, v),
     (u+1)(u+2)/2·(v+1)(v+2)/2 cells of 2n³, and "naive" multiplies out the
     C(u+v, u) words of the cell (u, v), max(u+v-1, 0) ring products of n³
@@ -345,8 +355,7 @@ def estimate(method, problem, p):
         u, v = p
         count, products = comb(u + v, u) * max(u + v - 1, 0), n ** 3
     else:
-        count, products = {"closed": ((p + 1) ** 2 // 4, 2 * n * n),
-                           "scalar-roots": (p.bit_length(), 2)}.get(method, (p, n * n))
+        count, products = ROUTES[method][2](p, n)
     work = count * products * ENTRY_FLOOR_BITS
     if not getattr(problem.L0, "exact", True):
         return work
@@ -374,7 +383,7 @@ def estimate(method, problem, p):
         # most p·|y1|·h^(p-1) over (b1·b2)^(p-1), h = max(|a1|·b2, |a2|·b1, b1·b2)
         c0, c1, y1 = Fraction(problem.L0), Fraction(problem.L1), Fraction(problem.y1bar)
         if (root := rational_sqrt(c1 * c1 + 4 * c0)) is None:
-            return work  # complex roots: doubles
+            return work  # irrational roots: doubles
         (a1, b1), (a2, b2) = (((c1 + s * root) / 2).as_integer_ratio() for s in (1, -1))
         h = max(abs(a1) * b2, abs(a2) * b1, b1 * b2)
         width = (max(y1.numerator.bit_length(), y1.denominator.bit_length()) + p.bit_length()

@@ -10,15 +10,8 @@ from hypothesis import strategies as st
 from noncomm_recur.algebra import ColumnVector, FreeElement, FreeVector, Matrix, apply
 from noncomm_recur.permsum import perm_sum_batch, perm_sum_naive
 from noncomm_recur.problems import load_problem
-from noncomm_recur.solver import (
-    CauchyProblem,
-    rational_sqrt,
-    solve_closed,
-    solve_iterative,
-    solve_iterative_upto,
-    solve_scalar_roots,
-    solve_scalar_sum,
-)
+from noncomm_recur import solver
+from noncomm_recur.solver import CauchyProblem, rational_sqrt, solve_iterative, solve_iterative_upto
 from noncomm_recur.verify import free_problem, random_matrix_problem
 
 A, B = FreeElement.generators()
@@ -80,22 +73,28 @@ def has_rational_roots(problem):
     return is_scalar(problem) and c0 != 0 and rational_sqrt(c1 * c1 + 4 * c0) is not None
 
 
-def on_scalars(solve):
-    return lambda problem, p: solve(problem.L0, problem.L1, problem.y1bar, p)
+# Test-only limits on the routes, by name: iteration is the oracle; the
+# closed form's table has O(p^2) cells, so it sits out the large-p pins of
+# the linear routes, and so does the one-pass iteration, which reduces every
+# Y_k on the way; the roots are compared exactly, so only where they are
+# rational.
+LIMITS = {
+    "iterative": lambda problem, p: False,
+    "closed": lambda problem, p: p <= 40,
+    "iterative-upto": lambda problem, p: p <= 40,
+    "scalar-roots": lambda problem, p: has_rational_roots(problem),
+}
 
-
-# One entry a route: its name, whether it applies to (problem, p), and its
-# Y_p.  The closed form's table has O(p^2) cells, so it sits out the
-# large-p pins of the linear routes, and so does the one-pass iteration,
-# which reduces every Y_k on the way.
+# One entry a route: its name, whether it needs the scalar backend, and its
+# Y_p; every route of ``solver.ROUTES``, and the one-pass iteration.
 ROUTES = [
-    ("closed", lambda problem, p: p <= 40, solve_closed),
-    ("iterative-upto", lambda problem, p: p <= 40,
-     lambda problem, p: solve_iterative_upto(problem, p)[p]),
-    ("scalar-sum", lambda problem, p: is_scalar(problem), on_scalars(solve_scalar_sum)),
-    ("scalar-roots", lambda problem, p: has_rational_roots(problem),
-     on_scalars(solve_scalar_roots)),
+    *((name, scalar, solve) for name, (solve, scalar, _) in solver.ROUTES.items()),
+    ("iterative-upto", False, lambda problem, p: solve_iterative_upto(problem, p)[p]),
 ]
+
+
+def applies(name, scalar, problem, p):
+    return (is_scalar(problem) or not scalar) and LIMITS.get(name, lambda *_: True)(problem, p)
 
 
 @st.composite
@@ -122,8 +121,8 @@ def test_every_route_agrees_with_iteration(case):
     problem, ps = case
     for p in ps:
         want = solve_iterative(problem, p)
-        for name, applies, solve in ROUTES:
-            if applies(problem, p):
+        for name, scalar, solve in ROUTES:
+            if applies(name, scalar, problem, p):
                 assert agree(solve(problem, p), want), f"{name} at p = {p}"
 
 

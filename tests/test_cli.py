@@ -20,7 +20,7 @@ from noncomm_recur import verify
 from noncomm_recur.algebra import FreeElement
 from noncomm_recur.cli import main
 from noncomm_recur.problems import ProblemFileError, load_problem
-from noncomm_recur.solver import term_bounds
+from noncomm_recur.solver import ROUTES, term_bounds
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -29,6 +29,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def patch_solve(monkeypatch, method, solve):
+    """Put ``solve`` in the row of ``method`` in ``solver.ROUTES``, which the CLI reads."""
+    _, scalar, price = ROUTES[method]
+    monkeypatch.setitem(ROUTES, method, (solve, scalar, price))
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +78,15 @@ def test_solve_scalar_sum_method(capsys):
     assert (code, out) == (0, "3\n")
 
 
-def test_solve_method_backend_mismatch_exits_3(capsys):
+@pytest.mark.parametrize("method", [name for name, (_, scalar, _) in ROUTES.items() if scalar])
+@pytest.mark.parametrize("name", ["rational-2x2.json", "float-2x2.json", "free-generators.json"])
+def test_solve_method_backend_mismatch_exits_3(capsys, name, method):
     code, out, err = run(capsys, "solve", "--input",
-                         str(PROBLEMS_DIR / "rational-2x2.json"), "--p", "3",
-                         "--method", "scalar-sum")
+                         str(PROBLEMS_DIR / name), "--p", "3",
+                         "--method", method)
     assert code == 3
     assert out == ""
-    assert "scalar" in err
+    assert f"method {method} requires the scalar backend" in err
 
 
 LONG_INT = "1" * 4301  # one digit past Python's default int/str limit
@@ -163,7 +171,7 @@ def test_refusal_at_c0_zero_names_no_roots_route(tmp_path, capsys):
 @pytest.mark.parametrize("y1, p", [(10 ** 300, 1440), (1, 2000)])
 def test_solve_scalar_roots_beyond_double_range_exits_4(tmp_path, capsys, y1, p):
     # golden-ratio roots: the first overflows to inf, the second raises in
-    # complex exponentiation; both must fail cleanly instead of printing inf
+    # the power of a root; both must fail cleanly instead of printing inf
     path = tmp_path / "golden.json"
     path.write_text(json.dumps({"backend": "scalar", "L0": "1", "L1": "1", "Y1": str(y1)}))
     code, out, err = run(capsys, "solve", "--input", str(path), "--p", str(p),
@@ -176,12 +184,10 @@ def test_solve_scalar_roots_beyond_double_range_exits_4(tmp_path, capsys, y1, p)
 
 
 def test_solve_out_of_memory_exits_4(capsys, monkeypatch):
-    import noncomm_recur.cli as cli_module
-
     def exhausted(problem, p):
         raise MemoryError
 
-    monkeypatch.setattr(cli_module, "solve_closed", exhausted)
+    patch_solve(monkeypatch, "closed", exhausted)
     code, out, err = run(capsys, "solve", "--input",
                          str(PROBLEMS_DIR / "rational-2x2.json"), "--p", "10")
     assert (code, out) == (4, "")
@@ -208,13 +214,12 @@ def test_solve_float_overflow_exits_4(tmp_path, capsys, method):
 
 
 def test_solve_closed_table_too_large_exits_3(capsys, monkeypatch):
-    import noncomm_recur.cli as cli_module
-    monkeypatch.setattr(cli_module, "solve_closed", None)  # refused before the solver runs
+    patch_solve(monkeypatch, "closed", None)  # refused before the solver runs
     fibonacci = str(PROBLEMS_DIR / "fibonacci.json")
     for p in ("1562", "100000000"):
         code, out, err = run(capsys, "solve", "--input", fibonacci, "--p", p)
         assert (code, out) == (3, "")
-        # the refusal names the cheapest route under the cap: complex roots, at the floor
+        # the refusal names the cheapest route under the cap: irrational roots, at the floor
         assert f"Y_{p} by closed" in err and "above the cap of 5.000e+09" in err
         assert "--method scalar-roots" in err and len(err.splitlines()) == 1
     code, out, err = run(capsys, "solve", "--input", fibonacci, "--p", "1562")
@@ -235,9 +240,8 @@ def test_solve_closed_table_too_large_exits_3(capsys, monkeypatch):
         path.name for path in PROBLEMS_DIR.glob("*.json"))),
 ])
 def test_solve_work_above_the_cap_exits_3(capsys, monkeypatch, name, p, method):
-    import noncomm_recur.cli as cli_module
-    for solver in ("solve_iterative", "solve_scalar_sum", "solve_scalar_roots", "solve_closed"):
-        monkeypatch.setattr(cli_module, solver, None)  # refused before the solver runs
+    for route in ROUTES:
+        patch_solve(monkeypatch, route, None)  # refused before the solver runs
     start = time.perf_counter()
     code, out, err = run(capsys, "solve", "--input", str(PROBLEMS_DIR / name), "--p", p,
                          "--method", method)
@@ -248,8 +252,7 @@ def test_solve_work_above_the_cap_exits_3(capsys, monkeypatch, name, p, method):
 
 
 def test_solve_refusal_estimate_grows_with_p(capsys, monkeypatch):
-    import noncomm_recur.cli as cli_module
-    monkeypatch.setattr(cli_module, "solve_iterative", None)  # refused before the solver runs
+    patch_solve(monkeypatch, "iterative", None)  # refused before the solver runs
     path = str(PROBLEMS_DIR / "rational-3x3.json")
     # p steps of nine products at the width of Y_p, which grows with p,
     # plus printing: doubling p more than doubles the estimate
@@ -317,15 +320,14 @@ FREE_FILES = {
     ("free-generators.json", "iterative", 28),
 ])
 def test_solve_admits_the_last_p_under_the_cap(tmp_path, capsys, monkeypatch, name, method, last):
-    import noncomm_recur.cli as cli_module
     path = PROBLEMS_DIR / name
     if name in FREE_FILES:
         path = tmp_path / name
         path.write_text(json.dumps({"backend": "free", **FREE_FILES[name]}))
-    monkeypatch.setattr(cli_module, f"solve_{method}", lambda problem, p: problem.y1bar)
+    patch_solve(monkeypatch, method, lambda problem, p: problem.y1bar)
     code, out, _ = run(capsys, "solve", "--input", str(path), "--p", str(last), "--method", method)
     assert (code, out) == (0, f"{load_problem(path).problem.y1bar}\n")
-    monkeypatch.setattr(cli_module, f"solve_{method}", None)  # refused before it runs
+    patch_solve(monkeypatch, method, None)  # refused before it runs
     for p in (last + 1, 10 ** 9):
         code, out, err = run(capsys, "solve", "--input", str(path), "--p", str(p),
                              "--method", method)
@@ -700,7 +702,7 @@ def cli_runs(draw):
     text, free = draw(problem_texts())
     command = draw(st.sampled_from(["solve", "bench", "enumerate"]))
     if command == "solve":
-        method = draw(st.sampled_from(["closed", "iterative", "scalar-roots", "scalar-sum"]))
+        method = draw(st.sampled_from(list(ROUTES)))
         # Keep p small, or so large that the part of the estimate that grows
         # with p alone refuses every method at once: from 1221000 free steps
         # at the floor, past 5·10^9/4096, and from 10^7 dense or scalar ones,

@@ -372,20 +372,23 @@ def test_scalar_roots_complex_branch_matches_exact_sum():
 
 
 def test_scalar_roots_irrational_delta_degenerates_to_real_doubles():
-    # golden-ratio roots: float route must track the exact sum
-    for p in range(21):
-        approx = solve_scalar_roots(1, 1, 1, p)
-        exact = solve_scalar_sum(1, 1, 1, p)
-        assert isinstance(approx, float)
-        if exact == 0:
-            assert abs(approx) <= 1e-9
-        else:
-            assert abs(approx - float(exact)) <= 1e-9 * abs(float(exact))
+    # golden-ratio roots: float route must track the exact sum; and roots
+    # ±√(4/3) and ±i·√(4/3), where y_p = 0 at every even p, past p = 100 too
+    for c0, c1, y1, ps in ((1, 1, 1, range(21)), (Fraction(4, 3), 0, 1, (100, 228, 230, 400)),
+                           (Fraction(-4, 3), 0, 1, (2, 4, 100, 228, 230, 400))):
+        for p in ps:
+            approx = solve_scalar_roots(c0, c1, y1, p)
+            exact = solve_scalar_sum(c0, c1, y1, p)
+            assert isinstance(approx, float)
+            if exact == 0:
+                assert abs(approx) <= 1e-9
+            else:
+                assert abs(approx - float(exact)) <= 1e-9 * abs(float(exact))
 
 
 def test_scalar_roots_beyond_double_range_raises():
     # golden-ratio roots: y_1440 * 10^300 overflows to inf, and from p ~ 1500
-    # complex exponentiation itself overflows
+    # the power of a root itself overflows
     for y1, p in ((10 ** 300, 1440), (1, 1500), (1, 2000)):
         with pytest.raises(DoubleRangeError, match="scalar-sum"):
             solve_scalar_roots(1, 1, y1, p)
