@@ -23,8 +23,10 @@ diagonal and the requested cells, for one call only; nothing is cached.
 ``algebra._integer_form`` supplies the cell arithmetic, the fused step
 a0·x + a1·y that iteration takes, whether cells pack, and each key's
 value.  Where cells pack, a diagonal is one packed integer per entry,
-every cell in its own slot (Kronecker substitution), one step advances
-the whole diagonal, and a sum of keys adds by Horner's rule, reduced once.
+every cell in its own slot (Kronecker substitution), and each diagonal
+takes one pass: one step advances it, one signed truncation drops the
+slots that no later key reads, and each key on it is read and added in
+one fused expression, a sum of keys by Horner's rule, reduced once.
 
 The evaluators accept a :class:`MultCounter` that records the exact
 number of ring multiplications (or module actions) of the recursion,
@@ -154,13 +156,14 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
     W(u, v) = a0·W(u-1, v) + a1·W(u, v-1), and the diagonal k is the
     polynomial Q_k(z) = sum_u W(u, k-u)·z^u with Q_k = (z·a0 + a1)·Q_(k-1).
     At z = 2^B it is one packed integer per entry (see
-    :func:`_packed_diagonals`), so one call of the fused step
-    ``linear(a0, a1)`` advances every cell of a diagonal.  Each key is
-    read from its slot once and becomes ``value(W(u, v), u + v)``:
-    W(u, v) over d·D^(u+v), d the origin's denominator, reduced by one
-    gcd; a scalar key is a ``Fraction`` even from ``int`` inputs.  A
-    total is one ``value`` of the sum of W(u, v)·D^(K-u-v), K = max(u + v),
-    gathered in increasing u + v by Horner's rule in D, each repeat counted.
+    :func:`_packed_table`), and each diagonal is one pass: one call of
+    the fused step ``linear(a0, a1)``, one signed truncation to the slots
+    that later keys read, and one rounded shift per key, fused with its
+    add into a total.  A key becomes ``value(W(u, v), u + v)``: W(u, v)
+    over d·D^(u+v), d the origin's denominator, reduced by one gcd; a
+    scalar key is a ``Fraction`` even from ``int`` inputs.  A total is one
+    ``value`` of the sum of W(u, v)·D^(K-u-v), K = max(u + v), gathered in
+    increasing u + v by Horner's rule in D, each repeat counted.
 
     Float and free cells cannot be packed: a diagonal holds the cells of
     the union of the keys' rectangles, each made by the recursion's
@@ -176,15 +179,15 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
     """
     check_same_backend(L0, L1)
     if vector is None:
-        origin, product, zero = ring_one(L0), compose, ring_zero(L0)
+        origin, product = ring_one(L0), compose
     else:
         check_apply_compat(L0, vector)
-        origin, product, zero = vector, apply, vector_zero(vector)
+        origin, product = vector, apply
     keys = list(keys)
     for u, v in keys:
         _check_counts(u, v)
     if not keys:
-        return zero if total else []
+        return (ring_zero(L0) if vector is None else vector_zero(vector)) if total else []
     n, a0, a1, D, origin, _, product, linear, value = _integer_form(L0, L1, origin, product)
     if counter is not None:  # row 0 and column 0 are edges, the rest interior
         col = _row_ends(keys)
@@ -192,30 +195,23 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
         if vector is None:
             actions -= (len(col) > 1) + (col[0] > 0)
         counter.count += actions
-    on_diagonal = {}  # k -> {(u, v): repeats}
-    for u, v in keys:
-        here = on_diagonal.setdefault(u + v, {})
-        here[u, v] = here.get((u, v), 0) + 1
     if n:
-        diagonal, advance, read = _packed_diagonals(n, a0, a1, origin, linear, on_diagonal)
-    else:
-        diagonal, advance, read = _cell_diagonals(
-            a0, a1, origin, product, linear, _row_ends(keys), vector is None)
-    K, found, last, acc = max(on_diagonal), {}, 0, [0] * len(origin) if total and n else None
-    for k in range(K + 1):
+        return _packed_table(n, a0, a1, D, origin, linear, value, keys, total)
+    on_diagonal = {}  # k -> the rows u of the keys on diagonal k
+    for u, v in keys:
+        on_diagonal.setdefault(u + v, set()).add(u)
+    cells, advance = _cell_diagonals(a0, a1, origin, product, linear, _row_ends(keys),
+                                     vector is None)
+    found = {}
+    for k in range(max(on_diagonal) + 1):
         if k:
-            diagonal = advance(diagonal, k)
-        for (u, v), repeats in on_diagonal.get(k, {}).items():
-            cell = read(diagonal, u, k)
-            if total and n:  # Horner in D: acc is the sum of W(u, v)·D^(k-u-v)
-                scale, last = D ** (k - last), k
-                acc = [a * scale + repeats * w for a, w in zip(acc, cell)]
-            else:
-                found[u, v] = value(cell, k)
-    if total and n:
-        return value(tuple(acc), K)
+            cells = advance(cells, k)
+        for u in on_diagonal.get(k, ()):
+            found[u, k - u] = value(cells[u], k)
     found = [found[key] for key in keys]
-    return ring_sum(found, zero) if total else found
+    if not total:
+        return found
+    return ring_sum(found, ring_zero(L0) if vector is None else vector_zero(vector))
 
 
 def _row_ends(keys):
@@ -229,13 +225,15 @@ def _row_ends(keys):
     return col
 
 
-def _packed_diagonals(n, a0, a1, cell, linear, on_diagonal):
-    """``(start, advance, read)`` for diagonals of packed integers.
+def _packed_table(n, a0, a1, D, cell, linear, value, keys, total):
+    """The keys' values in key order, or their total, on diagonals of
+    packed integers: a plan once, then one pass per diagonal.
 
     Entry i of the diagonal k is sum_u W(u, k-u)_i·2^(u·B): slot u holds
-    the cell (u, k-u) at bit offset u·B.  ``advance`` takes Q_(k-1) to
-    Q_k by one step ``linear(a0, a1)(Q << B, Q)`` and drops the slots
-    above top[k], the largest u that a key on a diagonal >= k reads.
+    the cell (u, k-u) at bit offset u·B.  One step ``linear(a0, a1)(Q << B,
+    Q)`` takes Q_(k-1) to Q_k.  Diagonal k keeps slots 0..min(top[k], k),
+    top[k] the largest u that a key on a diagonal >= k reads: the signed
+    residue ((q + h) & m) - h, h = 2^(b-1), m = 2^b - 1, b = (top[k]+1)·B.
 
     Width: with |x| the largest absolute entry of a cell and ||a|| the
     largest absolute row sum of a, |a·x| <= ||a||·|x|.  W(u, v) is the
@@ -243,50 +241,51 @@ def _packed_diagonals(n, a0, a1, cell, linear, on_diagonal):
     |W(u, v)| <= C(u+v, u)·||a0||^u·||a1||^v·|cell| <= s^k·|cell|,
     s = ||a0|| + ||a1||, k = u + v.  Up to the last diagonal K every
     slot is then at most M = max(s, 1)^K·|cell|, and B = bits(M) + 1
-    gives |W| < 2^(B-1).  The slots below u then sum to less than
-    2^(u·B)/2 in absolute value, so rounding Q/2^(u·B) to the nearest
-    integer leaves W(u, k-u) in its low B bits, read as a signed
-    B-bit number.  The diagonal k keeps slots 0..min(top[k], k), and a key
-    in the highest of them, as every key of ``solver.solve_closed`` is,
-    has no slot above it to mask: the rounded shift alone reads it, and
-    at u = 0 the entry itself.  A vector table whose one coefficient is
-    zero, and whose other coefficient and vector have equal nonnegative
-    entries, attains M, so B has no spare bit.
+    gives |W| < 2^(B-1).  The slots below any u then sum to less than
+    2^(u·B)/2 in absolute value.  So the signed residue above is exactly
+    slots 0..top[k], and the rounded shift (q + 2^(u·B)/2) >> u·B leaves
+    W(u, k-u) plus 2^B times the slots above u.  A key in the highest
+    slot kept, as every key of ``solver.solve_closed`` is, has none above
+    it: the rounded shift alone reads it, and at u = 0 the entry itself.
+    A key below it is read from a copy kept to slots 0..u.  A vector
+    table whose one coefficient is zero, and whose other coefficient and
+    vector have equal nonnegative entries, attains M, so B has no spare bit.
     """
+    on_diagonal = {}  # k -> {u: repeats}
+    for u, v in keys:
+        here = on_diagonal.setdefault(u + v, {})
+        here[u] = here.get(u, 0) + 1
     K = max(on_diagonal)
-    s = sum(max(sum(map(abs, a[i:i + n])) for i in range(0, len(a), n)) for a in (a0, a1))
+    s = sum([max([sum(map(abs, a[i:i + n])) for i in range(0, n * n, n)]) for a in (a0, a1)])
     B = (max(s, 1) ** K * max(map(abs, cell))).bit_length() + 1
-    # top[k]: the largest slot that a key on diagonal k or after it reads.
-    top = [-1] * (K + 1)
-    for k, read_here in on_diagonal.items():
-        top[k] = max(u for u, _ in read_here)
-    for k in range(K - 1, -1, -1):
-        top[k] = max(top[k], top[k + 1])
-    step = linear(a0, a1)
-
-    def advance(Q, k):
-        Q = step(tuple([x << B for x in Q]), Q)
-        return _signed(Q, (top[k] + 1) * B) if top[k] < k else Q
-
-    def read(Q, u, k):
-        if u:  # round to the nearest integer: the slots below vanish
-            Q = [((x >> (u * B - 1)) + 1) >> 1 for x in Q]
-        return tuple(Q) if u == min(top[k], k) else _signed(Q, B)
-
-    return cell, advance, read
-
-
-def _signed(values, bits):
-    """Each value's residue mod 2^bits in [-2^(bits-1), 2^(bits-1)): the
-    slots below offset ``bits`` of a packed integer, or one slot."""
-    span = 1 << bits
-    half, mask = span >> 1, span - 1
-    return tuple([r - span if r >= half else r for r in [x & mask for x in values]])
+    top = [-1] * (K + 2)
+    for k in range(K, -1, -1):
+        here = on_diagonal.get(k)
+        top[k] = max(top[k + 1], max(here)) if here else top[k + 1]
+    step, Q, acc, scale, found = linear(a0, a1), cell, [0] * len(cell), 1, {}
+    for k in range(K + 1):
+        if k:
+            Q, scale = step(tuple([q << B for q in Q]), Q), scale * D
+            if top[k] < k:
+                h, m = 1 << (top[k] + 1) * B - 1, (1 << (top[k] + 1) * B) - 1
+                Q = tuple([((q + h) & m) - h for q in Q])
+        for u, repeats in on_diagonal.get(k, {}).items():
+            R, shift = Q, u * B
+            if u < min(top[k], k):  # below the top slot
+                h, m = 1 << shift + B - 1, (1 << shift + B) - 1
+                R = [((q + h) & m) - h for q in Q]
+            half = (1 << shift) >> 1
+            if total:  # Horner in D: acc is the sum of W(u, v)·D^(k-u-v)
+                acc = [a * scale + repeats * ((q + half) >> shift) for a, q in zip(acc, R)]
+                scale = 1
+            else:
+                found[u, k - u] = value(tuple([(q + half) >> shift for q in R]), k)
+    return value(tuple(acc), K) if total else [found[key] for key in keys]
 
 
 def _cell_diagonals(a0, a1, origin, product, linear, col, ring):
-    """``(start, advance, read)`` for diagonals that map u to the cell
-    (u, k-u), over the cells of the union of the keys' rectangles."""
+    """``(start, advance)`` for diagonals that map u to the cell (u, k-u),
+    over the cells of the union of the keys' rectangles."""
     interior = linear(a0, a1)
     # Row u's cells in the union lie on diagonals u..reach[u].
     reach = [u + last for u, last in enumerate(col)]
@@ -304,4 +303,4 @@ def _cell_diagonals(a0, a1, origin, product, linear, col, ring):
                             interior(previous[u - 1], previous[u]))
         return cells
 
-    return {0: origin}, advance, lambda cells, u, k: cells[u]
+    return {0: origin}, advance

@@ -205,17 +205,20 @@ def solve_scalar_roots(c0, c1, y1bar, p):
     delta < 0, roots r·e^(±iθ) with r = √(-c0): r^(p-1) * sin(pθ) / sin θ * y1bar.
 
     Exact ``Fraction`` when the roots are rational, otherwise a float
-    computed in real doubles; a value beyond the range of a double raises
+    computed in real doubles; a value beyond the range of a double, or
+    coefficients whose float roots overflow or coincide, raise
     :class:`DoubleRangeError`.
     """
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
-    roots = characteristic_roots(c0, c1)
     y1bar = Fraction(y1bar)
-    if roots.delta == 0:
-        # c0 != 0 forces c1 != 0 here, so m1 = c1/2 is invertible.
-        return p * roots.m1 ** (p - 1) * y1bar
     try:
+        roots = characteristic_roots(c0, c1)
+        if roots.delta == 0:
+            # c0 != 0 forces c1 != 0 here, so m1 = c1/2 is invertible.
+            return p * roots.m1 ** (p - 1) * y1bar
+        if roots.m1 == roots.m2:  # distinct roots that doubles do not tell apart
+            raise DoubleRangeError(p)
         if roots.delta > 0:
             value = (roots.m1 ** p - roots.m2 ** p) / (roots.m1 - roots.m2) * y1bar
         else:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noncomm_recur import permsum
@@ -374,8 +374,21 @@ def summed_tables(draw):
     return L0, L1, draw(st.permutations(keys)), draw(st.sampled_from([y, None]))
 
 
+# Exact cells with D = 2 whose keys lie on diagonals 0, 3 and 7, leaving
+# gaps that the total's power of D carries across.  (2, 1) is repeated and
+# lies below the top slot of diagonal 3; (1, 6) lies below the top slot of
+# diagonal 7, which is truncated to slots 0..3.
+CARRY_KEYS = [(3, 4), (2, 1), (0, 0), (1, 6), (2, 1)]
+CARRY_MATRICES = (Matrix([[Fraction(1, 2), -1], [2, Fraction(3, 2)]]),
+                  Matrix([[-1, Fraction(1, 2)], [0, 1]]))
+
+
 @settings(deadline=None, max_examples=200)
 @given(summed_tables())
+@example((Fraction(1, 2), Fraction(-3, 2), CARRY_KEYS, Fraction(5, 3)))
+@example((Fraction(1, 2), Fraction(-3, 2), CARRY_KEYS, None))
+@example((*CARRY_MATRICES, CARRY_KEYS, ColumnVector([1, Fraction(-1, 3)])))
+@example((*CARRY_MATRICES, CARRY_KEYS, None))
 def test_total_is_the_sum_of_the_keys(table):
     L0, L1, keys, y = table
     total = perm_sum_batch(L0, L1, keys, vector=y, total=True)

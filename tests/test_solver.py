@@ -392,6 +392,13 @@ def test_scalar_roots_beyond_double_range_raises():
     for y1, p in ((10 ** 300, 1440), (1, 1500), (1, 2000)):
         with pytest.raises(DoubleRangeError, match="scalar-sum"):
             solve_scalar_roots(1, 1, y1, p)
+    # coefficients past double range: the discriminant overflows, or it
+    # underflows to 0.0 and the two float roots coincide, at every p
+    tiny = Fraction(1, 10 ** 400)
+    for c0, c1 in ((10 ** 400, 1), (1, 10 ** 400), (-10 ** 400, 1), (tiny, tiny)):
+        for p in (0, 1, 5):
+            with pytest.raises(DoubleRangeError, match="scalar-sum"):
+                solve_scalar_roots(c0, c1, 1, p)
     assert solve_scalar_sum(1, 1, 10 ** 300, 1440) > 10 ** 600
     assert math.isclose(solve_scalar_roots(1, 1, 1, 1400), float(solve_scalar_sum(1, 1, 1, 1400)),
                         rel_tol=1e-9)
