@@ -20,6 +20,8 @@ gives Z(u, v) = P(u, v)·y with one module action per step, a
 matrix-vector product instead of a matrix product on matrix backends.
 The table is built one anti-diagonal u + v at a time, keeping one
 diagonal and the requested cells, for one call only; nothing is cached.
+Each call groups its keys by diagonal, with their repeats, once, and
+packed, float and free cells all read that grouping.
 ``algebra._integer_form`` supplies the cell arithmetic, the fused step
 a0·x + a1·y that iteration takes, whether cells pack, and each key's
 value.  Where cells pack, a diagonal is one packed integer per entry,
@@ -143,7 +145,9 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
     with it, or ``total=True`` returns the sum of the keys' values, each
     repeat counted (zero if none).  The table runs over anti-diagonals
     k = u + v, up to the largest key's k, and holds one diagonal at a
-    time: memory grows with the table's width, not its area.
+    time: memory grows with the table's width, not its area.  The keys
+    are grouped by diagonal, with their repeats, once per call, for
+    either kind of cell below.
 
     Without ``vector`` the cells are ring elements P(u, v).  With a
     module ``vector`` y the cells are Z(u, v) = P(u, v)·y, built by the
@@ -165,10 +169,12 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
     ``value`` of the sum of W(u, v)·D^(K-u-v), K = max(u + v), gathered in
     increasing u + v by Horner's rule in D, each repeat counted.
 
-    Float and free cells cannot be packed: a diagonal holds the cells of
-    the union of the keys' rectangles, each made by the recursion's
-    ``linear`` or ``product`` call, and a total is one ``ring_sum``, so
-    float results are bit for bit those of ``compose``/``apply`` and ``+``.
+    Float and free cells cannot be packed: diagonal k holds the cells of
+    the union of the keys' rectangles, those rows u whose last column in
+    the union (see :func:`_row_ends`) reaches k - u, each made by the
+    recursion's ``linear`` or ``product`` call, and a total is one
+    ``ring_sum``, so float results are bit for bit those of
+    ``compose``/``apply`` and ``+``.
 
     ``counter``, a :class:`MultCounter`, gains in one addition the
     logical actions of the union of the keys' rectangles, whatever the
@@ -189,23 +195,30 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
     if not keys:
         return (ring_zero(L0) if vector is None else vector_zero(vector)) if total else []
     n, a0, a1, D, origin, _, product, linear, value = _integer_form(L0, L1, origin, product)
-    if counter is not None:  # row 0 and column 0 are edges, the rest interior
+    on_diagonal = {}  # k -> {u: repeats}
+    for u, v in keys:
+        here = on_diagonal.setdefault(u + v, {})
+        here[u] = here.get(u, 0) + 1
+    if counter is not None or not n:
         col = _row_ends(keys)
+    if counter is not None:  # row 0 and column 0 are edges, the rest interior
         actions = col[0] + len(col) - 1 + 2 * sum(col[1:])
         if vector is None:
             actions -= (len(col) > 1) + (col[0] > 0)
         counter.count += actions
     if n:
-        return _packed_table(n, a0, a1, D, origin, linear, value, keys, total)
-    on_diagonal = {}  # k -> the rows u of the keys on diagonal k
-    for u, v in keys:
-        on_diagonal.setdefault(u + v, set()).add(u)
-    cells, advance = _cell_diagonals(a0, a1, origin, product, linear, _row_ends(keys),
-                                     vector is None)
-    found = {}
+        return _packed_table(n, a0, a1, D, origin, linear, value, keys, on_diagonal, total)
+    step, cells, found = linear(a0, a1), {0: origin}, {}
     for k in range(max(on_diagonal) + 1):
-        if k:
-            cells = advance(cells, k)
+        if k:  # row u's cells in the union lie on diagonals u..u + col[u]
+            previous = cells
+            cells = {u: step(previous[u - 1], previous[u])
+                     for u in range(1, min(k, len(col))) if u + col[u] >= k}
+            # the edges: the ring table gets P(1, 0) = L0 and P(0, 1) = L1 free
+            if col[0] >= k:
+                cells[0] = a1 if vector is None and k == 1 else product(a1, previous[0])
+            if k < len(col):
+                cells[k] = a0 if vector is None and k == 1 else product(a0, previous[k - 1])
         for u in on_diagonal.get(k, ()):
             found[u, k - u] = value(cells[u], k)
     found = [found[key] for key in keys]
@@ -225,9 +238,10 @@ def _row_ends(keys):
     return col
 
 
-def _packed_table(n, a0, a1, D, cell, linear, value, keys, total):
+def _packed_table(n, a0, a1, D, cell, linear, value, keys, on_diagonal, total):
     """The keys' values in key order, or their total, on diagonals of
-    packed integers: a plan once, then one pass per diagonal.
+    packed integers: a plan once from ``on_diagonal``, the keys grouped
+    as k -> {u: repeats}, then one pass per diagonal.
 
     Entry i of the diagonal k is sum_u W(u, k-u)_i·2^(u·B): slot u holds
     the cell (u, k-u) at bit offset u·B.  One step ``linear(a0, a1)(Q << B,
@@ -251,10 +265,6 @@ def _packed_table(n, a0, a1, D, cell, linear, value, keys, total):
     table whose one coefficient is zero, and whose other coefficient and
     vector have equal nonnegative entries, attains M, so B has no spare bit.
     """
-    on_diagonal = {}  # k -> {u: repeats}
-    for u, v in keys:
-        here = on_diagonal.setdefault(u + v, {})
-        here[u] = here.get(u, 0) + 1
     K = max(on_diagonal)
     s = sum([max([sum(map(abs, a[i:i + n])) for i in range(0, n * n, n)]) for a in (a0, a1)])
     B = (max(s, 1) ** K * max(map(abs, cell))).bit_length() + 1
@@ -282,25 +292,3 @@ def _packed_table(n, a0, a1, D, cell, linear, value, keys, total):
                 found[u, k - u] = value(tuple([(q + half) >> shift for q in R]), k)
     return value(tuple(acc), K) if total else [found[key] for key in keys]
 
-
-def _cell_diagonals(a0, a1, origin, product, linear, col, ring):
-    """``(start, advance)`` for diagonals that map u to the cell (u, k-u),
-    over the cells of the union of the keys' rectangles."""
-    interior = linear(a0, a1)
-    # Row u's cells in the union lie on diagonals u..reach[u].
-    reach = [u + last for u, last in enumerate(col)]
-
-    def edge(factor, cell):
-        # factor·1 is factor: the ring table gets P(1, 0) and P(0, 1) free.
-        return factor if ring and cell is origin else product(factor, cell)
-
-    def advance(previous, k):
-        cells = {}
-        for u in range(min(k, len(col) - 1) + 1):
-            if reach[u] >= k:
-                cells[u] = (edge(a1, previous[0]) if u == 0 else
-                            edge(a0, previous[u - 1]) if u == k else
-                            interior(previous[u - 1], previous[u]))
-        return cells
-
-    return {0: origin}, advance

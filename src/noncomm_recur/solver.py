@@ -50,10 +50,13 @@ class NotARationalSquareError(ValueError):
 
 
 class DoubleRangeError(ArithmeticError):
-    """y_p lies beyond the range of the double evaluation."""
+    """y_p, or with ``roots`` the characteristic roots it is computed
+    from, lies beyond the range of the double evaluation."""
 
-    def __init__(self, p):
+    def __init__(self, p, roots=False):
         super().__init__(
+            f"the characteristic roots of these coefficients lie beyond double precision; "
+            f"scalar-sum computes y_{p} exactly" if roots else
             f"y_{p} exceeds the range of double precision on the characteristic-root "
             f"route; scalar-sum computes it exactly")
 
@@ -207,18 +210,22 @@ def solve_scalar_roots(c0, c1, y1bar, p):
     Exact ``Fraction`` when the roots are rational, otherwise a float
     computed in real doubles; a value beyond the range of a double, or
     coefficients whose float roots overflow or coincide, raise
-    :class:`DoubleRangeError`.
+    :class:`DoubleRangeError`, which names the reason that applies.
     """
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
     y1bar = Fraction(y1bar)
     try:
         roots = characteristic_roots(c0, c1)
-        if roots.delta == 0:
-            # c0 != 0 forces c1 != 0 here, so m1 = c1/2 is invertible.
-            return p * roots.m1 ** (p - 1) * y1bar
-        if roots.m1 == roots.m2:  # distinct roots that doubles do not tell apart
-            raise DoubleRangeError(p)
+        r = sqrt(-Fraction(c0)) if roots.delta < 0 else None  # the complex roots' modulus
+    except OverflowError:
+        raise DoubleRangeError(p, roots=True) from None
+    if roots.delta == 0:
+        # c0 != 0 forces c1 != 0 here, so m1 = c1/2 is invertible.
+        return p * roots.m1 ** (p - 1) * y1bar
+    if roots.m1 == roots.m2:  # distinct roots that doubles do not tell apart
+        raise DoubleRangeError(p, roots=True)
+    try:
         if roots.delta > 0:
             value = (roots.m1 ** p - roots.m2 ** p) / (roots.m1 - roots.m2) * y1bar
         else:
@@ -228,7 +235,7 @@ def solve_scalar_roots(c0, c1, y1bar, p):
             phi = atan2(roots.m1.real, roots.m1.imag)
             x = p * phi
             sin_p_theta = (0.0 - sin(x), cos(x), sin(x), -cos(x))[p % 4]
-            value = sqrt(-Fraction(c0)) ** (p - 1) * sin_p_theta / cos(phi) * y1bar
+            value = r ** (p - 1) * sin_p_theta / cos(phi) * y1bar
     except OverflowError:
         raise DoubleRangeError(p) from None
     if not (roots.exact or isfinite(value)):

@@ -183,6 +183,20 @@ def test_solve_scalar_roots_beyond_double_range_exits_4(tmp_path, capsys, y1, p)
     assert code == 0 and out.strip().isdigit()
 
 
+def test_solve_scalar_roots_past_double_range_coefficients_exits_4(tmp_path, capsys):
+    # y_0 = 0, but an L0 of 401 digits has roots past double range: the
+    # message names the roots, not y_0
+    path = tmp_path / "past-doubles.json"
+    path.write_text(json.dumps({"backend": "scalar", "L0": "1" + "0" * 400, "L1": "1", "Y1": "1"}))
+    code, out, err = run(capsys, "solve", "--input", str(path), "--p", "0",
+                         "--method", "scalar-roots")
+    assert (code, out) == (4, "")
+    assert "roots" in err and "double precision" in err and "scalar-sum" in err
+    assert "exceeds" not in err and len(err.splitlines()) == 1
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "0", "--method", "scalar-sum")
+    assert (code, out) == (0, "0\n")
+
+
 def test_solve_out_of_memory_exits_4(capsys, monkeypatch):
     def exhausted(problem, p):
         raise MemoryError

@@ -234,30 +234,38 @@ def union_actions(keys):
 
 
 def test_vector_table_counts_each_action(monkeypatch):
-    actions = []
+    calls = []
 
-    def counted(*args):
-        actions.append(args)
-        return apply(*args)
+    def counted(action):
+        def wrapper(*args):
+            calls.append(args)
+            return action(*args)
+        return wrapper
 
-    # The free table acts through apply, one call an action; the packed
-    # dense and scalar tables make one call a diagonal, so there the count
-    # is compared with the union of the keys' rectangles alone.
-    monkeypatch.setattr(permsum, "apply", counted)
+    # The free table acts through apply, or multiplies through compose
+    # without a vector, one call an action; the packed dense and scalar
+    # tables make one call a diagonal, so there the count is compared with
+    # the union of the keys' rectangles alone.  The ring table gets
+    # P(1, 0) = L0 and P(0, 1) = L1 free: edges from the origin make no call.
+    monkeypatch.setattr(permsum, "apply", counted(apply))
+    monkeypatch.setattr(permsum, "compose", counted(compose))
     key_sets = ([(0, 0)], [(0, 5)], [(4, 0)], [(3, 2)], VECTOR_KEYS,
                 [(0, 10), (10, 0), (3, 3)], [(2, 0), (0, 2), (2, 0)])
     for L0, L1, y in vector_backends():
-        for keys in key_sets:
-            actions.clear()
+        for keys, vector in itertools.product(key_sets, (y, None)):
+            calls.clear()
             counter = MultCounter()
-            perm_sum_batch(L0, L1, keys, counter=counter, vector=y)
-            assert counter.count == union_actions(keys)
+            perm_sum_batch(L0, L1, keys, counter=counter, vector=vector)
+            free_edges = any(u for u, _ in keys) + any(v for _, v in keys)
+            assert counter.count == union_actions(keys) - (vector is None) * free_edges
             if isinstance(y, FreeVector):
-                assert counter.count == len(actions)
+                assert counter.count == len(calls)
             if len(keys) == 1:
                 (u, v), = keys
-                # every cell but Z(0, 0) is one action, interior cells two
-                assert counter.count == 2 * u * v + u + v
+                # every cell but the origin is one action, interior cells two,
+                # less the ring table's free P(1, 0) and P(0, 1)
+                assert counter.count == (2 * u * v + u + v if vector is not None else
+                                         2 * u * v + max(u - 1, 0) + max(v - 1, 0))
 
 
 def flat_entries(value):

@@ -390,15 +390,22 @@ def test_scalar_roots_beyond_double_range_raises():
     # golden-ratio roots: y_1440 * 10^300 overflows to inf, and from p ~ 1500
     # the power of a root itself overflows
     for y1, p in ((10 ** 300, 1440), (1, 1500), (1, 2000)):
-        with pytest.raises(DoubleRangeError, match="scalar-sum"):
+        with pytest.raises(DoubleRangeError, match=f"^y_{p} exceeds .*double precision.*scalar-sum"):
             solve_scalar_roots(1, 1, y1, p)
     # coefficients past double range: the discriminant overflows, or it
-    # underflows to 0.0 and the two float roots coincide, at every p
+    # underflows to 0.0 and the two float roots coincide, or only the
+    # complex roots' modulus √(-c0) overflows, at every p; the roots of
+    # -1 + 3·10^-34 and 2 are distinct but equal as doubles, though y_5 is
+    # about 5
     tiny = Fraction(1, 10 ** 400)
-    for c0, c1 in ((10 ** 400, 1), (1, 10 ** 400), (-10 ** 400, 1), (tiny, tiny)):
+    for c0, c1 in ((10 ** 400, 1), (1, 10 ** 400), (-10 ** 400, 1), (tiny, tiny),
+                   (-(10 ** 400 + 1), 2 * 10 ** 200), (-1 + Fraction(3, 10 ** 34), 2)):
         for p in (0, 1, 5):
-            with pytest.raises(DoubleRangeError, match="scalar-sum"):
+            with pytest.raises(DoubleRangeError) as raised:
                 solve_scalar_roots(c0, c1, 1, p)
+            assert str(raised.value) == (f"the characteristic roots of these coefficients lie "
+                                         f"beyond double precision; scalar-sum computes y_{p} "
+                                         f"exactly")
     assert solve_scalar_sum(1, 1, 10 ** 300, 1440) > 10 ** 600
     assert math.isclose(solve_scalar_roots(1, 1, 1, 1400), float(solve_scalar_sum(1, 1, 1, 1400)),
                         rel_tol=1e-9)
