@@ -521,32 +521,19 @@ def _integer_form(L0, L1, start, product):
 
 
 def ring_sum(values, zero):
-    """``sum(values, zero)`` in one pass, for values of ``zero``'s kind.
-
-    Dense values are added on integers over one lcm of the denominators
-    and reduced once; float entries add in the fold's order, from
-    ``zero``'s entries, so the result is the fold's bit for bit.  Word
-    sums accumulate into one map for one constructor call."""
+    """``sum(values, zero)``, the ``+`` fold, for values of ``zero``'s kind;
+    word sums alone accumulate into one map for one constructor call,
+    where the fold would copy the running total at every add."""
     kind = _require_kind(zero, (*_MODULE_OF, *_MODULE_OF.values()), "ring or module value")
     values = list(values)
     for value in values:
         if _kind(value) is not kind:
             raise BackendMismatchError(
                 f"cannot add {type(value).__name__} to {type(zero).__name__}")
-        if isinstance(zero, _Dense):
-            _check_space(zero, value)
     if isinstance(zero, _WordSum):
         return kind(_accumulate(dict(zero.terms),
                                 (pair for value in values for pair in value.terms.items())))
-    if kind is Fraction:
-        return sum(values, zero)
-    den = functools.reduce(math.lcm, (value._den for value in values), zero._den)
-    nums = zero._nums if zero._den == den else [x * (den // zero._den) for x in zero._nums]
-    for value in values:
-        scale = den // value._den
-        nums = tuple(map(operator.add, nums, value._nums if scale == 1
-                         else [x * scale for x in value._nums]))
-    return kind._new(nums, den, zero.n, zero.exact)
+    return functools.reduce(operator.add, values, zero)
 
 
 def _require_kind(value, kinds, what):

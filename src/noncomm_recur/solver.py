@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import atan2, ceil, comb, cos, isfinite, isqrt, log2, sin, sqrt
+from math import atan2, ceil, comb, cos, expm1, inf, isfinite, isqrt, log1p, log2, sin, sqrt
 
 from .algebra import (FreeElement, _integer_form, _kind, apply, check_apply_compat,
                       check_same_backend, vector_zero)
@@ -203,30 +203,38 @@ def characteristic_roots(c0, c1):
 def solve_scalar_roots(c0, c1, y1bar, p):
     """y_p via the characteristic roots.
 
-    delta > 0: (m1^p - m2^p) / (m1 - m2) * y1bar;
+    delta > 0: (m1^p - m2^p) / (m1 - m2) * y1bar, or for float roots of one
+    sign, m the larger and L = log1p(-√delta/|m|) the log of their ratio,
+    m^(p-1) * expm1(pL) / expm1(L) * y1bar;
     delta == 0: p * m1^(p-1) * y1bar;
     delta < 0, roots r·e^(±iθ) with r = √(-c0): r^(p-1) * sin(pθ) / sin θ * y1bar.
 
     Exact ``Fraction`` when the roots are rational, otherwise a float
     computed in real doubles; a value beyond the range of a double, or
-    coefficients whose float roots overflow or coincide, raise
+    coefficients whose float roots overflow, underflow or coincide, raise
     :class:`DoubleRangeError`, which names the reason that applies.
     """
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
-    y1bar = Fraction(y1bar)
+    c0, y1bar = Fraction(c0), Fraction(y1bar)
     try:
         roots = characteristic_roots(c0, c1)
-        r = sqrt(-Fraction(c0)) if roots.delta < 0 else None  # the complex roots' modulus
+        r = sqrt(-c0) if roots.delta < 0 else None  # the complex roots' modulus
     except OverflowError:
         raise DoubleRangeError(p, roots=True) from None
     if roots.delta == 0:
         # c0 != 0 forces c1 != 0 here, so m1 = c1/2 is invertible.
         return p * roots.m1 ** (p - 1) * y1bar
-    if roots.m1 == roots.m2:  # distinct roots that doubles do not tell apart
+    same_sign = roots.delta > 0 and c0 < 0 and not roots.exact  # needs no m1 != m2
+    if r == 0.0 or roots.m1 == roots.m2 and not same_sign:  # or a modulus that underflows
         raise DoubleRangeError(p, roots=True)
     try:
-        if roots.delta > 0:
+        if same_sign:  # without m1^p - m2^p, which cancels near a repeated root
+            m = max(roots.m1, roots.m2, key=abs)
+            t = sqrt(roots.delta) / abs(m)  # 1 - q; if it rounds to 1, q^p is below rounding
+            L = log1p(-t) if t < 1 else -inf
+            value = (m ** (p - 1) * expm1(p * L) / expm1(L) if p else 0.0) * y1bar
+        elif roots.delta > 0:
             value = (roots.m1 ** p - roots.m2 ** p) / (roots.m1 - roots.m2) * y1bar
         else:
             # θ = π/2 - φ, so sin(pθ) = sin(p·π/2 - pφ) takes p·π/2 exactly
@@ -238,6 +246,8 @@ def solve_scalar_roots(c0, c1, y1bar, p):
             value = r ** (p - 1) * sin_p_theta / cos(phi) * y1bar
     except OverflowError:
         raise DoubleRangeError(p) from None
+    except ZeroDivisionError:  # same-sign roots that underflow, or whose ratio rounds to 1
+        raise DoubleRangeError(p, roots=True) from None
     if not (roots.exact or isfinite(value)):
         raise DoubleRangeError(p)
     return value

@@ -74,6 +74,8 @@ REJECTIONS = {
               SPACE.format(3, 2, True, True)),
     "sum-field": (lambda: ring_sum([ColumnVector([1.0, 2.0])], V2.zero()), MISMATCH,
                   SPACE.format(2, 2, True, False)),
+    "sum-n-part-way": (lambda: ring_sum([V2, V3], V2.zero()), MISMATCH,
+                       SPACE.format(2, 3, True, True)),
     **{f"sum-{x}-to-{z}": (lambda v=v, zero=zero: ring_sum([v], zero), MISMATCH,
                            f"^cannot add {x} to {z}$")
        for v, zero in ((I2, V2.zero()), (A, FreeVector.zero()), (Fraction(1), V1.zero()),

@@ -386,6 +386,50 @@ def test_scalar_roots_irrational_delta_degenerates_to_real_doubles():
                 assert abs(approx - float(exact)) <= 1e-9 * abs(float(exact))
 
 
+def relative_error(value, exact):
+    if exact == 0:
+        return 0.0 if value == 0 else math.inf
+    return float(abs(Fraction(value) - exact) / abs(exact))
+
+
+def test_scalar_roots_same_sign_roots_do_not_cancel():
+    # c0 < 0 < δ, δ not a rational square: the float roots share a sign, and
+    # (m1^p - m2^p)/(m1 - m2) cancels near a repeated root (2.5·10^-3 at e = 30)
+    for e in (14, 16, 20, 30):
+        for c1 in (Fraction(3, 2), Fraction(2)):
+            c0 = -c1 * c1 / 4 + Fraction(3, 10 ** e)
+            for p in (2, 5, 30, 101):
+                assert relative_error(solve_scalar_roots(c0, c1, 1, p),
+                                      solve_scalar_sum(c0, c1, 1, p)) < 1e-14
+    # roots far from 1, where r^(p-1)·sinh(pψ)/sinh ψ leaves double range,
+    # and a ratio of the roots below rounding, where 1 - q rounds to 1
+    for c0, c1, p in ((Fraction(-1, 10 ** 10), 1, 200), (Fraction(-1, 10 ** 10), 1, 1000),
+                      (Fraction(-1, 10 ** 200), Fraction(1, 10 ** 90), 3)):
+        assert relative_error(solve_scalar_roots(c0, c1, 1, p),
+                              solve_scalar_sum(c0, c1, 1, p)) < 1e-12
+        assert str(solve_scalar_roots(c0, c1, 1, 0)) == "0.0"  # not -0.0, nor nan
+    # distinct roots that are equal as doubles: y_5 = 5 + 3·10^-33 + 9·10^-68
+    c0 = -1 + Fraction(3, 10 ** 34)
+    assert relative_error(solve_scalar_roots(c0, 2, 1, 5), solve_scalar_sum(c0, 2, 1, 5)) < 1e-15
+    # seeded same-sign pairs over 120 decades, against the subtraction: no
+    # raise where it is finite, and no larger error beyond 10^-13
+    rng = Random(31)
+    for _ in range(60):
+        c1 = rng.choice((1, -1)) * Fraction(rng.randint(1, 999), 100) * \
+            Fraction(10) ** rng.randint(-60, 60)
+        c0 = -c1 * c1 / 4 * (1 - Fraction(rng.randint(1, 999), 1000) / 10 ** rng.randint(0, 34))
+        roots = characteristic_roots(c0, c1)
+        for p in () if roots.exact else (0, 1, 2, 5, 30, 101, 400):
+            try:
+                subtracted = (roots.m1 ** p - roots.m2 ** p) / (roots.m1 - roots.m2)
+            except (OverflowError, ZeroDivisionError):
+                continue
+            if math.isfinite(subtracted):
+                exact = solve_scalar_sum(c0, c1, 1, p)
+                assert relative_error(solve_scalar_roots(c0, c1, 1, p), exact) <= \
+                    max(relative_error(subtracted, exact), 1e-13)
+
+
 def test_scalar_roots_beyond_double_range_raises():
     # golden-ratio roots: y_1440 * 10^300 overflows to inf, and from p ~ 1500
     # the power of a root itself overflows
@@ -394,12 +438,12 @@ def test_scalar_roots_beyond_double_range_raises():
             solve_scalar_roots(1, 1, y1, p)
     # coefficients past double range: the discriminant overflows, or it
     # underflows to 0.0 and the two float roots coincide, or only the
-    # complex roots' modulus √(-c0) overflows, at every p; the roots of
-    # -1 + 3·10^-34 and 2 are distinct but equal as doubles, though y_5 is
-    # about 5
+    # complex roots' modulus √(-c0) overflows, or underflows to 0.0, or
+    # two real roots of one sign underflow to 0.0, at every p
     tiny = Fraction(1, 10 ** 400)
     for c0, c1 in ((10 ** 400, 1), (1, 10 ** 400), (-10 ** 400, 1), (tiny, tiny),
-                   (-(10 ** 400 + 1), 2 * 10 ** 200), (-1 + Fraction(3, 10 ** 34), 2)):
+                   (-(10 ** 400 + 1), 2 * 10 ** 200), (Fraction(-2, 10 ** 324), 0),
+                   (-tiny * tiny / 8, tiny)):
         for p in (0, 1, 5):
             with pytest.raises(DoubleRangeError) as raised:
                 solve_scalar_roots(c0, c1, 1, p)
