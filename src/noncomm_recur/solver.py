@@ -225,14 +225,14 @@ def solve_scalar_roots(c0, c1, y1bar, p):
     if roots.delta == 0:
         # c0 != 0 forces c1 != 0 here, so m1 = c1/2 is invertible.
         return p * roots.m1 ** (p - 1) * y1bar
-    same_sign = roots.delta > 0 and c0 < 0 and not roots.exact  # needs no m1 != m2
+    same_sign = roots.delta > 0 and c0 < 0 and not roots.exact  # takes equal doubles too
     if r == 0.0 or roots.m1 == roots.m2 and not same_sign:  # or a modulus that underflows
         raise DoubleRangeError(p, roots=True)
     try:
         if same_sign:  # without m1^p - m2^p, which cancels near a repeated root
             m = max(roots.m1, roots.m2, key=abs)
-            t = sqrt(roots.delta) / abs(m)  # 1 - q; if it rounds to 1, q^p is below rounding
-            L = log1p(-t) if t < 1 else -inf
+            t = sqrt(roots.delta) / abs(m)  # 1 - q, q the ratio of the roots
+            L = log1p(-t) if t < 1 else -inf  # t rounds to 1 where q^p is below rounding
             value = (m ** (p - 1) * expm1(p * L) / expm1(L) if p else 0.0) * y1bar
         elif roots.delta > 0:
             value = (roots.m1 ** p - roots.m2 ** p) / (roots.m1 - roots.m2) * y1bar
