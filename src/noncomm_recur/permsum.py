@@ -18,17 +18,20 @@ The table (:func:`perm_sum_batch`) also runs on module vectors: from
 Z(0, 0) = y the same recursion Z(u, v) = L0·Z(u-1, v) + L1·Z(u, v-1)
 gives Z(u, v) = P(u, v)·y with one module action per step, a
 matrix-vector product instead of a matrix product on matrix backends.
-The table is built one anti-diagonal u + v at a time, keeping one
-diagonal and the requested cells, for one call only; nothing is cached.
-Each call groups its keys by diagonal, with their repeats, once, and
-packed, float and free cells all read that grouping.
-``algebra._integer_form`` supplies the cell arithmetic, the fused step
-a0·x + a1·y that iteration takes, whether cells pack, and each key's
-value.  Where cells pack, a diagonal is one packed integer per entry,
-every cell in its own slot (Kronecker substitution), and each diagonal
-takes one pass: one step advances it, one signed truncation drops the
-slots that no later key reads, and each key on it is read and added in
-one fused expression, a sum of keys by Horner's rule, reduced once.
+The table is built one line at a time, keeping the lines that the next
+step reads and the requested cells, for one call only; nothing is
+cached.  Float and free cells run along the anti-diagonals u + v; cells
+that pack run along the lines 2u + v when every key lies on one such
+line, as the summands of one Y_p do, and along anti-diagonals otherwise.
+Each call groups its keys by line, with their repeats, once, and packed,
+float and free cells all read that grouping.  ``algebra._integer_form``
+supplies the cell arithmetic, the fused step a0·x + a1·y that iteration
+takes, whether cells pack, and each key's value.  Where cells pack, a
+line is one packed integer per entry, every cell in its own slot
+(Kronecker substitution), and each line takes one pass: one step
+advances it, one signed truncation drops the slots that no later key
+reads, and each key on it is read by one shift and mask and added into a
+sum of keys by Horner's rule, reduced once.
 
 The evaluators accept a :class:`MultCounter` that records the exact
 number of ring multiplications (or module actions) of the recursion,
@@ -143,11 +146,10 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
 
     ``keys`` is a sequence of (u, v) pairs; the result list is aligned
     with it, or ``total=True`` returns the sum of the keys' values, each
-    repeat counted (zero if none).  The table runs over anti-diagonals
-    k = u + v, up to the largest key's k, and holds one diagonal at a
-    time: memory grows with the table's width, not its area.  The keys
-    are grouped by diagonal, with their repeats, once per call, for
-    either kind of cell below.
+    repeat counted (zero if none).  The table runs over lines, up to the
+    last line of a key, and holds at most two lines at a time: memory
+    grows with the table's width, not its area.  The keys are grouped by
+    line, with their repeats, once per call, for either kind of cell below.
 
     Without ``vector`` the cells are ring elements P(u, v).  With a
     module ``vector`` y the cells are Z(u, v) = P(u, v)·y, built by the
@@ -157,17 +159,20 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
     Where ``_integer_form`` gives n > 0 (exact dense and scalar backends),
     with D the common denominator of L0 and L1, a0 = D·L0 and a1 = D·L1,
     a cell is the numerator tuple
-    W(u, v) = a0·W(u-1, v) + a1·W(u, v-1), and the diagonal k is the
-    polynomial Q_k(z) = sum_u W(u, k-u)·z^u with Q_k = (z·a0 + a1)·Q_(k-1).
-    At z = 2^B it is one packed integer per entry (see
-    :func:`_packed_table`), and each diagonal is one pass: one call of
-    the fused step ``linear(a0, a1)``, one signed truncation to the slots
-    that later keys read, and one rounded shift per key, fused with its
+    W(u, v) = a0·W(u-1, v) + a1·W(u, v-1), and the line m = w·u + v of
+    weight w is the polynomial G_m(z) = sum_u W(u, m - w·u)·z^u with
+    G_m = z·a0·G_(m-w) + a1·G_(m-1).  The weight is 2 when every key lies
+    on the line 2u + v = K, K = max(u + v), as the keys (t, p-1-2t) of
+    ``solver.solve_closed`` do, and 1, the anti-diagonals, otherwise.  At
+    z = 2^B a line is one packed integer per entry (see
+    :func:`_packed_table`), and each line is one pass: one call of the
+    fused step ``linear(a0, a1)``, one signed truncation to the slots
+    that later keys read, and one shift and mask per key, fused with its
     add into a total.  A key becomes ``value(W(u, v), u + v)``: W(u, v)
     over d·D^(u+v), d the origin's denominator, reduced by one gcd; a
     scalar key is a ``Fraction`` even from ``int`` inputs.  A total is one
-    ``value`` of the sum of W(u, v)·D^(K-u-v), K = max(u + v), gathered in
-    increasing u + v by Horner's rule in D, each repeat counted.
+    ``value`` of the sum of W(u, v)·D^(K-u-v), gathered line by line by
+    Horner's rule in D, each repeat counted.
 
     Float and free cells cannot be packed: diagonal k holds the cells of
     the union of the keys' rectangles, those rows u whose last column in
@@ -195,9 +200,11 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
     if not keys:
         return (ring_zero(L0) if vector is None else vector_zero(vector)) if total else []
     n, a0, a1, D, origin, _, product, linear, value = _integer_form(L0, L1, origin, product)
-    on_diagonal = {}  # k -> {u: repeats}
+    K = max([u + v for u, v in keys])  # packed cells run on lines 2u + v if every key does
+    w = 2 if n and all([2 * u + v == K for u, v in keys]) else 1
+    on_line = {}  # w·u + v -> {u: repeats}
     for u, v in keys:
-        here = on_diagonal.setdefault(u + v, {})
+        here = on_line.setdefault(w * u + v, {})
         here[u] = here.get(u, 0) + 1
     if counter is not None or not n:
         col = _row_ends(keys)
@@ -207,9 +214,9 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
             actions -= (len(col) > 1) + (col[0] > 0)
         counter.count += actions
     if n:
-        return _packed_table(n, a0, a1, D, origin, linear, value, keys, on_diagonal, total)
+        return _packed_table(n, a0, a1, D, origin, linear, value, keys, on_line, w, total)
     step, cells, found = linear(a0, a1), {0: origin}, {}
-    for k in range(max(on_diagonal) + 1):
+    for k in range(K + 1):
         if k:  # row u's cells in the union lie on diagonals u..u + col[u]
             previous = cells
             cells = {u: step(previous[u - 1], previous[u])
@@ -219,7 +226,7 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
                 cells[0] = a1 if vector is None and k == 1 else product(a1, previous[0])
             if k < len(col):
                 cells[k] = a0 if vector is None and k == 1 else product(a0, previous[k - 1])
-        for u in on_diagonal.get(k, ()):
+        for u in on_line.get(k, ()):
             found[u, k - u] = value(cells[u], k)
     found = [found[key] for key in keys]
     if not total:
@@ -238,57 +245,65 @@ def _row_ends(keys):
     return col
 
 
-def _packed_table(n, a0, a1, D, cell, linear, value, keys, on_diagonal, total):
-    """The keys' values in key order, or their total, on diagonals of
-    packed integers: a plan once from ``on_diagonal``, the keys grouped
-    as k -> {u: repeats}, then one pass per diagonal.
+def _packed_table(n, a0, a1, D, cell, linear, value, keys, on_line, w, total):
+    """The keys' values in key order, or their total, from packed
+    integers, one pass per line; ``on_line`` maps line -> {u: repeats}.
 
-    Entry i of the diagonal k is sum_u W(u, k-u)_i·2^(u·B): slot u holds
-    the cell (u, k-u) at bit offset u·B.  One step ``linear(a0, a1)(Q << B,
-    Q)`` takes Q_(k-1) to Q_k.  Diagonal k keeps slots 0..min(top[k], k),
-    top[k] the largest u that a key on a diagonal >= k reads: the signed
-    residue ((q + h) & m) - h, h = 2^(b-1), m = 2^b - 1, b = (top[k]+1)·B.
+    Line m of weight w holds the cells (u, m - w·u); ``perm_sum_batch``
+    picks w.  Entry i of line m is G_m = sum_u W(u, m - w·u)_i·2^(u·B):
+    slot u holds its cell at bit offset u·B.  W(u, v) takes W(u-1, v)
+    from slot u - 1 of line m - w and W(u, v-1) from slot u of line
+    m - 1, so one step ``linear(a0, a1)(G_(m-w) << B, G_(m-1))`` makes
+    G_m, with G_(-1) = 0.  Line m keeps slots 0..min(top[m], m // w),
+    top[m] the largest u that a key on a line >= m reads: the signed
+    residue ((q + h) & (2^b - 1)) - h, h = 2^(b-1), b = (top[m]+1)·B.
+    The keys of ``solver.solve_closed``, one per slot of the last line,
+    keep every slot.
 
     Width: with |x| the largest absolute entry of a cell and ||a|| the
     largest absolute row sum of a, |a·x| <= ||a||·|x|.  W(u, v) is the
     sum over the C(u+v, u) words of the products, so
-    |W(u, v)| <= C(u+v, u)·||a0||^u·||a1||^v·|cell| <= s^k·|cell|,
-    s = ||a0|| + ||a1||, k = u + v.  Up to the last diagonal K every
-    slot is then at most M = max(s, 1)^K·|cell|, and B = bits(M) + 1
-    gives |W| < 2^(B-1).  The slots below any u then sum to less than
-    2^(u·B)/2 in absolute value.  So the signed residue above is exactly
-    slots 0..top[k], and the rounded shift (q + 2^(u·B)/2) >> u·B leaves
-    W(u, k-u) plus 2^B times the slots above u.  A key in the highest
-    slot kept, as every key of ``solver.solve_closed`` is, has none above
-    it: the rounded shift alone reads it, and at u = 0 the entry itself.
-    A key below it is read from a copy kept to slots 0..u.  A vector
+    |W(u, v)| <= C(u+v, u)·||a0||^u·||a1||^v·|cell| <= s^(u+v)·|cell|,
+    s = ||a0|| + ||a1||.  A cell kept on line m has u + v <= m <= K, K
+    the last line, which is the largest u + v of a key, so every kept
+    slot is at most M = max(s, 1)^K·|cell|, and B = bits(M) + 1 gives
+    |W| < 2^(B-1).  The slots below any u then sum to less than
+    2^(u·B)/2 in absolute value, so the signed residue above is exactly
+    the slots kept.  For the same reason slot u of q + H, H the sum of
+    2^(B-1)·2^(u·B) over the slots that keys read, is the base-2^B digit
+    W(u, m - w·u) + 2^(B-1): one shift and mask read a key.  A vector
     table whose one coefficient is zero, and whose other coefficient and
-    vector have equal nonnegative entries, attains M, so B has no spare bit.
+    vector have equal nonnegative entries, attains M, so B has no spare
+    bit.  A total gathers each key's W(u, v)·D^(K-u-v) as it reads it,
+    by Horner's rule in D from line to line.
     """
-    K = max(on_diagonal)
+    K = max(on_line)
     s = sum([max([sum(map(abs, a[i:i + n])) for i in range(0, n * n, n)]) for a in (a0, a1)])
     B = (max(s, 1) ** K * max(map(abs, cell))).bit_length() + 1
     top = [-1] * (K + 2)
-    for k in range(K, -1, -1):
-        here = on_diagonal.get(k)
-        top[k] = max(top[k + 1], max(here)) if here else top[k + 1]
-    step, Q, acc, scale, found = linear(a0, a1), cell, [0] * len(cell), 1, {}
-    for k in range(K + 1):
-        if k:
-            Q, scale = step(tuple([q << B for q in Q]), Q), scale * D
-            if top[k] < k:
-                h, m = 1 << (top[k] + 1) * B - 1, (1 << (top[k] + 1) * B) - 1
-                Q = tuple([((q + h) & m) - h for q in Q])
-        for u, repeats in on_diagonal.get(k, {}).items():
-            R, shift = Q, u * B
-            if u < min(top[k], k):  # below the top slot
-                h, m = 1 << shift + B - 1, (1 << shift + B) - 1
-                R = [((q + h) & m) - h for q in Q]
-            half = (1 << shift) >> 1
-            if total:  # Horner in D: acc is the sum of W(u, v)·D^(k-u-v)
-                acc = [a * scale + repeats * ((q + half) >> shift) for a, q in zip(acc, R)]
+    for m in range(K, -1, -1):
+        here = on_line.get(m)
+        top[m] = max(top[m + 1], max(here)) if here else top[m + 1]
+    h, mask = 1 << B - 1, (1 << B) - 1
+    H = h * ((1 << (top[0] + 1) * B) - 1) // mask  # h in each slot up to the highest key
+    step, lines, acc, scale, found = linear(a0, a1), ((0,) * len(cell), cell), [0] * len(cell), 1, {}
+    for m in range(K + 1):
+        if m:
+            Q, scale = step(tuple([q << B for q in lines[-w]]), lines[-1]), scale * D
+            if top[m] < m // w:
+                hm, mm = 1 << (top[m] + 1) * B - 1, (1 << (top[m] + 1) * B) - 1
+                Q = tuple([((q + hm) & mm) - hm for q in Q])
+            lines = lines[-1], Q
+        here = on_line.get(m)
+        if not here:
+            continue
+        X = [q + H for q in lines[-1]]
+        for u, repeats in here.items():
+            if total:  # Horner in D: acc is the sum of W(u, v)·D^(K-u-v)
+                c, shift = repeats * D ** ((w - 1) * u), u * B
+                acc = [a * scale + c * ((x >> shift & mask) - h) for a, x in zip(acc, X)]
                 scale = 1
             else:
-                found[u, k - u] = value(tuple([(q + half) >> shift for q in R]), k)
+                found[u, m - w * u] = value(
+                    tuple([(x >> u * B & mask) - h for x in X]), m - (w - 1) * u)
     return value(tuple(acc), K) if total else [found[key] for key in keys]
-

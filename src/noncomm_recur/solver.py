@@ -136,9 +136,9 @@ def solve_closed(problem, p):
     The summands {L0^(t) L1^(p-1-2t)}·Y_1 for all t come from one
     permutation-sum table run on vectors from Z(0, 0) = Y_1, so a single
     solve costs O(p^2) module actions (matrix-vector products on matrix
-    backends) and holds one anti-diagonal of the table at a time; the
-    table also adds them, reduced once on exact backends.  p = 0 has no
-    keys, so the sum is empty: the zero vector.
+    backends).  The keys lie on one line 2u + v = p - 1, so exact cells
+    run along such lines, two at a time, and the table adds the keys,
+    reduced once.  p = 0 has no keys, so the sum is empty: the zero vector.
     """
     keys = [(t, p - 1 - 2 * t) for t in range(t_bar(p) + 1)]
     return perm_sum_batch(problem.L0, problem.L1, keys, vector=problem.y1bar, total=True)
@@ -207,7 +207,9 @@ def solve_scalar_roots(c0, c1, y1bar, p):
     sign, m the larger and L = log1p(-√delta/|m|) the log of their ratio,
     m^(p-1) * expm1(pL) / expm1(L) * y1bar;
     delta == 0: p * m1^(p-1) * y1bar;
-    delta < 0, roots r·e^(±iθ) with r = √(-c0): r^(p-1) * sin(pθ) / sin θ * y1bar.
+    delta < 0, roots r·e^(±iθ) with r = √(-c0): r^(p-1) * sin(pθ) / sin θ * y1bar,
+    θ taken from |c1| where |c1| >= √(-delta), so it keeps its relative
+    accuracy near a repeated root, and as π/2 - φ elsewhere.
 
     Exact ``Fraction`` when the roots are rational, otherwise a float
     computed in real doubles; a value beyond the range of a double, or
@@ -236,6 +238,13 @@ def solve_scalar_roots(c0, c1, y1bar, p):
             value = (m ** (p - 1) * expm1(p * L) / expm1(L) if p else 0.0) * y1bar
         elif roots.delta > 0:
             value = (roots.m1 ** p - roots.m2 ** p) / (roots.m1 - roots.m2) * y1bar
+        elif abs(roots.m1.real) >= roots.m1.imag:
+            # θ <= π/4, small near a repeated root: taken directly it keeps
+            # its relative accuracy, which π/2 - φ would not.  θ is that of
+            # |c1|, and y_p(-c1) = (-1)^(p-1)·y_p(c1).
+            theta = atan2(roots.m1.imag, abs(roots.m1.real))
+            value = r ** (p - 1) * sin(p * theta) / sin(theta)
+            value = (0.0 - value if roots.m1.real < 0 and p % 2 == 0 else value) * y1bar
         else:
             # θ = π/2 - φ, so sin(pθ) = sin(p·π/2 - pφ) takes p·π/2 exactly
             # by p mod 4, and y_p = 0 comes out exact at c1 = 0 (φ = 0);

@@ -337,8 +337,27 @@ def numerator_tables(draw):
     return L0, L1, draw(st.permutations(keys)), y
 
 
+# Key sets whose exact table runs along the lines 2u + v: the closed
+# form's keys at p = 3, 4 and 12, line 10 without its top slot 5, and the
+# keys of p = 5 with one repeated.
+WEIGHT_TWO_KEYS = ([(0, 2), (1, 0)], [(1, 1), (0, 3)], [(t, 11 - 2 * t) for t in range(6)],
+                   [(0, 10), (2, 6)], [(1, 2), (0, 4), (1, 2), (2, 0)])
+WEIGHT_TWO_TABLE = (Matrix([[Fraction(1, 2), -1], [2, Fraction(3, 2)]]),
+                    Matrix([[-1, Fraction(1, 3)], [0, 1]]), ColumnVector([1, Fraction(-1, 3)]))
+
+
+def weight_two_examples(test):
+    """``test`` with an example per weight-two key set, on vectors and on the ring."""
+    L0, L1, y = WEIGHT_TWO_TABLE
+    for keys in WEIGHT_TWO_KEYS:
+        for vector in (y, None):
+            test = example((L0, L1, keys, vector))(test)
+    return test
+
+
 @settings(deadline=None)
 @given(numerator_tables())
+@weight_two_examples
 def test_numerator_table_matches_a_fraction_reference(table):
     L0, L1, keys, y = table
     results = perm_sum_batch(L0, L1, keys, vector=y)
@@ -428,7 +447,9 @@ def test_packed_slots_at_the_width_bound(shape):
     y = e if shape == "scalar" else ColumnVector([e] * shape)
     for c0, c1 in ((0, c), (c, 0), (c, 2 * c)):
         L0, L1 = equal_entries(shape, c0), equal_entries(shape, c1)
-        for keys in ([(0, 40), (40, 0), (20, 20), (7, 33), (0, 0)], [(0, 10), (10, 0), (3, 3)]):
+        # and the summands of Y_41, each read from one line 2u + v = 40
+        for keys in ([(0, 40), (40, 0), (20, 20), (7, 33), (0, 0)], [(0, 10), (10, 0), (3, 3)],
+                     [(t, 40 - 2 * t) for t in range(21)]):
             for vector in (y, None):
                 results = perm_sum_batch(L0, L1, keys, vector=vector)
                 assert list(map(flat_entries, results)) == split_recursion_reference(
@@ -441,16 +462,18 @@ def test_packed_slots_at_the_width_bound(shape):
 def test_packed_read_takes_the_top_slot_and_rounds_below_it():
     # Diagonal 3 keeps slots 0..2: (2, 1) is its top slot, (1, 2) and
     # (0, 3) lie below it.  (0, 5) is the top slot, at u = 0, of diagonal 5.
-    # Odd diagonals of L0 = L1 = -1 hold only negative cells, and the matrix
+    # Line 2u + v = 5 holds (0, 5), (1, 3) and (2, 1), its top slot.  Odd
+    # diagonals of L0 = L1 = -1 hold only negative cells, and the matrix
     # cells take both signs, so a floored slot or an unmasked one reads wrong.
-    keys = [(2, 1), (1, 2), (0, 3), (0, 5)]
     matrix = Matrix([[Fraction(-3, 2), 2], [1, Fraction(-1, 2)]])
-    for L0, L1, y in ((-1, -1, 1), (matrix, matrix * matrix, ColumnVector([1, -2]))):
-        for vector in (y, None):
-            expected = split_recursion_reference(L0, L1, keys, vector)
-            assert min(expected[1]) < 0 and min(expected[2]) < 0
-            results = perm_sum_batch(L0, L1, keys, vector=vector)
-            assert list(map(flat_entries, results)) == expected
+    for keys, negative in (([(2, 1), (1, 2), (0, 3), (0, 5)], (1, 2)),
+                           ([(0, 5), (1, 3), (2, 1)], (0, 2))):
+        for L0, L1, y in ((-1, -1, 1), (matrix, matrix * matrix, ColumnVector([1, -2]))):
+            for vector in (y, None):
+                expected = split_recursion_reference(L0, L1, keys, vector)
+                assert all(min(expected[i]) < 0 for i in negative)
+                results = perm_sum_batch(L0, L1, keys, vector=vector)
+                assert list(map(flat_entries, results)) == expected
 
 
 # ---------------------------------------------------------------------------

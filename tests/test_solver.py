@@ -430,6 +430,19 @@ def test_scalar_roots_same_sign_roots_do_not_cancel():
                     max(relative_error(subtracted, exact), 1e-13)
 
 
+def test_scalar_roots_complex_roots_near_a_repeated_root():
+    # δ = -12·10^-e < 0: the roots' angle θ is near 0 for c1 > 0 and near π
+    # for c1 < 0, where π/2 - φ would keep only φ's absolute accuracy
+    # (5.7·10^-2 at e = 30)
+    for e in (14, 16, 20, 30):
+        for c1 in (Fraction(3, 2), Fraction(2), Fraction(-3, 2), Fraction(-2)):
+            c0 = -c1 * c1 / 4 - Fraction(3, 10 ** e)
+            for p in (2, 5, 30, 101):
+                assert relative_error(solve_scalar_roots(c0, c1, 1, p),
+                                      solve_scalar_sum(c0, c1, 1, p)) < 1e-13
+            assert str(solve_scalar_roots(c0, c1, 1, 0)) == "0.0"
+
+
 def test_scalar_roots_beyond_double_range_raises():
     # golden-ratio roots: y_1440 * 10^300 overflows to inf, and from p ~ 1500
     # the power of a root itself overflows
