@@ -31,6 +31,14 @@ The generic entry points :func:`compose`, :func:`apply`,
 contract; mixing backends (or matrix dimensions, or exact and float
 entries) raises :class:`BackendMismatchError`.  The permutation-sum table
 and iteration meet the backends only in :func:`_integer_form`.
+
+Constructors check their input; each storage base also has a trusted
+``_new`` for results built from values already stored, which skips the
+checks: ``_Dense._new`` reduces numerators over a denominator, and
+``_WordSum._new`` drops zero coefficients without rescanning letters and
+types.  The table's and iteration's step and :func:`ring_sum` build
+through ``_new``; the public ``+`` and ``*`` of word sums still take the
+checking constructor.
 """
 from __future__ import annotations
 
@@ -77,10 +85,25 @@ def word_from_str(text):
 
 def _accumulate(out, pairs):
     """Add each (word, coeff) pair into ``out``; cancelled terms stay
-    until the word-sum constructor drops them."""
+    until the word-sum constructor, or ``_WordSum._new``, drops them."""
     for word, coeff in pairs:
         out[word] = out.get(word, 0) + coeff
     return out
+
+
+def _concatenations(left, right):
+    """The terms of the product ``left·right`` of two word sums, one
+    (concatenated word, product of coefficients) pair per pair of terms."""
+    return ((w1 + w2, c1 * c2) for w1, c1 in left.terms.items() for w2, c2 in right.terms.items())
+
+
+def _word_linear(f0, f1):
+    """The free step (x, y) -> f0·x + f1·y: the concatenations of both
+    products in one map, made one word sum of x's kind by ``_new``."""
+    def step(x, y):
+        terms = _accumulate(_accumulate({}, _concatenations(f0, x)), _concatenations(f1, y))
+        return type(x)._new(terms)
+    return step
 
 
 def _canonical_terms(terms):
@@ -102,10 +125,12 @@ class _WordSum:
     integer coefficients; the empty map is zero.
 
     The storage shared by :class:`FreeElement` and :class:`FreeVector`.
-    ``+`` and ``==`` take only a value of the same class, so ring
-    elements and vectors never mix.  In the text form ``_VECTOR``
-    follows every word, and ``_UNIT`` stands in when a term would
-    otherwise print no letters.
+    The constructor checks every letter and coefficient of its input and
+    drops zero coefficients; :meth:`_new` only drops them, for terms made
+    from stored values.  ``+`` and ``==`` take only a value of the same
+    class, so ring elements and vectors never mix.  In the text form
+    ``_VECTOR`` follows every word, and ``_UNIT`` stands in when a term
+    would otherwise print no letters.
     """
 
     __slots__ = ("terms",)
@@ -114,6 +139,15 @@ class _WordSum:
 
     def __init__(self, terms=None):
         object.__setattr__(self, "terms", _canonical_terms(terms or {}))
+
+    @classmethod
+    def _new(cls, terms):
+        """The word sum of ``terms``, whose words are already tuples over
+        ``{0, 1}`` and coefficients ``int``s; drops the zero coefficients,
+        with no letter or type scan."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "terms", {w: c for w, c in terms.items() if c})
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -188,9 +222,7 @@ class FreeElement(_WordSum):
         if not isinstance(other, (FreeElement, FreeVector)):
             return NotImplemented
         # Concatenation is both the ring product and the action on vectors.
-        return type(other)(_accumulate({}, ((w1 + w2, c1 * c2)
-                                            for w1, c1 in self.terms.items()
-                                            for w2, c2 in other.terms.items())))
+        return type(other)(_accumulate({}, _concatenations(self, other)))
 
 
 class FreeVector(_WordSum):
@@ -489,7 +521,10 @@ def _integer_form(L0, L1, start, product):
 
     ``linear(f0, f1)`` is the fused step (x, y) -> f0·x + f1·y.  The free
     backend keeps its values: a0 = L0, a1 = L1, D = d = 1, the start
-    ``cell`` is ``start``, ``mul`` is ``product`` and ``value`` the cell.
+    ``cell`` is ``start``, ``mul`` is ``product`` and ``value`` the cell;
+    its ``linear`` is ``_word_linear``, looked up at each call, which puts
+    the concatenations of both products into one map and builds one word
+    sum by ``_WordSum._new``.
     A dense or scalar value is a numerator tuple: with L0 = M0/m0, L1 =
     M1/m1, D = lcm(m0, m1) and ``start`` = cell/d, a0 = D·L0 and a1 = D·L1,
     and ``mul`` and ``linear`` use no lcm or gcd.  ``value(cell, k)`` is
@@ -498,9 +533,7 @@ def _integer_form(L0, L1, start, product):
     that pack into integers, exact dense and scalar ones, else 0; they step
     by ``_dot_nums``, and floats, with D = d = 1, by ``_linear_nums``."""
     if _kind(L0) is FreeElement:
-        return (0, L0, L1, 1, start, 1, product,
-                lambda f0, f1: lambda x, y: product(f0, x) + product(f1, y),
-                lambda cell, k: cell)
+        return 0, L0, L1, 1, start, 1, product, _word_linear, lambda cell, k: cell
     if isinstance(start, _Dense):
         n, packs, pairs = L0.n, start.exact, ((x._nums, x._den) for x in (L0, L1, start))
 
@@ -522,8 +555,8 @@ def _integer_form(L0, L1, start, product):
 
 def ring_sum(values, zero):
     """``sum(values, zero)``, the ``+`` fold, for values of ``zero``'s kind;
-    word sums alone accumulate into one map for one constructor call,
-    where the fold would copy the running total at every add."""
+    word sums alone accumulate into one map for one ``_WordSum._new``,
+    where the fold would copy and rescan the running total at every add."""
     kind = _require_kind(zero, (*_MODULE_OF, *_MODULE_OF.values()), "ring or module value")
     values = list(values)
     for value in values:
@@ -531,8 +564,8 @@ def ring_sum(values, zero):
             raise BackendMismatchError(
                 f"cannot add {type(value).__name__} to {type(zero).__name__}")
     if isinstance(zero, _WordSum):
-        return kind(_accumulate(dict(zero.terms),
-                                (pair for value in values for pair in value.terms.items())))
+        return kind._new(_accumulate(dict(zero.terms),
+                                     (pair for value in values for pair in value.terms.items())))
     return functools.reduce(operator.add, values, zero)
 
 

@@ -26,12 +26,13 @@ line, as the summands of one Y_p do, and along anti-diagonals otherwise.
 Each call groups its keys by line, with their repeats, once, and packed,
 float and free cells all read that grouping.  ``algebra._integer_form``
 supplies the cell arithmetic, the fused step a0·x + a1·y that iteration
-takes, whether cells pack, and each key's value.  Where cells pack, a
-line is one packed integer per entry, every cell in its own slot
-(Kronecker substitution), and each line takes one pass: one step
-advances it, one signed truncation drops the slots that no later key
-reads, and each key on it is read by one shift and mask and added into a
-sum of keys by Horner's rule, reduced once.
+takes, whether cells pack, and each key's value; a free cell of the
+table's interior is one word sum built by that step, with no rescan of
+its words.  Where cells pack, a line is one packed integer per entry,
+every cell in its own slot (Kronecker substitution), and each line
+takes one pass: one step advances it, one signed truncation drops the
+slots that no later key reads, and each key on it is read by one shift
+and mask and added into a sum of keys by Horner's rule, reduced once.
 
 The evaluators accept a :class:`MultCounter` that records the exact
 number of ring multiplications (or module actions) of the recursion,
@@ -176,10 +177,11 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
 
     Float and free cells cannot be packed: diagonal k holds the cells of
     the union of the keys' rectangles, those rows u whose last column in
-    the union (see :func:`_row_ends`) reaches k - u, each made by the
-    recursion's ``linear`` or ``product`` call, and a total is one
-    ``ring_sum``, so float results are bit for bit those of
-    ``compose``/``apply`` and ``+``.
+    the union (see :func:`_row_ends`) reaches k - u.  An interior cell is
+    one call of the fused step ``linear(a0, a1)``, which on the free
+    backend builds one word sum from both products' concatenations, and
+    an edge cell one ``product`` call.  A total is one ``ring_sum``, so
+    float results are bit for bit those of ``compose``/``apply`` and ``+``.
 
     ``counter``, a :class:`MultCounter`, gains in one addition the
     logical actions of the union of the keys' rectangles, whatever the

@@ -6,7 +6,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noncomm_recur.algebra import (
@@ -220,6 +220,39 @@ def test_float_step_keeps_the_order_of_two_sums():
     assert sum(products) != 0.0
     step = field_step(2, exact=False)((1e16, 1.0, 0.0, 0.0), (-1e16, 1.0, 0.0, 0.0))
     assert step((1.0, 1.0), (1.0, 1.0)) == (0.0, 0.0)
+
+
+cancelling_terms = st.dictionaries(words, st.integers(-3, 3), max_size=5)
+
+
+@st.composite
+def word_step_operands(draw):
+    """f0, f1 and x, y, both elements or both vectors, with coefficients
+    small enough that terms cancel."""
+    kind = draw(st.sampled_from([FreeElement, FreeVector]))
+    return (*(draw(cancelling_terms.map(FreeElement)) for _ in range(2)),
+            *(draw(cancelling_terms.map(kind)) for _ in range(2)))
+
+
+def assert_canonical(value):
+    """A word sum stores the terms that the checking constructor makes."""
+    assert type(value)(value.terms).terms == value.terms and all(value.terms.values())
+
+
+@settings(max_examples=300, deadline=None)
+@example((FreeElement({(0,): 1}), FreeElement({(0, 1): -1}),
+          FreeElement({(1,): 1}), FreeElement({(): 1})))  # A·B - AB = 0
+@given(word_step_operands())
+def test_word_step_matches_two_products_and_a_sum(operands):
+    f0, f1, x, y = operands
+    fused = _integer_form(f0, f1, x, apply)[7](f0, f1)(x, y)
+    assert type(fused) is type(x) and fused == f0 * x + f1 * y
+    assert_canonical(fused)
+    # the closed total: ring_sum is the + fold, and the fused value cancels out
+    values = [f0 * x, f1 * y, type(x)({w: -c for w, c in fused.terms.items()}), x]
+    total = ring_sum(values, x.zero())
+    assert type(total) is type(x) and total == sum(values, x.zero()) == x
+    assert_canonical(total)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +490,8 @@ def test_ring_sum_equals_the_fold(case):
     values, zero = case
     got, want = ring_sum(values, zero), sum(values, zero)  # the fold: one + a value
     assert type(got) is type(want) and got == want and hash(got) == hash(want)
+    if isinstance(want, FreeVector):
+        assert_canonical(got)
     if isinstance(want, (Matrix, ColumnVector)):
         # canonical pair, and floats bit for bit (signed zeros included)
         assert (got._den, got.exact) == (want._den, want.exact)

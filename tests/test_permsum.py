@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noncomm_recur import permsum
+from noncomm_recur import algebra, permsum
 from noncomm_recur.algebra import (
     ColumnVector,
     FreeElement,
@@ -242,13 +242,26 @@ def test_vector_table_counts_each_action(monkeypatch):
             return action(*args)
         return wrapper
 
-    # The free table acts through apply, or multiplies through compose
-    # without a vector, one call an action; the packed dense and scalar
-    # tables make one call a diagonal, so there the count is compared with
-    # the union of the keys' rectangles alone.  The ring table gets
+    def counted_linear(linear):
+        # each call of the fused step f0·x + f1·y makes two actions
+        def wrapper(f0, f1):
+            step = linear(f0, f1)
+
+            def counted_step(x, y):
+                calls.extend([(f0, x), (f1, y)])
+                return step(x, y)
+            return counted_step
+        return wrapper
+
+    # The free table's edge cells act through apply, or multiply through
+    # compose without a vector, one call an action, and its interior cells
+    # through the fused word step, two actions a call; the packed dense and
+    # scalar tables make one call a line, so there the count is compared
+    # with the union of the keys' rectangles alone.  The ring table gets
     # P(1, 0) = L0 and P(0, 1) = L1 free: edges from the origin make no call.
     monkeypatch.setattr(permsum, "apply", counted(apply))
     monkeypatch.setattr(permsum, "compose", counted(compose))
+    monkeypatch.setattr(algebra, "_word_linear", counted_linear(algebra._word_linear))
     key_sets = ([(0, 0)], [(0, 5)], [(4, 0)], [(3, 2)], VECTOR_KEYS,
                 [(0, 10), (10, 0), (3, 3)], [(2, 0), (0, 2), (2, 0)])
     for L0, L1, y in vector_backends():
