@@ -203,9 +203,10 @@ def characteristic_roots(c0, c1):
 def solve_scalar_roots(c0, c1, y1bar, p):
     """y_p via the characteristic roots.
 
-    delta > 0: (m1^p - m2^p) / (m1 - m2) * y1bar, or for float roots of one
-    sign, m the larger and L = log1p(-√delta/|m|) the log of their ratio,
-    m^(p-1) * expm1(pL) / expm1(L) * y1bar;
+    delta > 0: (m1^p - m2^p) / (m1 - m2) * y1bar on exact roots; float roots,
+    which cancel there near |m1| = |m2|, take m^(p-1)·(1 - q^p)/(1 - q)·y1bar,
+    m the larger (the positive at c1 = 0) and q the ratio of the roots, with
+    1 - q^p and 1 - q from expm1 of L = log1p(-(1 - |q|)), the log of |q|;
     delta == 0: p * m1^(p-1) * y1bar;
     delta < 0, roots r·e^(±iθ) with r = √(-c0): r^(p-1) * sin(pθ) / sin θ * y1bar,
     θ taken from |c1| where |c1| >= √(-delta), so it keeps its relative
@@ -218,7 +219,7 @@ def solve_scalar_roots(c0, c1, y1bar, p):
     """
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
-    c0, y1bar = Fraction(c0), Fraction(y1bar)
+    c0, c1, y1bar = Fraction(c0), Fraction(c1), Fraction(y1bar)
     try:
         roots = characteristic_roots(c0, c1)
         r = sqrt(-c0) if roots.delta < 0 else None  # the complex roots' modulus
@@ -227,17 +228,18 @@ def solve_scalar_roots(c0, c1, y1bar, p):
     if roots.delta == 0:
         # c0 != 0 forces c1 != 0 here, so m1 = c1/2 is invertible.
         return p * roots.m1 ** (p - 1) * y1bar
-    same_sign = roots.delta > 0 and c0 < 0 and not roots.exact  # takes equal doubles too
-    if r == 0.0 or roots.m1 == roots.m2 and not same_sign:  # or a modulus that underflows
+    if r == 0.0:  # a modulus that underflows
         raise DoubleRangeError(p, roots=True)
     try:
-        if same_sign:  # without m1^p - m2^p, which cancels near a repeated root
-            m = max(roots.m1, roots.m2, key=abs)
-            t = sqrt(roots.delta) / abs(m)  # 1 - q, q the ratio of the roots
-            L = log1p(-t) if t < 1 else -inf  # t rounds to 1 where q^p is below rounding
-            value = (m ** (p - 1) * expm1(p * L) / expm1(L) if p else 0.0) * y1bar
-        elif roots.delta > 0:
+        if roots.exact:
             value = (roots.m1 ** p - roots.m2 ** p) / (roots.m1 - roots.m2) * y1bar
+        elif roots.delta > 0:  # without m1^p - m2^p, which cancels near |m1| = |m2|
+            m = roots.m1 if c1 >= 0 else roots.m2  # the larger; a tie as doubles takes c1's sign
+            t = (sqrt(roots.delta) if c0 < 0 else abs(c1)) / abs(m)  # 1 - |q|, q = m'/m
+            L = log1p(-t) if t < 1 else -inf  # t rounds to 1 where q^p is below rounding
+            odd = c0 > 0 and p % 2  # q < 0 for c0 > 0, so q^p = -exp(pL) at odd p
+            value = (m ** (p - 1) * (2 + expm1(p * L) if odd else -expm1(p * L))
+                     / (2 + expm1(L) if c0 > 0 else -expm1(L)) if p else 0.0) * y1bar
         elif abs(roots.m1.real) >= roots.m1.imag:
             # θ <= π/4, small near a repeated root: taken directly it keeps
             # its relative accuracy, which π/2 - φ would not.  θ is that of
@@ -255,7 +257,7 @@ def solve_scalar_roots(c0, c1, y1bar, p):
             value = r ** (p - 1) * sin_p_theta / cos(phi) * y1bar
     except OverflowError:
         raise DoubleRangeError(p) from None
-    except ZeroDivisionError:  # same-sign roots that underflow, or whose ratio rounds to 1
+    except ZeroDivisionError:  # float roots that underflow, or whose ratio rounds to 1
         raise DoubleRangeError(p, roots=True) from None
     if not (roots.exact or isfinite(value)):
         raise DoubleRangeError(p)
@@ -339,6 +341,13 @@ ROUTES = {
     "scalar-roots": (_on_scalars(solve_scalar_roots), True, lambda p, n: (p.bit_length(), 2)),
     "scalar-sum": (_on_scalars(solve_scalar_sum), True, lambda p, n: (p, n * n)),
 }
+# bench's cells priced as the routes are, at p = (u, v): "bench" fills the dp
+# tables up to (u, v), (u+1)(u+2)/2·(v+1)(v+2)/2 cells of two ring products,
+# and "naive" multiplies out the C(u+v, u) words of the cell (u, v).
+CELLS = {
+    "bench": lambda p, n: (comb(p[0] + 2, 2) * comb(p[1] + 2, 2), 2 * n ** 3),
+    "naive": lambda p, n: (comb(sum(p), p[0]) * max(sum(p) - 1, 0), n ** 3),
+}
 
 # A command estimated above this many bit operations is refused up front;
 # the README's "Work cap" section times the largest admitted runs.
@@ -354,20 +363,22 @@ PRINT_DIVISOR = 1000
 
 
 def estimate(method, problem, p):
-    """Estimated bit operations to compute Y_p by ``method`` and print it.
+    """Estimated bit operations to compute Y_p by ``method`` and print it:
+    count · products · max(ENTRY_FLOOR_BITS, width) + extra.
 
-    A route of :data:`ROUTES` takes the steps of entry products that its
-    price gives, scalar-roots 2·bits(p) powers of a root.  With
-    ``p = (u, v)``, "bench" fills the dp tables up to (u, v),
-    (u+1)(u+2)/2·(v+1)(v+2)/2 cells of 2n³, and "naive" multiplies out the
-    C(u+v, u) words of the cell (u, v), max(u+v-1, 0) ring products of n³
-    each.  Each product counts the width of its entries, at least
-    ENTRY_FLOOR_BITS, or on the free backend 64 bits a letter and one for
-    the coefficient of each term it makes.  "enumerate" lists C(u+v, u)
-    words at ENTRY_FLOOR_BITS and 64 bits a letter each, and its longest
-    word ENTRY_FLOOR_BITS a letter once more; it needs no problem.  A free
-    cell past WORK_CAP returns the part that grows with (u, v) and n alone
-    before any term is counted; every other size is cheap at any p.
+    (count, products) is the route's price in :data:`ROUTES`, or with
+    p = (u, v) the cells' in :data:`CELLS`.  Floats and irrational roots
+    set neither ``width`` nor ``extra``.  Exact values take
+    :func:`entry_width`, or scalar-roots y_p's width over rational roots,
+    and a route adds printing, w²/PRINT_DIVISOR for each of 2n integers.
+    On the free backend every term made counts 64 bits a letter and one
+    for its coefficient: a route puts the terms of :func:`term_bounds` in
+    ``extra``, and a cell's width is its C(u+v, u) words of at most
+    c0^u·c1^v terms (bench) or one word's product (naive, whose sum copies
+    its running total on each add), left at the floor where that alone
+    passes WORK_CAP.  "enumerate" lists C(u+v, u) words at ENTRY_FLOOR_BITS
+    and 64 bits a letter each, and its longest word ENTRY_FLOOR_BITS a
+    letter once more; it needs no problem.
     """
     if method == "enumerate":  # C(u+v, k) >= 2^k, past the cap from k = 64 on
         k, letters = min(p), sum(p)
@@ -376,49 +387,32 @@ def estimate(method, problem, p):
         # (10^7 letters held 713 MB), so one word stays near 10^6 letters.
         return words * (ENTRY_FLOOR_BITS + 64 * letters) + ENTRY_FLOOR_BITS * letters
     n = getattr(problem.L0, "n", 1)
-    cells = method in ("bench", "naive")
-    if method == "bench":
-        u, v = p
-        count, products = (u + 1) * (u + 2) // 2 * ((v + 1) * (v + 2) // 2), 2 * n ** 3
-    elif method == "naive":
-        u, v = p
-        count, products = comb(u + v, u) * max(u + v - 1, 0), n ** 3
-    else:
-        count, products = ROUTES[method][2](p, n)
-    work = count * products * ENTRY_FLOOR_BITS
-    if not getattr(problem.L0, "exact", True):
-        return work
-    if _kind(problem.L0) is FreeElement:
+    count, products = CELLS[method](p, n) if method in CELLS else ROUTES[method][2](p, n)
+    width = extra = 0
+    exact = getattr(problem.L0, "exact", True)
+    if exact and _kind(problem.L0) is FreeElement:
         c0, c1 = (len(x.terms) for x in (problem.L0, problem.L1))
-        if cells:  # a word's product has at most c0^u·c1^v terms, each count at least 1
-            if work > WORK_CAP:  # where c0^u·c1^v may be too large to compute
-                return work
-            c0, c1, words = max(c0, 1), max(c1, 1), comb(u + v, u)
-            terms, copies = c0 ** u * c1 ** v, 0
-            term_bits = 64 * (term_bounds(problem, u + v + 1)[2] + 1)
-            if method == "bench":  # C(u+v, u) words bound the cell, and a product of it
-                terms *= words * max(c0, c1)
-            else:  # each add copies the running total, j·terms after j words
-                copies = words * (words + 1) // 2 * terms * term_bits
-            return count * products * max(ENTRY_FLOOR_BITS, terms * term_bits) + copies
-        # The products make at most (c0 + c1)·total terms; printing copies
-        # Y_p's a_p terms, and the closed form's one sum of its keys as many.
-        last, total, letters = term_bounds(problem, p)
-        copies = 2 if method == "closed" else 1
-        return work + ((c0 + c1) * total + copies * last) * 64 * (letters + 1)
-    if method != "scalar-roots":  # a ring cell P(u, v) is no wider than Y_2(u+v)
-        width = entry_width(problem, 2 * sum(p) if cells else p)
-    else:  # y_p = y1·sum_k m1^k·m2^(p-1-k) over the roots m_i = a_i/b_i has at
+        if method not in CELLS:  # printing copies Y_p's terms, and so does closed's one sum
+            last, total, letters = term_bounds(problem, p)
+            extra = ((c0 + c1) * total + (1 + (method == "closed")) * last) * 64 * (letters + 1)
+        elif count * products * ENTRY_FLOOR_BITS <= WORK_CAP:  # else c0^u·c1^v may be huge
+            (u, v), c0, c1, words = p, max(c0, 1), max(c1, 1), comb(sum(p), p[0])
+            width = c0 ** u * c1 ** v * 64 * (term_bounds(problem, u + v + 1)[2] + 1)
+            extra = 0 if method == "bench" else words * (words + 1) // 2 * width
+            width *= words * max(c0, c1) if method == "bench" else 1
+    elif exact and method != "scalar-roots":  # a ring cell P(u, v) is no wider than Y_2(u+v)
+        width = entry_width(problem, 2 * sum(p) if method in CELLS else p)
+    elif exact:  # y_p = y1·sum_k m1^k·m2^(p-1-k) over the roots m_i = a_i/b_i has at
         # most p·|y1|·h^(p-1) over (b1·b2)^(p-1), h = max(|a1|·b2, |a2|·b1, b1·b2)
         c0, c1, y1 = Fraction(problem.L0), Fraction(problem.L1), Fraction(problem.y1bar)
-        if (root := rational_sqrt(c1 * c1 + 4 * c0)) is None:
-            return work  # irrational roots: doubles
-        (a1, b1), (a2, b2) = (((c1 + s * root) / 2).as_integer_ratio() for s in (1, -1))
-        h = max(abs(a1) * b2, abs(a2) * b1, b1 * b2)
-        width = (max(y1.numerator.bit_length(), y1.denominator.bit_length()) + p.bit_length()
-                 + ceil(max(p - 1, 0) * Fraction(log2(h))))
-    printing = 0 if cells else 2 * n * width * width // PRINT_DIVISOR
-    return count * products * max(ENTRY_FLOOR_BITS, width) + printing
+        if (root := rational_sqrt(c1 * c1 + 4 * c0)) is not None:
+            (a1, b1), (a2, b2) = (((c1 + s * root) / 2).as_integer_ratio() for s in (1, -1))
+            h = max(abs(a1) * b2, abs(a2) * b1, b1 * b2)
+            width = (max(y1.numerator.bit_length(), y1.denominator.bit_length()) + p.bit_length()
+                     + ceil(max(p - 1, 0) * Fraction(log2(h))))
+    if method not in CELLS:  # printing; floats, doubles and free routes leave width at 0
+        extra += 2 * n * width * width // PRINT_DIVISOR
+    return count * products * max(ENTRY_FLOOR_BITS, width) + extra
 
 
 def entry_width(problem, steps):

@@ -306,8 +306,36 @@ FREE_FILES = {
     # c = max(√2, 2, 1) = 2), plus printing 2·(1 + p)^2 // 1000:
     # 70639·70640 + 9980019 = 4999918979 and 70640·70641 + 9980301 = 5000060541
     ("fibonacci.json", "iterative", 70639),
+    # p terms priced as iteration's p steps: 4999918979 and 5000060541
+    ("fibonacci.json", "scalar-sum", 70639),
     # p steps of four products at the 4096-bit floor, 305175·16384 = 4999987200
     ("float-2x2.json", "iterative", 305175),
+    # (p+1)^2 // 4 cells of eight products at the floor, and no printing:
+    # 152490·32768 = 4996792320 and 152881·32768 = 5009604608
+    ("float-2x2.json", "closed", 780),
+    # entries of 2341 bits stay under the floor; printing adds 4·w^2 // 1000:
+    # 4996792320 + 21921 = 4996814241 and 5009604608 + 21977 = 5009626585
+    ("rational-2x2.json", "closed", 780),
+    # p steps of four products on 61144 bits (g = 3), plus printing:
+    # 4984703456 + 14954354 = 4999657810 and 4985192616 + 14955822 = 5000148438
+    ("rational-2x2.json", "iterative", 20381),
+    # 67600 cells of 18 products at the floor, plus printing 6·3636^2 // 1000:
+    # 4984012800 + 79322 = 4984092122 and 5003182080 + 79628 = 5003261708
+    ("rational-3x3.json", "closed", 519),
+    # p steps of nine products on 62212 bits (g = 7), plus printing:
+    # 4975902396 + 23221997 = 4999124393 and 4977022248 + 23227223 = 5000249471
+    ("rational-3x3.json", "iterative", 8887),
+    # roots 2 and -1 grow as fibonacci.json's entries do, one bit a step:
+    # 4996805391 and 5003203349, as on fibonacci.json
+    ("scalar-split-roots.json", "closed", 1561),
+    # 4999918979 and 5000060541, as on fibonacci.json
+    ("scalar-split-roots.json", "iterative", 70639),
+    # 21 steps of two powers on y_p of 1 + 21 + (p-1)·log2(2) = 1570673 bits,
+    # printed as 2·w^2 // 1000: 65968266 + 4934027345 = 4999995611, and at
+    # p + 1, 65968308 + 4934033628 = 5000001936
+    ("scalar-split-roots.json", "scalar-roots", 1570652),
+    # 4999918979 and 5000060541, as on fibonacci.json
+    ("scalar-split-roots.json", "scalar-sum", 70639),
     # (p+1)^2 // 4 cells at two floors, and p products plus 2 copies (the
     # sum of the keys and the printing) of one term of p - 1 letters,
     # 64·p bits a term:

@@ -430,6 +430,37 @@ def test_scalar_roots_same_sign_roots_do_not_cancel():
                     max(relative_error(subtracted, exact), 1e-13)
 
 
+def test_scalar_roots_opposite_sign_roots_do_not_cancel():
+    # c0 > 0, δ not a rational square: the float roots have opposite signs and
+    # |m1| ≈ |m2| near c1 = 0, so m1^p - m2^p cancels at even p (a relative
+    # error of 2.4·10^-2 at e = 14, and y_2 = 0.0 from e = 20 on)
+    for e in (6, 8, 10, 14, 20, 30):
+        for c0 in (Fraction(1), Fraction(2), Fraction(5, 3), Fraction(1, 10 ** 6)):
+            for c1 in (Fraction(1), Fraction(-3), Fraction(7, 3)):
+                c1 /= 10 ** e
+                for p in (*range(7), 30, 100, 101):
+                    exact = solve_scalar_sum(c0, c1, 1, p)
+                    if exact == 0 or 2.3e-308 <= abs(exact) <= 1.7e308:  # normal doubles
+                        assert relative_error(solve_scalar_roots(c0, c1, 1, p), exact) < 1e-13
+    # seeded opposite-sign pairs over 120 decades, against the subtraction: no
+    # raise where it is finite, and no larger error beyond 10^-13
+    rng = Random(31)
+    for _ in range(300):
+        c0, c1 = (Fraction(rng.randint(1, 999), 100) * Fraction(10) ** rng.randint(-60, 60)
+                  for _ in range(2))
+        c1 *= rng.choice((1, -1))
+        roots = characteristic_roots(c0, c1)
+        for p in () if roots.exact else (0, 1, 2, 5, 30, 101, 400):
+            try:
+                subtracted = (roots.m1 ** p - roots.m2 ** p) / (roots.m1 - roots.m2)
+            except (OverflowError, ZeroDivisionError):
+                continue
+            if math.isfinite(subtracted):
+                exact = solve_scalar_sum(c0, c1, 1, p)
+                assert relative_error(solve_scalar_roots(c0, c1, 1, p), exact) <= \
+                    max(relative_error(subtracted, exact), 1e-13)
+
+
 def test_scalar_roots_complex_roots_near_a_repeated_root():
     # δ = -12·10^-e < 0: the roots' angle θ is near 0 for c1 > 0 and near π
     # for c1 < 0, where π/2 - φ would keep only φ's absolute accuracy
