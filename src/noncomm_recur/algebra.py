@@ -35,10 +35,15 @@ and iteration meet the backends only in :func:`_integer_form`.
 Constructors check their input; each storage base also has a trusted
 ``_new`` for results built from values already stored, which skips the
 checks: ``_Dense._new`` reduces numerators over a denominator, and
-``_WordSum._new`` drops zero coefficients without rescanning letters and
-types.  The table's and iteration's step and :func:`ring_sum` build
-through ``_new``; the public ``+`` and ``*`` of word sums still take the
+``_WordSum._new`` keeps the fresh map it is handed, without rescanning
+letters and types, and copies it only to drop zero coefficients.  The
+table's and iteration's step and :func:`ring_sum` build through
+``_new``; the public ``+`` and ``*`` of word sums still take the
 checking constructor.
+
+Word text is rendered in C: :func:`word_to_str` is one
+``bytes.translate`` per word, and a word sum's text and coefficient map
+each take one sort of rendered texts.
 """
 from __future__ import annotations
 
@@ -70,9 +75,23 @@ class BackendMismatchError(TypeError):
 # Words over the two-letter alphabet
 # ---------------------------------------------------------------------------
 
+# Byte -> letter text: 0 and 1 become 'A' and 'B', every other byte '?'.
+_LETTER_TABLE = LETTER_CHARS.encode() + b"?" * 254
+
+
 def word_to_str(word):
-    """Render a word as its canonical 'A'/'B' text form ('' for the empty word)."""
-    return "".join(LETTER_CHARS[letter] for letter in word)
+    """Render a word as its canonical 'A'/'B' text form ('' for the empty word).
+
+    One ``bytes.translate`` renders the whole word; a letter outside
+    {0, 1} raises ``ValueError``, as in :func:`word_to_element`.
+    """
+    try:  # tuple() keeps bytes() from reading an int as a length
+        text = bytes(tuple(word)).translate(_LETTER_TABLE)
+    except ValueError:  # a letter outside range(256)
+        text = b"?"
+    if b"?" in text:
+        raise ValueError(f"invalid word {word!r}: letters must be 0 or 1")
+    return text.decode()
 
 
 def word_from_str(text):
@@ -143,10 +162,15 @@ class _WordSum:
     @classmethod
     def _new(cls, terms):
         """The word sum of ``terms``, whose words are already tuples over
-        ``{0, 1}`` and coefficients ``int``s; drops the zero coefficients,
-        with no letter or type scan."""
+        ``{0, 1}`` and coefficients ``int``s, with no letter or type scan.
+
+        Keeps ``terms`` itself, so the caller hands over a fresh map and
+        never touches it again; only a map holding a zero coefficient is
+        copied, without its zeros."""
+        if 0 in terms.values():
+            terms = {w: c for w, c in terms.items() if c}
         value = object.__new__(cls)
-        object.__setattr__(value, "terms", {w: c for w, c in terms.items() if c})
+        object.__setattr__(value, "terms", terms)
         return value
 
     def __setattr__(self, name, value):
@@ -171,25 +195,30 @@ class _WordSum:
 
     def to_coeff_map(self):
         """JSON-friendly form: {'A'/'B' word text: integer coefficient}."""
-        return {word_to_str(w): c for w, c in sorted(self.terms.items())}
+        # Texts over 'A' < 'B' sort as their words over 0 < 1 do.
+        return dict(sorted(zip(map(word_to_str, self.terms), self.terms.values())))
 
     @classmethod
     def from_coeff_map(cls, mapping):
         return cls({word_from_str(text): coeff for text, coeff in mapping.items()})
 
     def __str__(self):
-        """Terms by word length, then lexicographically: ``AB - 2·BA``, ``B·y1``."""
-        if not self.terms:
+        """Terms by word length, then lexicographically: ``AB - 2·BA``, ``B·y1``.
+
+        One sort of (length, text, coefficient) triples orders the terms;
+        each label is its text plus the ``·y1`` suffix of vectors, and the
+        empty word's is ``_VECTOR`` or ``_UNIT`` alone."""
+        terms = self.terms
+        if not terms:
             return "0"
+        suffix = f"·{self._VECTOR}" if self._VECTOR else ""
         parts = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            coeff = self.terms[word]
-            label = "·".join(filter(None, (word_to_str(word), self._VECTOR))) or self._UNIT
-            if parts:
-                parts.append(" - " if coeff < 0 else " + ")
-            elif coeff < 0:
-                parts.append("-")
+        for _, text, coeff in sorted(zip(map(len, terms), map(word_to_str, terms),
+                                         terms.values())):
+            label = text + suffix if text else self._VECTOR or self._UNIT
+            parts.append(" - " if coeff < 0 else " + ")
             parts.append(label if abs(coeff) == 1 else f"{abs(coeff)}·{label}")
+        parts[0] = "-" if parts[0] == " - " else ""
         return "".join(parts)
 
     def __repr__(self):

@@ -58,6 +58,45 @@ def test_word_text_forms():
     assert word_from_str("BA") == (1, 0)
 
 
+def reference_word_text(word):
+    return "".join("AB"[letter] for letter in word)
+
+
+def reference_text(value, vector):
+    """The text form as a per-term loop writes it: terms sorted by
+    (length, word), each label joined from its text and ``vector``."""
+    if not value.terms:
+        return "0"
+    parts = []
+    for word in sorted(value.terms, key=lambda w: (len(w), w)):
+        coeff = value.terms[word]
+        label = "·".join(filter(None, (reference_word_text(word), vector))) or "I"
+        if parts:
+            parts.append(" - " if coeff < 0 else " + ")
+        elif coeff < 0:
+            parts.append("-")
+        parts.append(label if abs(coeff) == 1 else f"{abs(coeff)}·{label}")
+    return "".join(parts)
+
+
+# The empty word, negative coefficients and |c| > 1, some past 64 bits.
+rendered_terms = st.dictionaries(words, st.integers(-3, 3) | st.integers(-2 ** 70, 2 ** 70),
+                                 max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rendered_terms, st.sampled_from([(FreeElement, ""), (FreeVector, "y1")]))
+def test_word_sum_text_matches_the_per_term_reference(terms, kind):
+    cls, vector = kind
+    value = cls(terms)
+    assert str(value) == reference_text(value, vector)
+    assert repr(value) == f"{cls.__name__}({reference_text(value, vector)})"
+    # to_coeff_map: the same items in the order of their sorted words
+    coeffs = value.to_coeff_map()
+    reference = {reference_word_text(w): c for w, c in sorted(value.terms.items())}
+    assert list(coeffs.items()) == list(reference.items())
+
+
 # ---------------------------------------------------------------------------
 # compose / apply examples
 # ---------------------------------------------------------------------------
@@ -248,6 +287,12 @@ def test_word_step_matches_two_products_and_a_sum(operands):
     fused = _integer_form(f0, f1, x, apply)[7](f0, f1)(x, y)
     assert type(fused) is type(x) and fused == f0 * x + f1 * y
     assert_canonical(fused)
+    # _new keeps a fresh map as it is, and copies one with a zero coefficient
+    fresh = dict(x.terms)
+    assert type(x)._new(fresh).terms is fresh
+    zeroed = {**x.terms, (1,) * 7: 0}
+    assert type(x)._new(zeroed) == x and (1,) * 7 in zeroed
+    assert_canonical(type(x)._new(zeroed))
     # the closed total: ring_sum is the + fold, and the fused value cancels out
     values = [f0 * x, f1 * y, type(x)({w: -c for w, c in fused.terms.items()}), x]
     total = ring_sum(values, x.zero())

@@ -9,7 +9,7 @@ import pytest
 
 from noncomm_recur.algebra import (BackendMismatchError, ColumnVector, FreeElement, FreeVector,
                                    Matrix, apply, compose, ring_one, ring_sum, ring_zero,
-                                   vector_zero, word_from_str, word_to_element)
+                                   vector_zero, word_from_str, word_to_element, word_to_str)
 from noncomm_recur.permsum import count_terms, perm_sum_batch, perm_sum_naive, stifel_check
 from noncomm_recur.solver import (CauchyProblem, NotARationalSquareError, solve_iterative,
                                   solve_iterative_upto, solve_scalar_roots, solve_scalar_sum,
@@ -38,6 +38,9 @@ REJECTIONS = {
     "word-2": (lambda: word_to_element((2,), A, B), ValueError, WORD.format(r"\(2,\)")),
     "word-minus-1": (lambda: word_to_element((-1,), A, B), ValueError, WORD.format(r"\(-1,\)")),
     "word-text": (lambda: word_to_element("AB", A, B), ValueError, WORD.format("'AB'")),
+    "word-to-str-2": (lambda: word_to_str((0, 2)), ValueError, WORD.format(r"\(0, 2\)")),
+    "word-to-str-minus-1": (lambda: word_to_str((-1,)), ValueError, WORD.format(r"\(-1,\)")),
+    "word-to-str-int": (lambda: word_to_str(3), TypeError, "^'int' object is not iterable$"),
     "word-from-str": (lambda: word_from_str("AXB"), ValueError,
                       "^invalid word text 'AXB': letters must be 'A' or 'B'$"),
     # algebra: dense values
