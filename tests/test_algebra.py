@@ -292,7 +292,6 @@ def test_word_step_matches_two_products_and_a_sum(operands):
     assert type(x)._new(fresh).terms is fresh
     zeroed = {**x.terms, (1,) * 7: 0}
     assert type(x)._new(zeroed) == x and (1,) * 7 in zeroed
-    assert_canonical(type(x)._new(zeroed))
     # the closed total: ring_sum is the + fold, and the fused value cancels out
     values = [f0 * x, f1 * y, type(x)({w: -c for w, c in fused.terms.items()}), x]
     total = ring_sum(values, x.zero())
