@@ -10,7 +10,7 @@ Three backends, each a ring kind paired with the module kind it acts on:
 * ``Fraction`` -> ``Fraction`` -- exact rational scalars (``Fraction``
   or ``int``) serve as both ring element and vector;
 * ``FreeElement`` -> ``FreeVector`` -- integer-coefficient formal sums
-  of words over the two-letter alphabet, the symbolic backend on which
+  of words, ``bytes`` over the letters 0 and 1, the symbolic backend on which
   closed-form identities can be checked monomial by monomial.  Both
   share one word-sum base, ``_WordSum``, for storage, ``+``, ``==`` and
   text; only ``FreeElement`` multiplies.
@@ -41,9 +41,8 @@ table's and iteration's step and :func:`ring_sum` build through
 ``_new``; the public ``+`` and ``*`` of word sums still take the
 checking constructor.
 
-Word text is rendered in C: :func:`word_to_str` is one
-``bytes.translate`` per word, and a word sum's text and coefficient map
-each take one sort of rendered texts.
+Words are ``bytes``: :func:`word_to_str` renders one by one ``translate``,
+and a word sum's text and coefficient map each take one sort of texts.
 """
 from __future__ import annotations
 
@@ -54,8 +53,6 @@ from fractions import Fraction
 
 # Word letters.  Letter 0 stands for a left factor L0, letter 1 for a
 # factor L1; position 0 in a word is the leftmost factor of the product.
-L0_LETTER = 0
-L1_LETTER = 1
 LETTER_CHARS = "AB"
 
 # Tolerances for the float-matrix backend.
@@ -82,11 +79,11 @@ _LETTER_TABLE = LETTER_CHARS.encode() + b"?" * 254
 def word_to_str(word):
     """Render a word as its canonical 'A'/'B' text form ('' for the empty word).
 
-    One ``bytes.translate`` renders the whole word; a letter outside
-    {0, 1} raises ``ValueError``, as in :func:`word_to_element`.
+    One ``bytes.translate`` renders a word, a caller's tuple made ``bytes``
+    first; a letter outside {0, 1} raises ``ValueError``, as in :func:`word_to_element`.
     """
     try:  # tuple() keeps bytes() from reading an int as a length
-        text = bytes(tuple(word)).translate(_LETTER_TABLE)
+        text = (word if type(word) is bytes else bytes(tuple(word))).translate(_LETTER_TABLE)
     except ValueError:  # a letter outside range(256)
         text = b"?"
     if b"?" in text:
@@ -95,9 +92,9 @@ def word_to_str(word):
 
 
 def word_from_str(text):
-    """Parse the canonical 'A'/'B' text form back into a word tuple."""
+    """Parse the canonical 'A'/'B' text form back into a ``bytes`` word."""
     try:
-        return tuple(LETTER_CHARS.index(ch) for ch in text)
+        return bytes(map(LETTER_CHARS.index, text))
     except ValueError:
         raise ValueError(f"invalid word text {text!r}: letters must be 'A' or 'B'") from None
 
@@ -126,27 +123,30 @@ def _word_linear(f0, f1):
 
 
 def _canonical_terms(terms):
-    """The one canonical form of a word sum: letters 0/1, ``int``
-    coefficients, no zero coefficients."""
-    bad = [(w, c) for w, c in terms.items()
-           if type(c) is not int or not all(letter in (0, 1) for letter in w)]
-    if bad:
-        word, coeff = bad[0]
-        if all(letter in (0, 1) for letter in word):
+    """The one canonical form of a word sum: ``bytes`` words over {0, 1}, ``int``
+    coefficients, no zeros; an error names the first bad term as the caller wrote it."""
+    for word, coeff in terms.items():
+        try:  # a caller's tuple, or a bytes word; an int is no word
+            letters_ok = all(letter in (0, 1) for letter in word)
+        except TypeError:
+            letters_ok = False
+        if not letters_ok:
+            raise ValueError(f"invalid word {word!r}: letters must be 0 or 1")
+        if type(coeff) is not int:
             raise TypeError(
                 f"coefficient of word {word_to_str(word)!r} must be an int, got {coeff!r}")
-        raise ValueError(f"invalid word {word!r}: letters must be 0 or 1")
-    return {tuple(word): coeff for word, coeff in terms.items() if coeff}
+    return {w if type(w) is bytes else bytes(tuple(w)): c for w, c in terms.items() if c}
 
 
 class _WordSum:
-    """Immutable map from words (tuples over ``{0, 1}``) to nonzero
-    integer coefficients; the empty map is zero.
+    """Immutable map from words (``bytes`` over ``{0, 1}``, ``b"\\x00\\x01"``
+    for AB) to nonzero integer coefficients; the empty map is zero.
 
     The storage shared by :class:`FreeElement` and :class:`FreeVector`.
-    The constructor checks every letter and coefficient of its input and
-    drops zero coefficients; :meth:`_new` only drops them, for terms made
-    from stored values.  ``+`` and ``==`` take only a value of the same
+    The constructor checks every letter and coefficient of its input,
+    stores a caller's tuple word as ``bytes`` and drops zero
+    coefficients; :meth:`_new` only drops them, for terms made from
+    stored values.  ``+`` and ``==`` take only a value of the same
     class, so ring elements and vectors never mix.  In the text form
     ``_VECTOR`` follows every word, and ``_UNIT`` stands in when a term
     would otherwise print no letters.
@@ -161,7 +161,7 @@ class _WordSum:
 
     @classmethod
     def _new(cls, terms):
-        """The word sum of ``terms``, whose words are already tuples over
+        """The word sum of ``terms``, whose words are already ``bytes`` over
         ``{0, 1}`` and coefficients ``int``s, with no letter or type scan.
 
         Keeps ``terms`` itself, so the caller hands over a fresh map and
@@ -228,7 +228,7 @@ class _WordSum:
 class FreeElement(_WordSum):
     """Element of the free word algebra on two generators.
 
-    ``{(): 1}`` is the identity.  ``*`` takes another ``FreeElement`` or
+    ``{b"": 1}`` is the identity.  ``*`` takes another ``FreeElement`` or
     a :class:`FreeVector` and concatenates words bilinearly, so two
     elements are equal exactly when their term maps coincide.
     """
@@ -240,12 +240,12 @@ class FreeElement(_WordSum):
 
     @classmethod
     def one(cls):
-        return cls({(): 1})
+        return cls({b"": 1})
 
     @classmethod
     def generators(cls):
         """The pair (A, B) of one-letter generators."""
-        return cls({(L0_LETTER,): 1}), cls({(L1_LETTER,): 1})
+        return cls({b"\x00": 1}), cls({b"\x01": 1})
 
     def __mul__(self, other):
         if not isinstance(other, (FreeElement, FreeVector)):
@@ -268,7 +268,7 @@ class FreeVector(_WordSum):
 
     @classmethod
     def generator(cls):
-        return cls({(): 1})
+        return cls({b"": 1})
 
 
 # ---------------------------------------------------------------------------

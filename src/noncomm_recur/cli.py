@@ -34,7 +34,7 @@ from random import Random
 from .algebra import BackendMismatchError, word_to_str
 from .permsum import MultCounter, enumerate_words, perm_sum_dp, perm_sum_naive
 from .problems import ProblemFileError, load_problem
-from .solver import ROUTES, WORK_CAP, estimate
+from .solver import ROUTES, WORK_CAP, estimate, rational_sqrt
 from . import verify
 
 EXIT_OK = 0
@@ -87,11 +87,14 @@ def cmd_solve(args):
         raise _Exit(EXIT_USAGE, f"method {args.method} requires the scalar backend, "
                                 f"but {args.input} uses {doc.backend}")
     problem, p = doc.problem, args.p
-    # The advice names only routes that run here; the characteristic roots need c0 != 0.
+    # The advice names only routes that run here and answer exactly: the
+    # characteristic roots need c0 != 0, and irrational ones are doubles.
+    c0, c1 = problem.L0, problem.L1
     _check_work(f"solve Y_{p} by {args.method}", estimate(args.method, problem, p),
                 [(estimate(name, problem, p), name) for name, (_, scalar, _) in ROUTES.items()
                  if name != args.method and (doc.backend == "scalar" or not scalar)
-                 and not (name == "scalar-roots" and problem.L0 == 0)])
+                 and not (name == "scalar-roots"
+                          and (c0 == 0 or rational_sqrt(c1 * c1 + 4 * c0) is None))])
     try:
         result = solve(problem, p)
     except (BackendMismatchError, ValueError, ArithmeticError) as exc:

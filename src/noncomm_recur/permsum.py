@@ -103,22 +103,22 @@ def _check_counts(u, v):
 def enumerate_words(u, v):
     """All distinct words with u letters 0 and v letters 1, lexicographically.
 
-    Returns a lazy iterator of word tuples (letter 0 sorts before 1);
+    Returns a lazy iterator of ``bytes`` words (letter 0 sorts before 1);
     its length is ``count_terms(u, v)``.  Nothing is refused by size: the
     CLI bounds the work up front with ``solver.estimate``.
     """
     _check_counts(u, v)
-    n = u + v
+    ones = b"\x01" * (u + v)
 
     def word(zeros):
-        letters = [1] * n
+        letters = bytearray(ones)
         for i in zeros:
             letters[i] = 0
-        return tuple(letters)
+        return bytes(letters)
 
     # Combinations of the positions of letter 0 come in lexicographic
     # order, and so do the words they spell.
-    return map(word, combinations(range(n), u))
+    return map(word, combinations(range(u + v), u))
 
 
 def perm_sum_naive(L0, L1, u, v, counter=None):

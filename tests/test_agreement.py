@@ -1,5 +1,6 @@
 """Every route against iteration and every table against the naive sum, on
 every backend.  A route, table check or backend is one list entry below."""
+import json
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -7,9 +8,10 @@ from random import Random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noncomm_recur.algebra import ColumnVector, FreeElement, FreeVector, Matrix, apply
+from noncomm_recur.algebra import (ColumnVector, FreeElement, FreeVector, Matrix, apply,
+                                   word_to_str)
 from noncomm_recur.permsum import perm_sum_batch, perm_sum_naive
-from noncomm_recur.problems import load_problem
+from noncomm_recur.problems import load_problem, loads_problem
 from noncomm_recur import solver
 from noncomm_recur.solver import CauchyProblem, rational_sqrt, solve_iterative, solve_iterative_upto
 from noncomm_recur.verify import free_problem, random_matrix_problem
@@ -174,3 +176,47 @@ def test_every_table_equals_the_naive_sum(case):
         assert len(results) == len(keys)
         for (u, v), got, P in zip(keys, results, naive):
             assert agree(got, expected(problem, P)), (u, v)
+
+
+# A word sum's keys by the way it was built: a caller's tuples, a caller's
+# bytes, the trusted constructor, and the word text of a problem file.
+WORD_KEYS = st.dictionaries(st.lists(st.integers(0, 1), max_size=3).map(tuple),
+                            st.integers(-3, 3), max_size=3)
+
+
+def builds(cls, terms):
+    as_bytes = {bytes(word): coeff for word, coeff in terms.items()}
+    return [cls(terms), cls(as_bytes), cls._new(dict(as_bytes)),
+            cls.from_coeff_map({word_to_str(word): c for word, c in terms.items()})]
+
+
+def assert_one_word_sum(values):
+    """Every value is keyed by ``bytes`` alone, and all are equal, hashes too:
+    a stray tuple key would hold its word twice and compare unequal."""
+    for value in values:
+        assert {type(word) for word in value.terms} <= {bytes}
+    assert all(value == values[0] and hash(value) == hash(values[0]) for value in values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(WORD_KEYS, WORD_KEYS, WORD_KEYS)
+@example({(0,): 1}, {(0, 1): 1, (1, 0): -1}, {(): 1})
+def test_word_sums_are_bytes_keyed_however_they_are_built(l0, l1, y1):
+    forms = [builds(FreeElement, l0), builds(FreeElement, l1), builds(FreeVector, y1)]
+    for values in forms:
+        assert_one_word_sum(values)
+    text = {name: {word_to_str(w): c for w, c in terms.items()}
+            for name, terms in (("L0", l0), ("L1", l1), ("Y1", y1))}
+    problems = [CauchyProblem(*(values[i] for values in forms)) for i in range(4)]
+    problems.append(loads_problem(json.dumps({"backend": "free", **text})).problem)
+    for problem in problems:
+        assert_one_word_sum([problem.L0, *forms[0]])
+        assert_one_word_sum([problem.y1bar, *forms[2]])
+    # the table, fused steps by _new, and the naive sum, by the public + and *
+    for u, v in ((0, 0), (1, 0), (1, 2), (2, 1)):
+        assert_one_word_sum([*(perm_sum_batch(problem.L0, problem.L1, [(u, v)])[0]
+                               for problem in problems),
+                             perm_sum_naive(problems[0].L0, problems[0].L1, u, v)])
+    for p in range(5):
+        assert_one_word_sum([*(solve_iterative_upto(problem, 4)[p] for problem in problems),
+                             *(solver.solve_closed(problem, p) for problem in problems)])

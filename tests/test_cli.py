@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -235,12 +236,27 @@ def test_solve_closed_table_too_large_exits_3(capsys, monkeypatch):
         assert (code, out) == (3, "")
         # the refusal names the cheapest route under the cap: irrational roots, at the floor
         assert f"Y_{p} by closed" in err and "above the cap of 5.000e+09" in err
-        assert "--method scalar-roots" in err and len(err.splitlines()) == 1
+        assert "scalar-roots" not in err and len(err.splitlines()) == 1
     code, out, err = run(capsys, "solve", "--input", fibonacci, "--p", "1562")
     assert "an estimated 5.003e+09 bit operations" in err
     code, out, _ = run(capsys, "solve", "--input", fibonacci, "--p", "2000",
                        "--method", "iterative")
     assert code == 0 and out.strip().isdigit()
+
+
+@pytest.mark.parametrize("name, p", [("fibonacci.json", "1562"), ("fibonacci.json", "2000"),
+                                     ("scalar-split-roots.json", "2000")])
+def test_refusal_advice_names_a_route_that_solves(capsys, name, p):
+    # fibonacci.json's roots are doubles, and y_p leaves their range from
+    # p = 1476, so the advice names an exact route; rational roots stay named
+    path = str(PROBLEMS_DIR / name)
+    code, out, err = run(capsys, "solve", "--input", path, "--p", p)
+    assert (code, out) == (3, "")
+    advised = re.search(r"--method (\S+) is estimated", err).group(1)
+    assert advised == ("scalar-roots" if name == "scalar-split-roots.json" else "iterative")
+    code, out, err = run(capsys, "solve", "--input", path, "--p", p, "--method", advised)
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "solve", "--input", path, "--p", p, "--method", "scalar-sum")[1]
 
 
 @pytest.mark.parametrize("name, p, method", [

@@ -41,7 +41,7 @@ A, B = FreeElement.generators()
 
 def brute_force_words(u, v):
     """Independent enumeration: filter the full 2^(u+v) product."""
-    return sorted(w for w in itertools.product((0, 1), repeat=u + v)
+    return sorted(bytes(w) for w in itertools.product((0, 1), repeat=u + v)
                   if w.count(0) == u)
 
 
@@ -78,7 +78,7 @@ def test_binom_out_of_range_is_zero():
 
 def test_enumerate_small_cases():
     assert [word_to_str(w) for w in enumerate_words(1, 1)] == ["AB", "BA"]
-    assert list(enumerate_words(0, 0)) == [()]
+    assert list(enumerate_words(0, 0)) == [b""]
     assert [word_to_str(w) for w in enumerate_words(1, 2)] == ["ABB", "BAB", "BBA"]
 
 
@@ -91,8 +91,8 @@ def test_enumerate_matches_brute_force_in_lex_order():
 def test_enumerate_words_has_no_cap():
     # the CLI bounds the work up front; the library lists words of any length
     words = enumerate_words(16, 15)
-    assert next(words) == (0,) * 16 + (1,) * 15
-    assert list(enumerate_words(31, 0)) == [(0,) * 31]
+    assert next(words) == b"\x00" * 16 + b"\x01" * 15
+    assert list(enumerate_words(31, 0)) == [b"\x00" * 31]
     assert len(list(enumerate_words(3, 3))) == 20
 
 

@@ -3,6 +3,7 @@
 The free coefficient check, immutability and the root solver's c0 check keep
 their own tests in ``test_algebra`` and ``test_solver``.
 """
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,10 @@ REJECTIONS = {
     "word-2": (lambda: word_to_element((2,), A, B), ValueError, WORD.format(r"\(2,\)")),
     "word-minus-1": (lambda: word_to_element((-1,), A, B), ValueError, WORD.format(r"\(-1,\)")),
     "word-text": (lambda: word_to_element("AB", A, B), ValueError, WORD.format("'AB'")),
+    "word-sum-int-key": (lambda: FreeElement({3: 1}), ValueError, WORD.format("3")),
+    "word-sum-str-key": (lambda: FreeVector({"AB": 1}), ValueError, WORD.format("'AB'")),
+    "word-sum-bytes-2": (lambda: FreeElement({b"\x00\x02": 1}), ValueError,
+                         WORD.format(re.escape(repr(b"\x00\x02")))),
     "word-to-str-2": (lambda: word_to_str((0, 2)), ValueError, WORD.format(r"\(0, 2\)")),
     "word-to-str-minus-1": (lambda: word_to_str((-1,)), ValueError, WORD.format(r"\(-1,\)")),
     "word-to-str-int": (lambda: word_to_str(3), TypeError, "^'int' object is not iterable$"),
