@@ -186,7 +186,7 @@ WORD_KEYS = st.dictionaries(st.lists(st.integers(0, 1), max_size=3).map(tuple),
 
 def builds(cls, terms):
     as_bytes = {bytes(word): coeff for word, coeff in terms.items()}
-    return [cls(terms), cls(as_bytes), cls._new(dict(as_bytes)),
+    return [cls(terms), cls(as_bytes), cls._new(as_bytes),
             cls.from_coeff_map({word_to_str(word): c for word, c in terms.items()})]
 
 

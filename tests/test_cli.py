@@ -234,7 +234,7 @@ def test_solve_closed_table_too_large_exits_3(capsys, monkeypatch):
     for p in ("1562", "100000000"):
         code, out, err = run(capsys, "solve", "--input", fibonacci, "--p", p)
         assert (code, out) == (3, "")
-        # the refusal names the cheapest route under the cap: irrational roots, at the floor
+        # the refusal names no route of irrational roots: they are doubles, past range here
         assert f"Y_{p} by closed" in err and "above the cap of 5.000e+09" in err
         assert "scalar-roots" not in err and len(err.splitlines()) == 1
     code, out, err = run(capsys, "solve", "--input", fibonacci, "--p", "1562")
