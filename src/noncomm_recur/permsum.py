@@ -19,20 +19,19 @@ Z(0, 0) = y the same recursion Z(u, v) = L0·Z(u-1, v) + L1·Z(u, v-1)
 gives Z(u, v) = P(u, v)·y with one module action per step, a
 matrix-vector product instead of a matrix product on matrix backends.
 The table is built one line at a time, keeping the lines that the next
-step reads and the requested cells, for one call only; nothing is
-cached.  Float and free cells run along the anti-diagonals u + v; cells
-that pack run along the lines 2u + v when every key lies on one such
-line, as the summands of one Y_p do, and along anti-diagonals otherwise.
-Each call groups its keys by line, with their repeats, once, and packed,
-float and free cells all read that grouping.  ``algebra._integer_form``
+step reads, for one call only; nothing is cached, and each call groups
+its keys by line, with their repeats, once.  ``algebra._integer_form``
 supplies the cell arithmetic, the fused step a0·x + a1·y that iteration
-takes, whether cells pack, and each key's value; a free cell of the
-table's interior is one word sum built by that step, with no rescan of
-its words.  Where cells pack, a line is one packed integer per entry,
-every cell in its own slot (Kronecker substitution), and each line
-takes one pass: one step advances it, one signed truncation drops the
-slots that no later key reads, and each key on it is read by one shift
-and mask and added into a sum of keys by Horner's rule, reduced once.
+takes, whether cells pack, and each key's value.  Cells that pack run
+along the lines 2u + v when every key lies on one such line, as the
+summands of one Y_p do, and along one anti-diagonal u + v when every key
+lies on that: a line is one packed integer per entry, every cell in its
+own slot (Kronecker substitution), one step advances it, one truncation
+drops the slots above the highest key, and each key is read from the
+last line by one shift and mask.  Float and free cells, and key sets
+that span lines, run cell by cell along the anti-diagonals otherwise; a
+free cell of the table's interior is one word sum built by the fused
+step, with no rescan of its words.
 
 The evaluators accept a :class:`MultCounter` that records the exact
 number of ring multiplications (or module actions) of the recursion,
@@ -159,28 +158,29 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
 
     Where ``_integer_form`` gives n > 0 (exact dense and scalar backends),
     with D the common denominator of L0 and L1, a0 = D·L0 and a1 = D·L1,
-    a cell is the numerator tuple
-    W(u, v) = a0·W(u-1, v) + a1·W(u, v-1), and the line m = w·u + v of
-    weight w is the polynomial G_m(z) = sum_u W(u, m - w·u)·z^u with
-    G_m = z·a0·G_(m-w) + a1·G_(m-1).  The weight is 2 when every key lies
-    on the line 2u + v = K, K = max(u + v), as the keys (t, p-1-2t) of
-    ``solver.solve_closed`` do, and 1, the anti-diagonals, otherwise.  At
-    z = 2^B a line is one packed integer per entry (see
-    :func:`_packed_table`), and each line is one pass: one call of the
-    fused step ``linear(a0, a1)``, one signed truncation to the slots
-    that later keys read, and one shift and mask per key, fused with its
-    add into a total.  A key becomes ``value(W(u, v), u + v)``: W(u, v)
-    over d·D^(u+v), d the origin's denominator, reduced by one gcd; a
-    scalar key is a ``Fraction`` even from ``int`` inputs.  A total is one
-    ``value`` of the sum of W(u, v)·D^(K-u-v), gathered line by line by
-    Horner's rule in D, each repeat counted.
+    a cell is the numerator tuple W(u, v) = a0·W(u-1, v) + a1·W(u, v-1),
+    and a key becomes ``value(W(u, v), u + v)``: W(u, v) over d·D^(u+v),
+    d the origin's denominator, reduced by one gcd; a scalar key is a
+    ``Fraction`` even from ``int`` inputs.  When every key lies on one
+    line w·u + v = K, K = max(u + v), the cells pack (see
+    :func:`_packed_table`).  The weight w is 2 when that line is
+    2u + v = K, as for the keys (t, p-1-2t) of ``solver.solve_closed``,
+    and 1, one anti-diagonal, otherwise, as for one key.  Line m of weight
+    w is the polynomial G_m(z) = sum_u W(u, m - w·u)·z^u with
+    G_m = z·a0·G_(m-w) + a1·G_(m-1), one packed integer per entry at
+    z = 2^B, and each line is one call of the fused step
+    ``linear(a0, a1)`` and one truncation to one constant cut, the slots
+    up to the largest u of a key.  The keys are read after the last
+    line, one shift and mask each, and a total is one ``value`` of the
+    sum of W(u, v)·D^((w-1)·u) over d·D^K, each repeat counted.
 
-    Float and free cells cannot be packed: diagonal k holds the cells of
-    the union of the keys' rectangles, those rows u whose last column in
-    the union (see :func:`_row_ends`) reaches k - u.  An interior cell is
-    one call of the fused step ``linear(a0, a1)``, which on the free
-    backend builds one word sum from both products' concatenations, and
-    an edge cell one ``product`` call.  A total is one ``ring_sum``, so
+    Any other key set, and float and free cells, take the cell table:
+    diagonal k holds the cells of the union of the keys' rectangles, those
+    rows u whose last column in the union (see :func:`_row_ends`) reaches
+    k - u.  An interior cell is one call of the fused step
+    ``linear(a0, a1)``, ``_dot_nums`` on exact numerators, which on the
+    free backend builds one word sum from both products' concatenations,
+    and an edge cell one ``product`` call.  A total is one ``ring_sum``, so
     float results are bit for bit those of ``compose``/``apply`` and ``+``.
 
     ``counter``, a :class:`MultCounter`, gains in one addition the
@@ -208,15 +208,16 @@ def perm_sum_batch(L0, L1, keys, counter=None, vector=None, *, total=False):
     for u, v in keys:
         here = on_line.setdefault(w * u + v, {})
         here[u] = here.get(u, 0) + 1
-    if counter is not None or not n:
+    packed = n and len(on_line) == 1
+    if counter is not None or not packed:
         col = _row_ends(keys)
     if counter is not None:  # row 0 and column 0 are edges, the rest interior
         actions = col[0] + len(col) - 1 + 2 * sum(col[1:])
         if vector is None:
             actions -= (len(col) > 1) + (col[0] > 0)
         counter.count += actions
-    if n:
-        return _packed_table(n, a0, a1, D, origin, linear, value, keys, on_line, w, total)
+    if packed:
+        return _packed_table(n, a0, a1, D, origin, linear, value, keys, on_line[K], w, K, total)
     step, cells, found = linear(a0, a1), {0: origin}, {}
     for k in range(K + 1):
         if k:  # row u's cells in the union lie on diagonals u..u + col[u]
@@ -247,65 +248,52 @@ def _row_ends(keys):
     return col
 
 
-def _packed_table(n, a0, a1, D, cell, linear, value, keys, on_line, w, total):
+def _packed_table(n, a0, a1, D, cell, linear, value, keys, here, w, K, total):
     """The keys' values in key order, or their total, from packed
-    integers, one pass per line; ``on_line`` maps line -> {u: repeats}.
+    integers; every key lies on line K, and ``here`` maps its u to its
+    repeats.
 
     Line m of weight w holds the cells (u, m - w·u); ``perm_sum_batch``
     picks w.  Entry i of line m is G_m = sum_u W(u, m - w·u)_i·2^(u·B):
     slot u holds its cell at bit offset u·B.  W(u, v) takes W(u-1, v)
     from slot u - 1 of line m - w and W(u, v-1) from slot u of line
     m - 1, so one step ``linear(a0, a1)(G_(m-w) << B, G_(m-1))`` makes
-    G_m, with G_(-1) = 0.  Line m keeps slots 0..min(top[m], m // w),
-    top[m] the largest u that a key on a line >= m reads: the signed
-    residue ((q + h) & (2^b - 1)) - h, h = 2^(b-1), b = (top[m]+1)·B.
-    The keys of ``solver.solve_closed``, one per slot of the last line,
-    keep every slot.
+    G_m, with G_(-1) = 0.  Every line keeps slots 0..top, top the largest
+    u of a key, as its residue mod 2^b, b = (top+1)·B: shifts, integer
+    products and sums commute with the residue, and slots 0..top of the
+    last line need no higher bit.  The keys of ``solver.solve_closed``,
+    one per slot of the last line, keep every slot.
 
     Width: with |x| the largest absolute entry of a cell and ||a|| the
     largest absolute row sum of a, |a·x| <= ||a||·|x|.  W(u, v) is the
     sum over the C(u+v, u) words of the products, so
     |W(u, v)| <= C(u+v, u)·||a0||^u·||a1||^v·|cell| <= s^(u+v)·|cell|,
-    s = ||a0|| + ||a1||.  A cell kept on line m has u + v <= m <= K, K
-    the last line, which is the largest u + v of a key, so every kept
-    slot is at most M = max(s, 1)^K·|cell|, and B = bits(M) + 1 gives
-    |W| < 2^(B-1).  The slots below any u then sum to less than
-    2^(u·B)/2 in absolute value, so the signed residue above is exactly
-    the slots kept.  For the same reason slot u of q + H, H the sum of
-    2^(B-1)·2^(u·B) over the slots that keys read, is the base-2^B digit
-    W(u, m - w·u) + 2^(B-1): one shift and mask read a key.  A vector
-    table whose one coefficient is zero, and whose other coefficient and
-    vector have equal nonnegative entries, attains M, so B has no spare
-    bit.  A total gathers each key's W(u, v)·D^(K-u-v) as it reads it,
-    by Horner's rule in D from line to line.
+    s = ||a0|| + ||a1||.  A cell on line m has u + v <= m <= K, K the
+    largest u + v of a key, so every slot is at most
+    M = max(s, 1)^K·|cell|, and B = bits(M) + 1 gives |W| < 2^(B-1).
+    After the last line, slot u of q + H, H the sum of 2^(B-1)·2^(u·B)
+    over slots 0..top, is then the base-2^B digit W(u, K - w·u) + 2^(B-1):
+    one shift and mask read a key.  A vector table whose one coefficient
+    is zero, and whose other coefficient and vector have equal nonnegative
+    entries, attains M, so B has no spare bit.  Key (u, K - w·u) lies on
+    anti-diagonal K - (w-1)·u, so a total is the sum of each key's
+    W·D^((w-1)·u), each repeat counted, over d·D^K.
     """
-    K = max(on_line)
     s = sum([max([sum(map(abs, a[i:i + n])) for i in range(0, n * n, n)]) for a in (a0, a1)])
     B = (max(s, 1) ** K * max(map(abs, cell))).bit_length() + 1
-    top = [-1] * (K + 2)
-    for m in range(K, -1, -1):
-        here = on_line.get(m)
-        top[m] = max(top[m + 1], max(here)) if here else top[m + 1]
-    h, mask = 1 << B - 1, (1 << B) - 1
-    H = h * ((1 << (top[0] + 1) * B) - 1) // mask  # h in each slot up to the highest key
-    step, lines, acc, scale, found = linear(a0, a1), ((0,) * len(cell), cell), [0] * len(cell), 1, {}
-    for m in range(K + 1):
-        if m:
-            Q, scale = step(tuple([q << B for q in lines[-w]]), lines[-1]), scale * D
-            if top[m] < m // w:
-                hm, mm = 1 << (top[m] + 1) * B - 1, (1 << (top[m] + 1) * B) - 1
-                Q = tuple([((q + hm) & mm) - hm for q in Q])
-            lines = lines[-1], Q
-        here = on_line.get(m)
-        if not here:
-            continue
-        X = [q + H for q in lines[-1]]
+    top = max(here)
+    h, mask, cut = 1 << B - 1, (1 << B) - 1, (1 << (top + 1) * B) - 1
+    step, lines = linear(a0, a1), ((0,) * len(cell), cell)
+    for m in range(1, K + 1):
+        Q = step(tuple([q << B for q in lines[-w]]), lines[-1])
+        if top < m // w:
+            Q = tuple([q & cut for q in Q])
+        lines = lines[-1], Q
+    X = [q + h * cut // mask for q in lines[-1]]  # h in each slot 0..top
+    if total:
+        acc = [0] * len(X)
         for u, repeats in here.items():
-            if total:  # Horner in D: acc is the sum of W(u, v)·D^(K-u-v)
-                c, shift = repeats * D ** ((w - 1) * u), u * B
-                acc = [a * scale + c * ((x >> shift & mask) - h) for a, x in zip(acc, X)]
-                scale = 1
-            else:
-                found[u, m - w * u] = value(
-                    tuple([(x >> u * B & mask) - h for x in X]), m - (w - 1) * u)
-    return value(tuple(acc), K) if total else [found[key] for key in keys]
+            c, shift = repeats * D ** ((w - 1) * u), u * B
+            acc = [a + c * ((x >> shift & mask) - h) for a, x in zip(acc, X)]
+        return value(tuple(acc), K)
+    return [value(tuple([(x >> u * B & mask) - h for x in X]), u + v) for u, v in keys]

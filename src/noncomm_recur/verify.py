@@ -1,8 +1,9 @@
 """Named verification suites: closed form vs oracle, scalar coherence,
 identity checks.
 
-Each suite returns a :class:`SuiteResult` whose ``detail`` holds either
-a one-line summary of what was checked or, on failure, the first
+Each suite yields its counterexamples and returns a one-line summary of
+what was checked; :func:`_suite` makes it return a :class:`SuiteResult`
+whose ``detail`` holds either that summary or, on failure, the first
 counterexample in full.  The CLI's ``verify`` subcommand drives
 :func:`run_all`; the acceptance tests call the suites directly with
 their own parameters.
@@ -12,6 +13,7 @@ failures reproduce.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -104,37 +106,51 @@ def random_negative_delta_pair(rng):
 # Suites
 # ---------------------------------------------------------------------------
 
-def check_free_theorem1(max_p=16):
-    """Closed form equals the iteration oracle, monomial for monomial."""
-    problem = free_problem()
+def _suite(name):
+    """A suite from a generator that yields counterexample strings and
+    returns its pass summary: the first counterexample fails the suite."""
+    def make(counterexamples):
+        @functools.wraps(counterexamples)
+        def suite(*args, **kwargs):
+            found = counterexamples(*args, **kwargs)
+            try:
+                return SuiteResult(name, False, next(found))
+            except StopIteration as done:
+                return SuiteResult(name, True, done.value)
+        return suite
+    return make
+
+
+def _mismatches(problem, max_p):
+    """(p, closed, iterative) for each p <= max_p where closed form and oracle differ."""
     for p, iterative in enumerate(solve_iterative_upto(problem, max_p)):
         closed = solve_closed(problem, p)
         if closed != iterative:
-            return SuiteResult(
-                "free-theorem1", False,
-                f"p={p}: closed={closed} but iterative={iterative}")
-    return SuiteResult("free-theorem1", True,
-                       f"closed = iterative on the free backend for p <= {max_p}")
+            yield p, closed, iterative
 
 
+@_suite("free-theorem1")
+def check_free_theorem1(max_p=16):
+    """Closed form equals the iteration oracle, monomial for monomial."""
+    for p, closed, iterative in _mismatches(free_problem(), max_p):
+        yield f"p={p}: closed={closed} but iterative={iterative}"
+    return f"closed = iterative on the free backend for p <= {max_p}"
+
+
+@_suite("matrix-oracle")
 def check_matrix_oracle(seed=42, problems=20, max_p=16, n=3):
     """Seeded random rational matrix problems, exact closed/iterative match."""
     rng = Random(seed)
     for index in range(problems):
         problem = random_matrix_problem(rng, n)
-        for p, iterative in enumerate(solve_iterative_upto(problem, max_p)):
-            closed = solve_closed(problem, p)
-            if closed != iterative:
-                return SuiteResult(
-                    "matrix-oracle", False,
-                    f"problem #{index} (seed {seed}), p={p}: "
-                    f"L0={problem.L0} L1={problem.L1} Y1={problem.y1bar}: "
-                    f"closed={closed} but iterative={iterative}")
-    return SuiteResult(
-        "matrix-oracle", True,
-        f"{problems} random {n}x{n} rational problems, p <= {max_p}, seed {seed}")
+        for p, closed, iterative in _mismatches(problem, max_p):
+            yield (f"problem #{index} (seed {seed}), p={p}: "
+                   f"L0={problem.L0} L1={problem.L1} Y1={problem.y1bar}: "
+                   f"closed={closed} but iterative={iterative}")
+    return f"{problems} random {n}x{n} rational problems, p <= {max_p}, seed {seed}"
 
 
+@_suite("scalar-coherence")
 def check_scalar_coherence(seed=42, pairs=100, max_p=30, complex_pairs=20,
                            rel_tol=1e-9):
     """Root formula = binomial sum = 1x1 iteration, exactly; complex branch
@@ -150,31 +166,22 @@ def check_scalar_coherence(seed=42, pairs=100, max_p=30, complex_pairs=20,
             by_sum = solve_scalar_sum(c0, c1, y1, p)
             by_iteration = iterative.entries[0]
             if not (by_roots == by_sum == by_iteration):
-                return SuiteResult(
-                    "scalar-coherence", False,
-                    f"pair #{index} (seed {seed}) c0={c0} c1={c1} y1={y1}, p={p}: "
-                    f"roots={by_roots} sum={by_sum} iterative={by_iteration}")
+                yield (f"pair #{index} (seed {seed}) c0={c0} c1={c1} y1={y1}, p={p}: "
+                       f"roots={by_roots} sum={by_sum} iterative={by_iteration}")
     for index in range(complex_pairs):
         c0, c1 = random_negative_delta_pair(rng)
         y1 = Fraction(rng.randint(1, 5), rng.choice((1, 2)))
         for p in range(max_p + 1):
             approx = solve_scalar_roots(c0, c1, y1, p)
             exact = solve_scalar_sum(c0, c1, y1, p)
-            if exact == 0:
-                ok = abs(approx) <= rel_tol
-            else:
-                ok = abs(approx - float(exact)) <= rel_tol * abs(float(exact))
-            if not ok:
-                return SuiteResult(
-                    "scalar-coherence", False,
-                    f"complex pair #{index} (seed {seed}) c0={c0} c1={c1} y1={y1}, "
-                    f"p={p}: float={approx!r} exact={exact} (= {float(exact)!r})")
-    return SuiteResult(
-        "scalar-coherence", True,
-        f"{pairs} square-discriminant pairs and {complex_pairs} negative-discriminant "
-        f"pairs, p <= {max_p}, seed {seed}")
+            if not abs(approx - float(exact)) <= rel_tol * (abs(float(exact)) if exact else 1):
+                yield (f"complex pair #{index} (seed {seed}) c0={c0} c1={c1} y1={y1}, "
+                       f"p={p}: float={approx!r} exact={exact} (= {float(exact)!r})")
+    return (f"{pairs} square-discriminant pairs and {complex_pairs} negative-discriminant "
+            f"pairs, p <= {max_p}, seed {seed}")
 
 
+@_suite("degenerate-delta0")
 def check_degenerate_roots(max_p=30):
     """Repeated-root branch: p * m1^(p-1) * y1, matching iteration exactly."""
     values = [Fraction(v) for v in (1, -1, 2, -2, 3, -3)] + [Fraction(4, 3)]
@@ -187,14 +194,12 @@ def check_degenerate_roots(max_p=30):
                 by_roots = solve_scalar_roots(c0, c1, y1, p)
                 expected = p * m1 ** (p - 1) * y1
                 if not (by_roots == expected == by_iteration):
-                    return SuiteResult(
-                        "degenerate-delta0", False,
-                        f"c1={c1} c0={c0} y1={y1}, p={p}: roots={by_roots} "
-                        f"p*m1^(p-1)*y1={expected} iterative={by_iteration}")
-    return SuiteResult("degenerate-delta0", True,
-                       f"c1 in {{+-1, +-2, +-3, 4/3}}, p <= {max_p}")
+                    yield (f"c1={c1} c0={c0} y1={y1}, p={p}: roots={by_roots} "
+                           f"p*m1^(p-1)*y1={expected} iterative={by_iteration}")
+    return f"c1 in {{+-1, +-2, +-3, 4/3}}, p <= {max_p}"
 
 
+@_suite("identities")
 def check_identities(stifel_max_n=40, symmetry_max_p=40, id21_max_n=20,
                      id23_max_n=30):
     """Binomial identity suites: Pascal step, index symmetry, the two
@@ -202,31 +207,25 @@ def check_identities(stifel_max_n=40, symmetry_max_p=40, id21_max_n=20,
     for n in range(stifel_max_n + 1):
         for k in range(-1, n + 1):
             if not stifel_check(n, k):
-                return SuiteResult("identities", False,
-                                   f"Pascal step fails at n={n}, k={k}")
+                yield f"Pascal step fails at n={n}, k={k}"
     for p in range(symmetry_max_p + 1):
         for t in range(t_bar(p) + 1):
             if binom(p - t - 1, t) != binom(p - t - 1, p - 1 - 2 * t):
-                return SuiteResult(
-                    "identities", False,
-                    f"index symmetry fails at p={p}, t={t}: "
-                    f"C({p - t - 1},{t}) != C({p - t - 1},{p - 1 - 2 * t})")
+                yield (f"index symmetry fails at p={p}, t={t}: "
+                       f"C({p - t - 1},{t}) != C({p - t - 1},{p - 1 - 2 * t})")
     for z in (0, 2, 6, 12, 20):
         for n in range(id21_max_n + 1):
             if not verify_identity_21(Fraction(z), n):
-                return SuiteResult("identities", False,
-                                   f"square-root identity fails at z={z}, n={n}")
+                yield f"square-root identity fails at z={z}, n={n}"
     for n in range(id23_max_n + 1):
         if not verify_identity_23(n):
-            return SuiteResult("identities", False,
-                               f"repeated-root identity fails at n={n}")
-    return SuiteResult(
-        "identities", True,
-        f"Pascal n <= {stifel_max_n}; symmetry p <= {symmetry_max_p}; "
-        f"sqrt identity z in {{0,2,6,12,20}}, n <= {id21_max_n}; "
-        f"alternating identity n <= {id23_max_n}")
+            yield f"repeated-root identity fails at n={n}"
+    return (f"Pascal n <= {stifel_max_n}; symmetry p <= {symmetry_max_p}; "
+            f"sqrt identity z in {{0,2,6,12,20}}, n <= {id21_max_n}; "
+            f"alternating identity n <= {id23_max_n}")
 
 
+@_suite("permsum-structure")
 def check_permsum_structure(max_total=12):
     """On the free backend the DP sum has exactly C(u+v, u) monomials,
     all with coefficient 1, and equals the naive enumeration."""
@@ -237,22 +236,16 @@ def check_permsum_structure(max_total=12):
             dp = perm_sum_dp(A, B, u, v)
             expected = count_terms(u, v)
             if len(dp.terms) != expected:
-                return SuiteResult(
-                    "permsum-structure", False,
-                    f"(u,v)=({u},{v}): {len(dp.terms)} monomials, "
-                    f"expected C({total},{u}) = {expected}")
+                yield (f"(u,v)=({u},{v}): {len(dp.terms)} monomials, "
+                       f"expected C({total},{u}) = {expected}")
             if any(c != 1 for c in dp.terms.values()):
-                return SuiteResult(
-                    "permsum-structure", False,
-                    f"(u,v)=({u},{v}): non-unit coefficient in {dp}")
+                yield f"(u,v)=({u},{v}): non-unit coefficient in {dp}"
             if dp != perm_sum_naive(A, B, u, v):
-                return SuiteResult(
-                    "permsum-structure", False,
-                    f"(u,v)=({u},{v}): dp={dp} differs from naive enumeration")
-    return SuiteResult("permsum-structure", True,
-                       f"all (u,v) with u+v <= {max_total} on the free backend")
+                yield f"(u,v)=({u},{v}): dp={dp} differs from naive enumeration"
+    return f"all (u,v) with u+v <= {max_total} on the free backend"
 
 
+@_suite("mult-counts")
 def check_mult_counts(u=8, v=8):
     """Instrumentation contract: naive costs one evaluation per word,
     DP stays within 2(u+1)(v+1) ring multiplications."""
@@ -262,22 +255,15 @@ def check_mult_counts(u=8, v=8):
     perm_sum_naive(c0, c1, u, v, counter=naive_counter)
     expected_naive = words * max(u + v - 1, 0)
     if naive_counter.count != expected_naive:
-        return SuiteResult(
-            "mult-counts", False,
-            f"naive at ({u},{v}): {naive_counter.count} multiplications, "
-            f"expected {words} words x {max(u + v - 1, 0)} = {expected_naive}")
+        yield (f"naive at ({u},{v}): {naive_counter.count} multiplications, "
+               f"expected {words} words x {max(u + v - 1, 0)} = {expected_naive}")
     dp_counter = MultCounter()
     perm_sum_dp(c0, c1, u, v, counter=dp_counter)
     bound = 2 * (u + 1) * (v + 1)
     if dp_counter.count > bound:
-        return SuiteResult(
-            "mult-counts", False,
-            f"dp at ({u},{v}): {dp_counter.count} multiplications "
-            f"exceeds the bound {bound}")
-    return SuiteResult(
-        "mult-counts", True,
-        f"naive = {words} words ({naive_counter.count} mults), "
-        f"dp = {dp_counter.count} mults <= {bound} at ({u},{v})")
+        yield f"dp at ({u},{v}): {dp_counter.count} multiplications exceeds the bound {bound}"
+    return (f"naive = {words} words ({naive_counter.count} mults), "
+            f"dp = {dp_counter.count} mults <= {bound} at ({u},{v})")
 
 
 def run_all():

@@ -33,7 +33,7 @@ from noncomm_recur.permsum import (
     perm_sum_naive,
     stifel_check,
 )
-from noncomm_recur.solver import CauchyProblem, solve_closed, solve_iterative
+from noncomm_recur.solver import CauchyProblem, solve_closed, solve_iterative, t_bar
 from noncomm_recur.verify import random_matrix, random_vector
 
 A, B = FreeElement.generators()
@@ -255,9 +255,9 @@ def test_vector_table_counts_each_action(monkeypatch):
 
     # The free table's edge cells act through apply, or multiply through
     # compose without a vector, one call an action, and its interior cells
-    # through the fused word step, two actions a call; the packed dense and
-    # scalar tables make one call a line, so there the count is compared
-    # with the union of the keys' rectangles alone.  The ring table gets
+    # through the fused word step, two actions a call; the dense and scalar
+    # tables step numerator cells, packed or not, through neither, so there
+    # the count is compared with the union of the keys' rectangles alone.  The ring table gets
     # P(1, 0) = L0 and P(0, 1) = L1 free: edges from the origin make no call.
     monkeypatch.setattr(permsum, "apply", counted(apply))
     monkeypatch.setattr(permsum, "compose", counted(compose))
@@ -321,6 +321,17 @@ TABLE_ENTRIES = {
 
 
 @st.composite
+def one_line_keys(draw, top):
+    """Keys on one line, which the packed pass reads: some of the
+    anti-diagonal u + v = K, or some of the line 2u + v = K with (0, K)
+    among them, for a K of at most ``top``."""
+    K = draw(st.integers(0, top))
+    if draw(st.booleans()):
+        return [(u, K - u) for u in draw(st.lists(st.integers(0, K), min_size=1, max_size=4))]
+    return [(0, K)] + [(u, K - 2 * u) for u in draw(st.lists(st.integers(0, K // 2), max_size=4))]
+
+
+@st.composite
 def numerator_tables(draw):
     """(L0, L1, keys, vector or None) on exact or float matrices, n <= 4,
     or on scalars, each an ``int`` or a ``Fraction``."""
@@ -342,7 +353,9 @@ def numerator_tables(draw):
     y = None
     if draw(st.booleans()):
         y = coefficient() if scalar else ColumnVector([draw(entries) for _ in range(n)])
-    # (0, 0), a key on each edge and several keys in one row, in any order
+    if draw(st.booleans()):  # half the time on one line, for the packed pass
+        return L0, L1, draw(st.permutations(draw(one_line_keys(8)))), y
+    # or (0, 0), a key on each edge and several keys in one row, in any order
     row, top = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     columns = draw(st.lists(st.integers(0, 4), min_size=2, max_size=3))
     extra = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3))
@@ -408,17 +421,23 @@ def summed_tables(draw):
                   for _ in range(2))
         y = ColumnVector([draw(entries) for _ in range(n)])
     top = 3 if backend == "free" else 5
-    keys = draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, top)), max_size=5))
+    if draw(st.booleans()):  # half the time on one line, for the packed pass
+        keys = draw(one_line_keys(2 * top))
+    else:
+        keys = draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, top)), max_size=5))
     if keys:
         keys += draw(st.lists(st.sampled_from(keys), max_size=3))
     return L0, L1, draw(st.permutations(keys)), draw(st.sampled_from([y, None]))
 
 
-# Exact cells with D = 2 whose keys lie on diagonals 0, 3 and 7, leaving
-# gaps that the total's power of D carries across.  (2, 1) is repeated and
-# lies below the top slot of diagonal 3; (1, 6) lies below the top slot of
-# diagonal 7, which is truncated to slots 0..3.
+# Exact cells with D = 2 whose keys lie on diagonals 0, 3 and 7, so the
+# cell table runs them and divides each key by its own power of D before
+# the keys add; (2, 1) is repeated.
 CARRY_KEYS = [(3, 4), (2, 1), (0, 0), (1, 6), (2, 1)]
+# The same cells on the line 2u + v = 6, which the packed pass reads: key
+# (u, 6 - 2u) lies on anti-diagonal 6 - u, so its share of the total
+# carries the factor D^u, and (2, 2) is repeated.
+LINE_KEYS = [(0, 6), (1, 4), (2, 2), (2, 2), (3, 0)]
 CARRY_MATRICES = (Matrix([[Fraction(1, 2), -1], [2, Fraction(3, 2)]]),
                   Matrix([[-1, Fraction(1, 2)], [0, 1]]))
 
@@ -429,6 +448,10 @@ CARRY_MATRICES = (Matrix([[Fraction(1, 2), -1], [2, Fraction(3, 2)]]),
 @example((Fraction(1, 2), Fraction(-3, 2), CARRY_KEYS, None))
 @example((*CARRY_MATRICES, CARRY_KEYS, ColumnVector([1, Fraction(-1, 3)])))
 @example((*CARRY_MATRICES, CARRY_KEYS, None))
+@example((Fraction(1, 2), Fraction(-3, 2), LINE_KEYS, Fraction(5, 3)))
+@example((Fraction(1, 2), Fraction(-3, 2), LINE_KEYS, None))
+@example((*CARRY_MATRICES, LINE_KEYS, ColumnVector([1, Fraction(-1, 3)])))
+@example((*CARRY_MATRICES, LINE_KEYS, None))
 def test_total_is_the_sum_of_the_keys(table):
     L0, L1, keys, y = table
     total = perm_sum_batch(L0, L1, keys, vector=y, total=True)
@@ -446,6 +469,48 @@ def test_total_is_the_sum_of_the_keys(table):
         assert [x.hex() for x in total._nums] == [x.hex() for x in expected._nums]
 
 
+@pytest.fixture
+def packed_runs(monkeypatch):
+    """A list that gains the arguments of each run of the packed pass."""
+    runs, packed = [], permsum._packed_table
+
+    def spy(*args):
+        runs.append(args)
+        return packed(*args)
+    monkeypatch.setattr(permsum, "_packed_table", spy)
+    return runs
+
+
+def exact_tables():
+    """(L0, L1, y) on exact dense and scalar backends."""
+    rng = Random(37)
+    yield (*CARRY_MATRICES, ColumnVector([1, Fraction(-1, 3)]))
+    yield random_matrix(rng, 3), random_matrix(rng, 3), random_vector(rng, 3)
+    yield Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)
+    yield 2, -3, 5
+
+
+def test_the_packed_pass_runs_for_keys_on_one_line(packed_runs):
+    # One key, the keys of solve_closed's Y_p and one anti-diagonal lie on
+    # one line and take the packed pass; key sets that span lines take the
+    # cell table.  Either way the values and the counts are the same.
+    one_line = ([(0, 0)], [(0, 7)], [(5, 0)], [(3, 4)], [(2, 7), (9, 0), (0, 9), (5, 4), (2, 7)],
+                *([(t, p - 1 - 2 * t) for t in range(t_bar(p) + 1)] for p in range(1, 13)))
+    for L0, L1, y in exact_tables():
+        for keys, vector in itertools.product(
+                (*one_line, [(0, 10), (10, 0), (3, 3)], CARRY_KEYS), (y, None)):
+            packed_runs.clear()
+            counter = MultCounter()
+            results = perm_sum_batch(L0, L1, keys, counter=counter, vector=vector)
+            total = perm_sum_batch(L0, L1, keys, vector=vector, total=True)
+            assert len(packed_runs) == 2 * (keys in one_line)
+            assert list(map(flat_entries, results)) == split_recursion_reference(
+                L0, L1, keys, vector)
+            assert total == ring_sum(results, ring_zero(L0) if vector is None else vector_zero(y))
+            free_edges = any(u for u, _ in keys) + any(v for _, v in keys)
+            assert counter.count == union_actions(keys) - (vector is None) * free_edges
+
+
 def equal_entries(shape, value):
     """A scalar, or an n×n matrix (``shape`` = n) with every entry ``value``."""
     return value if shape == "scalar" else Matrix([[value] * shape for _ in range(shape)])
@@ -454,8 +519,9 @@ def equal_entries(shape, value):
 @pytest.mark.parametrize("shape", ["scalar", 1, 3])
 def test_packed_slots_at_the_width_bound(shape):
     # With one coefficient zero and equal nonnegative entries elsewhere,
-    # P(0, 40)·y or P(40, 0)·y has the largest entry that the slot width
-    # admits; (0, 10), (10, 0) and (3, 3) leave gaps on diagonals 5 to 10.
+    # P(0, 40)·y or P(40, 0)·y has the largest entry of the table.  The
+    # first two key sets span lines and run cell by cell; the next test
+    # reads the first on one line, at the width bound of the packed slots.
     c, e = Fraction(3, 2), Fraction(5)
     y = e if shape == "scalar" else ColumnVector([e] * shape)
     for c0, c1 in ((0, c), (c, 0), (c, 2 * c)):
@@ -472,12 +538,29 @@ def test_packed_slots_at_the_width_bound(shape):
             assert solve_closed(problem, p) == solve_iterative(problem, p)
 
 
+@pytest.mark.parametrize("shape", ["scalar", 1, 3])
+def test_packed_slots_at_the_width_bound_on_one_line(shape, packed_runs):
+    # Anti-diagonal 40 in one packed pass: P(0, 40)·y or P(40, 0)·y has the
+    # largest entry that the slot width admits.  (0, 0) is line 0 alone.
+    c, e = Fraction(3, 2), Fraction(5)
+    y = e if shape == "scalar" else ColumnVector([e] * shape)
+    for c0, c1 in ((0, c), (c, 0), (c, 2 * c)):
+        L0, L1 = equal_entries(shape, c0), equal_entries(shape, c1)
+        for keys in ([(0, 40), (40, 0), (20, 20), (7, 33)], [(0, 0)]):
+            for vector in (y, None):
+                packed_runs.clear()
+                results = perm_sum_batch(L0, L1, keys, vector=vector)
+                assert len(packed_runs) == 1
+                assert list(map(flat_entries, results)) == split_recursion_reference(
+                    L0, L1, keys, vector)
+
+
 def test_packed_read_takes_the_top_slot_and_rounds_below_it():
-    # Diagonal 3 keeps slots 0..2: (2, 1) is its top slot, (1, 2) and
-    # (0, 3) lie below it.  (0, 5) is the top slot, at u = 0, of diagonal 5.
-    # Line 2u + v = 5 holds (0, 5), (1, 3) and (2, 1), its top slot.  Odd
-    # diagonals of L0 = L1 = -1 hold only negative cells, and the matrix
-    # cells take both signs, so a floored slot or an unmasked one reads wrong.
+    # Diagonals 3 and 5 together span lines and run cell by cell; the next
+    # test reads each alone.  Line 2u + v = 5 holds (0, 5), (1, 3) and
+    # (2, 1), its top slot.  Odd diagonals of L0 = L1 = -1 hold only
+    # negative cells, and the matrix cells take both signs, so a floored
+    # slot or an unmasked one reads wrong.
     matrix = Matrix([[Fraction(-3, 2), 2], [1, Fraction(-1, 2)]])
     for keys, negative in (([(2, 1), (1, 2), (0, 3), (0, 5)], (1, 2)),
                            ([(0, 5), (1, 3), (2, 1)], (0, 2))):
@@ -486,6 +569,22 @@ def test_packed_read_takes_the_top_slot_and_rounds_below_it():
                 expected = split_recursion_reference(L0, L1, keys, vector)
                 assert all(min(expected[i]) < 0 for i in negative)
                 results = perm_sum_batch(L0, L1, keys, vector=vector)
+                assert list(map(flat_entries, results)) == expected
+
+
+def test_packed_read_of_one_line_takes_the_top_slot_and_rounds_below_it(packed_runs):
+    # Anti-diagonal 3 keeps slots 0..2: (2, 1) is its top slot, (1, 2) and
+    # (0, 3) lie below it.  (0, 5) alone is the one slot kept of line
+    # 2u + v = 5.  The cells of odd diagonals of L0 = L1 = -1 are negative.
+    matrix = Matrix([[Fraction(-3, 2), 2], [1, Fraction(-1, 2)]])
+    for keys, negative in (([(2, 1), (1, 2), (0, 3)], (1, 2)), ([(0, 5)], (0,))):
+        for L0, L1, y in ((-1, -1, 1), (matrix, matrix * matrix, ColumnVector([1, -2]))):
+            for vector in (y, None):
+                expected = split_recursion_reference(L0, L1, keys, vector)
+                assert all(min(expected[i]) < 0 for i in negative)
+                packed_runs.clear()
+                results = perm_sum_batch(L0, L1, keys, vector=vector)
+                assert len(packed_runs) == 1
                 assert list(map(flat_entries, results)) == expected
 
 
