@@ -257,8 +257,9 @@ def test_vector_table_counts_each_action(monkeypatch):
     # compose without a vector, one call an action, and its interior cells
     # through the fused word step, two actions a call; the dense and scalar
     # tables step numerator cells, packed or not, through neither, so there
-    # the count is compared with the union of the keys' rectangles alone.  The ring table gets
-    # P(1, 0) = L0 and P(0, 1) = L1 free: edges from the origin make no call.
+    # the count is compared with the union of the keys' rectangles alone.
+    # The ring table gets P(1, 0) = L0 and P(0, 1) = L1 free: edges from
+    # the origin make no call.
     monkeypatch.setattr(permsum, "apply", counted(apply))
     monkeypatch.setattr(permsum, "compose", counted(compose))
     monkeypatch.setattr(algebra, "_word_linear", counted_linear(algebra._word_linear))
@@ -434,9 +435,9 @@ def summed_tables(draw):
 # cell table runs them and divides each key by its own power of D before
 # the keys add; (2, 1) is repeated.
 CARRY_KEYS = [(3, 4), (2, 1), (0, 0), (1, 6), (2, 1)]
-# The same cells on the line 2u + v = 6, which the packed pass reads: key
-# (u, 6 - 2u) lies on anti-diagonal 6 - u, so its share of the total
-# carries the factor D^u, and (2, 2) is repeated.
+# Keys on the line 2u + v = 6, which the packed pass reads: key (u, 6 - 2u)
+# lies on anti-diagonal 6 - u, so its share of the total carries the
+# factor D^u; (2, 2) is repeated.
 LINE_KEYS = [(0, 6), (1, 4), (2, 2), (2, 2), (3, 0)]
 CARRY_MATRICES = (Matrix([[Fraction(1, 2), -1], [2, Fraction(3, 2)]]),
                   Matrix([[-1, Fraction(1, 2)], [0, 1]]))
