@@ -23,9 +23,11 @@ Per backend:
   for the empty word) to integer coefficients.  All three are optional
   and default to the generators A, B and the formal initial vector.
 
-Parse failures, and files that cannot be read, raise
-:class:`ProblemFileError` carrying the offending source, line (for
-malformed JSON) and field path.
+After backend, label and ``n``, the fields are read in the order L0,
+L1, Y1, each in full (a matrix's rows, then each row's entries) before
+the next, and the first fault is reported: parse failures, and files
+that cannot be read, raise :class:`ProblemFileError` carrying the
+offending source, line (for malformed JSON) and field path.
 """
 from __future__ import annotations
 
@@ -40,6 +42,8 @@ from .algebra import ColumnVector, FreeElement, FreeVector, Matrix
 from .solver import CauchyProblem
 
 BACKENDS = ("rational-matrix", "float-matrix", "scalar", "free")
+_FIELDS = ("L0", "L1", "Y1")
+_FREE_DEFAULTS = ((FreeElement, {"A": 1}), (FreeElement, {"B": 1}), (FreeVector, {"": 1}))
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _TOO_MANY_DIGITS = "integer has more digits than Python's int/str conversion limit"
@@ -101,16 +105,23 @@ def loads_problem(text, source="<string>"):
     if label is not None and not isinstance(label, str):
         raise ProblemFileError("label must be a string", source=source, field="label")
 
-    if backend in ("rational-matrix", "float-matrix"):
-        problem = _parse_matrix_problem(data, backend, source)
-    elif backend == "scalar":
-        problem = CauchyProblem(
-            _parse_rational(_require(data, "L0", source), "L0", source),
-            _parse_rational(_require(data, "L1", source), "L1", source),
-            _parse_rational(_require(data, "Y1", source), "Y1", source))
+    if backend == "scalar":
+        fields = [_parse_rational(_require(data, field, source), field, source)
+                  for field in _FIELDS]
+    elif backend == "free":
+        fields = [_parse_free_map(data.get(field, default), field, source, kind)
+                  for field, (kind, default) in zip(_FIELDS, _FREE_DEFAULTS)]
     else:
-        problem = _parse_free_problem(data, source)
-    return ProblemFile(backend=backend, problem=problem, label=label)
+        n = _require(data, "n", source)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ProblemFileError(f"n must be a positive integer, got {n!r}",
+                                   source=source, field="n")
+        entry = _parse_rational if backend == "rational-matrix" else _parse_float
+        fields = []
+        for field, kind in zip(_FIELDS, (Matrix, Matrix, ColumnVector)):
+            value = _require(data, field, source)
+            fields.append(kind(_parse_list(value, n, field, source, entry, rows=kind is Matrix)))
+    return ProblemFile(backend=backend, problem=CauchyProblem(*fields), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -161,47 +172,23 @@ def _parse_float(value, field, source):
     return number
 
 
-def _parse_matrix_problem(data, backend, source):
-    n = _require(data, "n", source)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ProblemFileError(f"n must be a positive integer, got {n!r}",
-                               source=source, field="n")
-    exact = backend == "rational-matrix"
-    entry = _parse_rational if exact else _parse_float
-    L0 = _parse_square(_require(data, "L0", source), n, "L0", entry, source)
-    L1 = _parse_square(_require(data, "L1", source), n, "L1", entry, source)
-    y1 = _parse_array(_require(data, "Y1", source), n, "Y1", entry, source)
-    return CauchyProblem(L0, L1, ColumnVector(y1))
-
-
-def _parse_square(value, n, field, entry_parser, source):
+def _parse_list(value, n, field, source, entry, rows=False):
+    """The n entries at ``field``, each read by ``entry``; with ``rows``,
+    its n rows of n entries each."""
     if not isinstance(value, list) or len(value) != n:
-        raise ProblemFileError(f"expected {n} rows", source=source, field=field)
-    rows = []
-    for i, row in enumerate(value):
-        rows.append(_parse_array(row, n, f"{field}[{i}]", entry_parser, source))
-    return Matrix(rows)
+        raise ProblemFileError(f"expected {n} {'rows' if rows else 'entries'}",
+                               source=source, field=field)
+    if rows:
+        return [_parse_list(row, n, f"{field}[{i}]", source, entry)
+                for i, row in enumerate(value)]
+    return [entry(v, f"{field}[{j}]", source) for j, v in enumerate(value)]
 
 
-def _parse_array(value, n, field, entry_parser, source):
-    if not isinstance(value, list) or len(value) != n:
-        raise ProblemFileError(f"expected {n} entries", source=source, field=field)
-    return [entry_parser(v, f"{field}[{j}]", source) for j, v in enumerate(value)]
-
-
-def _parse_free_map(value, field, source, factory):
+def _parse_free_map(value, field, source, kind):
     if not isinstance(value, dict):
         raise ProblemFileError("expected an object mapping words to integers",
                                source=source, field=field)
     try:
-        return factory.from_coeff_map(value)
+        return kind.from_coeff_map(value)
     except (TypeError, ValueError) as exc:
         raise ProblemFileError(str(exc), source=source, field=field) from None
-
-
-def _parse_free_problem(data, source):
-    return CauchyProblem(
-        _parse_free_map(data.get("L0", {"A": 1}), "L0", source, FreeElement),
-        _parse_free_map(data.get("L1", {"B": 1}), "L1", source, FreeElement),
-        _parse_free_map(data.get("Y1", {"": 1}), "Y1", source, FreeVector))
-

@@ -371,8 +371,10 @@ def estimate(method, problem, p):
     set neither ``width`` nor ``extra``.  Exact values take
     :func:`entry_width`, or scalar-roots y_p's width over rational roots,
     and a route adds printing, w²/PRINT_DIVISOR for each of 2n integers.
-    On the free backend every term made counts 64 bits a letter and one
-    for its coefficient: a route puts the terms of :func:`term_bounds` in
+    On the free backend every term made counts 64 bits a letter and, on
+    a route, max(64, (p-1)·⌈log2(‖L0‖₁ + ‖L1‖₁)⌉ + bits(‖Y1‖₁)) for its
+    coefficient, ‖x‖₁ the sum of x's absolute coefficients; cells count
+    64 for it.  A route puts the terms of :func:`term_bounds` in
     ``extra``, and a cell's width is its C(u+v, u) words of at most
     c0^u·c1^v terms (bench) or one word's product (naive, whose sum copies
     its running total on each add), left at the floor where that alone
@@ -394,7 +396,12 @@ def estimate(method, problem, p):
         c0, c1 = (len(x.terms) for x in (problem.L0, problem.L1))
         if method not in CELLS:  # printing copies Y_p's terms, and so does closed's one sum
             last, total, letters = term_bounds(problem, p)
-            extra = ((c0 + c1) * total + (1 + (method == "closed")) * last) * 64 * (letters + 1)
+            # a coefficient of Y_k is at most ‖Y_k‖₁ <= s^(k-1)·‖Y1‖₁, s = max(‖L0‖₁ + ‖L1‖₁, 1)
+            norm = lambda *xs: sum(abs(c) for x in xs for c in x.terms.values())
+            growth = (max(norm(problem.L0, problem.L1), 1) - 1).bit_length()  # ⌈log2 s⌉
+            coefficient = max(64, max(p - 1, 0) * growth + norm(problem.y1bar).bit_length())
+            extra = ((c0 + c1) * total + (1 + (method == "closed")) * last) * (
+                64 * letters + coefficient)
         elif count * products * ENTRY_FLOOR_BITS <= WORK_CAP:  # else c0^u·c1^v may be huge
             (u, v), c0, c1, words = p, max(c0, 1), max(c1, 1), comb(sum(p), p[0])
             width = c0 ** u * c1 ** v * 64 * (term_bounds(problem, u + v + 1)[2] + 1)
@@ -439,11 +446,16 @@ def term_bounds(problem, p):
     of x.  a_k bounds the terms of Y_k (exactly for the generators), the
     sum those of the closed form's table, and ``letters`` every word.  a_k
     stays at most a_1 when |L0| + |L1| < 2 or Y1 = 0, and otherwise grows
-    geometrically, so the sum stops past WORK_CAP within a hundred steps."""
+    geometrically, so the sum stops past WORK_CAP within a hundred steps.
+    Where every word is empty, each Y_k and cell is at most one term: the
+    pair is then the closed form's t̄(p) + 1 summands and its table's
+    cells, ⌊(p+1)/2⌋ and ⌊(p+1)²/4⌋, without a loop over p."""
     c0, c1 = len(problem.L0.terms), len(problem.L1.terms)
     last = total = len(problem.y1bar.terms)
     if c0 + c1 < 2 or not last:
         total *= p
+    elif not any(word for x in (problem.L0, problem.L1, problem.y1bar) for word in x.terms):
+        last, total = (p + 1) // 2, (p + 1) ** 2 // 4
     else:
         previous = 0
         for _ in range(p - 1):

@@ -268,12 +268,18 @@ def test_refusal_advice_names_a_route_that_solves(capsys, name, p):
     # every route of the file is estimated, to name the cheapest under the cap
     *((name, str(10 ** 30), "closed") for name in sorted(
         path.name for path in PROBLEMS_DIR.glob("*.json"))),
+    ("empty-words.json", "1000000000", "iterative"),
+    ("empty-words.json", "1000000000", "closed"),
 ])
-def test_solve_work_above_the_cap_exits_3(capsys, monkeypatch, name, p, method):
+def test_solve_work_above_the_cap_exits_3(tmp_path, capsys, monkeypatch, name, p, method):
+    path = PROBLEMS_DIR / name
+    if name in FREE_FILES:
+        path = tmp_path / name
+        path.write_text(json.dumps({"backend": "free", **FREE_FILES[name]}))
     for route in ROUTES:
         patch_solve(monkeypatch, route, None)  # refused before the solver runs
     start = time.perf_counter()
-    code, out, err = run(capsys, "solve", "--input", str(PROBLEMS_DIR / name), "--p", p,
+    code, out, err = run(capsys, "solve", "--input", str(path), "--p", p,
                          "--method", method)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
@@ -310,6 +316,8 @@ def test_solve_work_cap_boundaries(capsys):
 FREE_FILES = {
     "l0-zero.json": {"L0": {}, "L1": {"B": 1}},  # Y_p is the single word B^(p-1)
     "long-word.json": {"L0": {}, "L1": {"B" * 1000: 1}},  # Y_p is B^(1000(p-1))
+    # every word is empty: Y_p is the Fibonacci number F_p times y1
+    "empty-words.json": {"L0": {"": 1}, "L1": {"": 1}, "Y1": {"": 1}},
 }
 
 
@@ -369,6 +377,16 @@ FREE_FILES = {
     # p = 279: 279·4096 + 280·64·278001 = 4982920704
     # p = 280: 280·4096 + 281·64·279001 = 5018700864
     ("long-word.json", "iterative", 279),
+    # every word empty: t̄(p) + 1 = (p + 1) // 2 summands and (p+1)^2 // 4
+    # cells of one term each, its coefficient of (p - 1)·log2(1 + 1) + 1 = p
+    # bits, past 64 from p = 65:
+    # p = 1353: 458329·8192 + (2·458329 + 2·677)·1353 = 4996701404
+    # p = 1354: 459006·8192 + (2·459006 + 2·677)·1354 = 5004998716
+    ("empty-words.json", "closed", 1353),
+    # p steps at the floor, and 2·(p+1)^2 // 4 products plus one copy:
+    # p = 2152: 2152·4096 + (2·1158852 + 1076)·2152 = 4998829152
+    # p = 2153: 2153·4096 + (2·1159929 + 1077)·2153 = 5005791743
+    ("empty-words.json", "iterative", 2152),
     # F_p terms of p - 1 letters and a coefficient, 64·p bits each:
     # p = 28: 210·8192 + (2·832039 + 2·317811)·64·28 = 4122782720
     # p = 29: 225·8192 + (2·1346268 + 2·514229)·64·29 = 6908008064
@@ -410,6 +428,19 @@ def test_solve_free_table_cells_weigh_the_longest_word(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "20",
                        "--method", "iterative")
     assert (code, out) == (0, f"{'B' * 19000}·y1\n")
+
+
+def test_solve_free_empty_words_run_past_the_term_count(tmp_path, capsys):
+    # every Y_k is one term, so iteration runs far past the p = 36 at which
+    # counting Y_p's terms as F_p would refuse it
+    path = tmp_path / "empty-words.json"
+    path.write_text(json.dumps({"backend": "free", **FREE_FILES["empty-words.json"]}))
+    fib = [0, 1]
+    while len(fib) <= 2000:
+        fib.append(fib[-1] + fib[-2])
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--p", "2000",
+                       "--method", "iterative")
+    assert (code, out) == (0, f"{fib[2000]}·y1\n") and len(str(fib[2000])) == 418
 
 
 def test_solve_escapes_what_stdout_cannot_encode():

@@ -134,6 +134,31 @@ def test_rejected_file_names_field_or_line(case):
     assert re.search(message, str(error)[len(where) + 2:]), str(error)
 
 
+# Files with two faults, the later one in reading order written first: the
+# reader takes backend, label and n, then L0, L1 and Y1, each in full, and
+# names the first fault it meets.
+FIRST_FAULTS = {
+    "short-l0-no-y1": ('{"backend": "rational-matrix", "n": 2, "L1": %s, "L0": [[1, 0]]}' % EYE2,
+                       "L0", "^expected 2 rows$"),
+    "scalar-bad-l0-bool-l1": ('{"backend": "scalar", "L1": true, "L0": "x", "Y1": "1"}', "L0",
+                              "^invalid rational 'x'; expected 'p' or 'p/q'$"),
+    "free-list-l0-bad-y1-word": ('{"backend": "free", "Y1": {"AXB": 1}, "L0": [1]}', "L0",
+                                 "^expected an object mapping words"),
+    "float-nan-no-l1": ('{"backend": "float-matrix", "n": 1, "Y1": [1], "L0": [[NaN]]}',
+                        "L0[0][0]", FINITE),
+}
+
+
+@pytest.mark.parametrize("case", FIRST_FAULTS)
+def test_first_fault_in_reading_order_is_named(case):
+    text, field, message = FIRST_FAULTS[case]
+    with pytest.raises(ProblemFileError) as excinfo:
+        loads_problem(text, source="bad.json")
+    where = f"bad.json: field {field}: "
+    assert excinfo.value.field == field and str(excinfo.value).startswith(where)
+    assert re.search(message, str(excinfo.value)[len(where):]), str(excinfo.value)
+
+
 def test_unreadable_file_raises_problem_file_error(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(ProblemFileError) as excinfo:
