@@ -377,13 +377,14 @@ FREE_FILES = {
     # p = 279: 279·4096 + 280·64·278001 = 4982920704
     # p = 280: 280·4096 + 281·64·279001 = 5018700864
     ("long-word.json", "iterative", 279),
-    # every word empty: t̄(p) + 1 = (p + 1) // 2 summands and (p+1)^2 // 4
-    # cells of one term each, its coefficient of (p - 1)·log2(1 + 1) + 1 = p
-    # bits, past 64 from p = 65:
+    # every word empty: (p+1)^2 // 4 cells at two floors, and two products
+    # a cell plus 2 copies of t̄(p) + 1 = (p + 1) // 2 terms of no letters,
+    # each coefficient (p - 1)·⌈log2(1 + 1)⌉ + bits(1) = p bits (past 64):
     # p = 1353: 458329·8192 + (2·458329 + 2·677)·1353 = 4996701404
     # p = 1354: 459006·8192 + (2·459006 + 2·677)·1354 = 5004998716
     ("empty-words.json", "closed", 1353),
-    # p steps at the floor, and 2·(p+1)^2 // 4 products plus one copy:
+    # p steps at the floor, and the same 2·(p+1)^2 // 4 products plus one
+    # copy of (p + 1) // 2 terms, p bits each:
     # p = 2152: 2152·4096 + (2·1158852 + 1076)·2152 = 4998829152
     # p = 2153: 2153·4096 + (2·1159929 + 1077)·2153 = 5005791743
     ("empty-words.json", "iterative", 2152),

@@ -209,6 +209,24 @@ def test_estimate_size_bounds_hold_on_random_problems(drawn):
             assert len(cell.terms) <= math.comb(u + v, u) * c0 ** u * c1 ** v
 
 
+@pytest.mark.parametrize("c0, c1, y1", [(1, 1, 1), (2, -3, 5), (-1, 1, 1)])
+def test_term_bounds_of_empty_words_hold_the_closed_form(c0, c1, y1):
+    # every word empty: each Y_k and cell is one term, so the bounds are the
+    # closed form's t̄(p) + 1 summands and its (p+1)^2 // 4 cells, and each
+    # coefficient of Y_k has at most (k-1)·⌈log2(|c0| + |c1|)⌉ + bits(|y1|) bits
+    problem = CauchyProblem(FreeElement({(): c0}), FreeElement({(): c1}), FreeVector({(): y1}))
+    growth = (abs(c0) + abs(c1) - 1).bit_length()
+    for p in range(16):
+        assert term_bounds(problem, p) == ((p + 1) // 2, (p + 1) ** 2 // 4, 0)
+        keys = [(t, p - 1 - 2 * t) for t in range(t_bar(p) + 1)]
+        cells = [(u, v) for u in range(t_bar(p) + 1) for v in range(p - 2 * u)]
+        table = perm_sum_batch(problem.L0, problem.L1, cells, vector=problem.y1bar)
+        assert sum(len(z.terms) for z in table) <= (p + 1) ** 2 // 4
+        assert sum(len(table[cells.index(key)].terms) for key in keys) <= (p + 1) // 2
+        for coefficient in solve_iterative(problem, p).terms.values():
+            assert abs(coefficient).bit_length() <= (p - 1) * growth + abs(y1).bit_length()
+
+
 # ---------------------------------------------------------------------------
 # Iteration on integer numerators
 # ---------------------------------------------------------------------------
